@@ -33,8 +33,6 @@ class AnalyticCopula:
         (quadrature subdivides there).
     kernel_u_breaks : sequence of array-like, optional
         Per remaining coordinate, points of nonsmoothness in ``u``.
-    lipschitz : float
-        Per-coordinate Lipschitz bound of the cdf (1 for every copula).
     multilinear : bool
         True only if the cdf is globally multilinear (e.g. the independence
         copula), which lets the sup-metric use exact node maxima.
@@ -44,7 +42,7 @@ class AnalyticCopula:
     """
 
     def __init__(self, dim, cdf_fn, kernel_fn=None, kernel_v_breaks=None,
-                 kernel_u_breaks=None, lipschitz=1.0, multilinear=False,
+                 kernel_u_breaks=None, multilinear=False,
                  closed_family=None, name=""):
         self.dim = int(dim)
         self._cdf_fn = cdf_fn
@@ -54,7 +52,6 @@ class AnalyticCopula:
             else np.asarray(kernel_v_breaks, dtype=float)
         )
         self.kernel_u_breaks = kernel_u_breaks
-        self.lipschitz = float(lipschitz)
         self._multilinear = bool(multilinear)
         self.closed_family = closed_family
         self.name = name

@@ -8,7 +8,8 @@ CSV (row sequences).  Every JSON report conforms to
 payload, so each report matches exactly one branch.  Grid files and
 ``{family, params}`` descriptors are operand files that ``parse_operand``
 reads back; they are not reports and fall outside that schema.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 numerical error.
+0 success, 1 verification failure, 2 usage error (including a malformed
+operand), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .conditioning import (
     partial_copula,
 )
 from .empirical import EmpiricalCopula, empirical_copula, load_sample, sample, save_sample
-from .errors import CopulaError, UnknownCase
+from .errors import BadOperand, CopulaError, UnknownCase
 from .families import (
     bstar,
     bstarstar,
@@ -57,9 +58,6 @@ _METRICS = {
     "tv": tv,
     "kl": kl,
 }
-
-_GRID_FAMILIES = {"pi", "cube", "rcube", "bstar", "bstarstar", "product-extend"}
-
 
 def build_family(name: str, params: dict):
     """Instantiate a named family; see the make subcommand for the list."""
@@ -102,7 +100,22 @@ def build_family(name: str, params: dict):
 
 def parse_operand(spec: str):
     """Operand grammar: a file path (.json grid/descriptor, .csv sample) or
-    ``family[:key=value,...]``."""
+    ``family[:key=value,...]``.
+
+    Raises
+    ------
+    BadOperand
+        If the file or the parameters cannot be read as an operand.
+    """
+    try:
+        return _read_operand(spec)
+    except CopulaError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise BadOperand(f"malformed operand {spec!r}: {exc!r}") from exc
+
+
+def _read_operand(spec: str):
     path = Path(spec)
     if path.exists():
         if spec.endswith(".csv"):
@@ -121,6 +134,8 @@ def parse_operand(spec: str):
 
 
 def _emit(payload, out, fmt: str = "json"):
+    if payload == []:
+        raise BadOperand("the arguments select no rows to report")
     if fmt == "csv" and isinstance(payload, list):
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(payload[0].keys()))
@@ -249,6 +264,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
+    except BadOperand as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except CopulaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -259,7 +277,7 @@ def _dispatch(args) -> int:
     if cmd == "make":
         params = {}
         for key in ("dim", "m", "k", "base"):
-            val = getattr(args, key, None)
+            val = vars(args).get(key)
             if val is not None:
                 params[key] = val
         cop = build_family(args.family, params)
@@ -406,8 +424,6 @@ def _dispatch(args) -> int:
 
 
 def _as_grid(C):
-    if isinstance(C, GridCopula) or hasattr(C, "slab_family_fast"):
-        return C
     if isinstance(C, AnalyticCopula):
         res = [32] * (C.dim - 1) + [max(4, len(C.kernel_v_breaks) - 1)]
         return discretize(C, res)

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadAxis, DegenerateMargins, DimensionMismatch, ZeroMassSlab
-from .grid import GridCopula, _interp_matrix, box_mass
+from .grid import (
+    GridCopula,
+    _corner_matrix,
+    _interp_matrix,
+    box_mass,
+    cum_nodes,
+    multilinear_interp,
+)
 from .quadrature import integrate_abs_multilinear
 
 _MARGIN_TOL = 1e-12
@@ -81,6 +88,21 @@ class PiecewiseLinearCdf:
                     x = self.xs[a] + (s - v0) / (v1 - v0) * (self.xs[a + 1] - self.xs[a])
                     pts.add(float(x))
         return np.array(sorted(pts))
+
+
+def preimage_union(margins, targets) -> np.ndarray:
+    """Sorted union of the :meth:`PiecewiseLinearCdf.preimages` of ``targets``
+    under every margin; points within 1e-13 of the previous one are merged
+    and the last point is exactly 1."""
+    pts = np.array([0.0, 1.0])
+    for fm in margins:
+        pts = np.union1d(pts, fm.preimages(targets))
+    keep = [pts[0]]
+    for x in pts[1:]:
+        if x - keep[-1] > 1e-13:
+            keep.append(x)
+    keep[-1] = 1.0
+    return np.asarray(keep)
 
 
 class BilinearSurface:
@@ -201,20 +223,8 @@ def kernel_cdf(C: GridCopula, t, u, cond_axes=None) -> float:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if len(u) != len(free):
         raise DimensionMismatch(f"u must list the {len(free)} free coordinates")
-    cum = fiber
-    for ax in range(cum.ndim):
-        cum = np.cumsum(cum, axis=ax)
-    cum = np.pad(cum, [(1, 0)] * cum.ndim)
-    val = _multilinear_at(cum, [C.breaks[a] for a in free], u)
+    val = multilinear_interp(cum_nodes(fiber), [C.breaks[a] for a in free], u[None, :])[0]
     return float(val / w)
-
-
-def _multilinear_at(cum, breaks_list, u):
-    vec = cum
-    for j, b in enumerate(breaks_list):
-        W = _interp_matrix(b, np.array([u[j]]))
-        vec = np.tensordot(W, vec, axes=(1, 0))[0]
-    return float(vec)
 
 
 def conditional_margin(C: GridCopula, j: int, t, cond_axes=None) -> PiecewiseLinearCdf:
@@ -242,7 +252,7 @@ def conditional_margin(C: GridCopula, j: int, t, cond_axes=None) -> PiecewiseLin
 
 def _surface_from_joint(bx, by, joint):
     """Conditional copula surface and margins from one conditioning fiber."""
-    cum = np.pad(np.cumsum(np.cumsum(joint, axis=0), axis=1), ((1, 0), (1, 0)))
+    cum = cum_nodes(joint)
     w = cum[-1, -1]
     K = cum / w
     K[-1, -1] = 1.0
@@ -266,7 +276,7 @@ def _surface_from_joint(bx, by, joint):
 
 def slab_family(C, axis_a: int = 0, axis_b: int = 1, cond_axis=None) -> ConditionalFamily:
     """Conditional family of a three-dimensional copula w.r.t. one axis."""
-    if hasattr(C, "slab_family_fast"):
+    if not isinstance(C, GridCopula):
         return C.slab_family_fast()
     if C.dim != 3:
         raise DimensionMismatch("slab_family expects a three-dimensional copula")
@@ -381,6 +391,8 @@ def disintegration_residual(C: GridCopula, lower, upper) -> float:
     upper = np.asarray(upper, dtype=float)
     cond = C.dim - 1
     bt = C.breaks[cond]
+    upper_bits, signs = _corner_matrix(cond)
+    pts = np.where(upper_bits, upper[None, :cond], lower[None, :cond])
     lhs = 0.0
     for k in range(len(bt) - 1):
         width = min(upper[cond], bt[k + 1]) - max(lower[cond], bt[k])
@@ -390,19 +402,7 @@ def disintegration_residual(C: GridCopula, lower, upper) -> float:
         w = float(fiber.sum())
         if w <= 0:
             continue
-        cum = fiber
-        for ax in range(cum.ndim):
-            cum = np.cumsum(cum, axis=ax)
-        cum = np.pad(cum, [(1, 0)] * cum.ndim)
-        corners = 0.0
-        free_breaks = [C.breaks[a] for a in range(C.dim - 1)]
-        for mask in range(2 ** (C.dim - 1)):
-            pt = [
-                upper[j] if (mask >> j) & 1 else lower[j]
-                for j in range(C.dim - 1)
-            ]
-            sign = (-1) ** ((C.dim - 1) - bin(mask).count("1"))
-            corners += sign * _multilinear_at(cum, free_breaks, pt)
+        corners = signs @ multilinear_interp(cum_nodes(fiber), C.breaks[:-1], pts)
         lhs += width * corners / w
     rhs = box_mass(C, lower, upper)
     return abs(lhs - rhs)

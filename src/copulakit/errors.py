@@ -93,6 +93,10 @@ class ChainViolation(CopulaError):
     implementation bug, not bad input."""
 
 
+class BadOperand(CopulaError, ValueError):
+    """An operand or command argument is malformed (a usage error)."""
+
+
 class UnknownCase(CopulaError, ValueError):
     """An unknown verification case id."""
 

@@ -10,11 +10,12 @@ discretization of analytic copulas to checkerboards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import AnalyticCopula
+from .conditioning import PiecewiseLinearCdf, preimage_union
 from .errors import BadIndex, InvalidShuffle, NonCopulaInput
 from .grid import GridCopula, new_grid, uniform_breaks
 
@@ -275,26 +276,52 @@ class ClosedFormConditionalFamily:
     """Conditional decomposition with conditioning on the last coordinate.
 
     ``pieces`` cover (0,1); within a piece the two conditional margins are
-    constant in the conditioning value.  ``conditional(t, s)`` evaluates the
-    conditional copula at slab value ``t``; ``partial(s)`` is the exact
+    constant in the conditioning value.  ``partial(s)`` is the exact
     lambda-average of the conditional copulas.
     """
 
     pieces: list
-    conditional: callable
     partial: callable
     u_breaks: tuple = ((0.0, 1.0), (0.0, 1.0))
+
+
+def slab_mixture(pieces, surfaces, u_breaks, name, closed_family=None) -> AnalyticCopula:
+    """Three-dimensional copula ``sum_k overlap_k(v) S_k(F1k(u1), F2k(u2))``.
+
+    ``pieces[k]`` gives the conditioning interval and the conditional
+    margins ``F1k``, ``F2k``; ``surfaces[k]`` is the bivariate cdf ``S_k``
+    of that piece.  The Markov kernel on piece ``k`` is
+    ``S_k(F1k(u1), F2k(u2))``.
+    """
+    t_lo = np.array([p.t_lo for p in pieces])
+
+    def cdf(pts):
+        u1, u2, v = pts[:, 0], pts[:, 1], pts[:, 2]
+        total = np.zeros(len(pts))
+        for p, surface in zip(pieces, surfaces):
+            overlap = np.clip(v - p.t_lo, 0.0, p.t_hi - p.t_lo)
+            total += overlap * surface(np.stack([p.margin1(u1), p.margin2(u2)], axis=-1))
+        return total
+
+    def kern(v, u):
+        piece = np.clip(np.searchsorted(t_lo, v, side="right") - 1, 0, len(pieces) - 1)
+        out = np.empty(len(v))
+        for k in np.unique(piece):
+            p, sel = pieces[k], piece == k
+            s = np.stack([p.margin1(u[sel, 0]), p.margin2(u[sel, 1])], axis=-1)
+            out[sel] = surfaces[k](s)
+        return out
+
+    return AnalyticCopula(
+        3, cdf, kernel_fn=kern,
+        kernel_v_breaks=np.append(t_lo, pieces[-1].t_hi),
+        kernel_u_breaks=u_breaks, closed_family=closed_family, name=name,
+    )
 
 
 def _efgm_closed_family(spec: EfgmSpec) -> ClosedFormConditionalFamily:
     ident = lambda x: np.asarray(x, dtype=float)
     f_total = float(np.asarray(spec.f(np.array([1.0])))[0])
-
-    def conditional(t, s):
-        s = np.asarray(s, dtype=float)
-        return s[:, 0] * s[:, 1] + spec.fprime(np.asarray(t)) * (
-            s[:, 0] * (1 - s[:, 0]) * s[:, 1] * (1 - s[:, 1])
-        )
 
     def partial(s):
         # lambda-average of the conditionals: integral of f' is f(1) - f(0)
@@ -305,30 +332,15 @@ def _efgm_closed_family(spec: EfgmSpec) -> ClosedFormConditionalFamily:
 
     pieces = [ClosedFormPiece(lo, hi, ident, ident)
               for lo, hi in zip(spec.v_breaks[:-1], spec.v_breaks[1:])]
-    return ClosedFormConditionalFamily(pieces, conditional, partial)
-
-
-def _pwl(xs, ys):
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    return lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)
+    return ClosedFormConditionalFamily(pieces, partial)
 
 
 def example54_margins():
     """Per-quarter conditional margins of :func:`bstar` / :func:`bstarstar`."""
-    f_star = [
-        _pwl([0, 0.5, 1], [0, 0.25, 1]),
-        _pwl([0, 1], [0, 1]),
-        _pwl([0, 1], [0, 1]),
-        _pwl([0, 0.5, 1], [0, 0.75, 1]),
-    ]
-    f_2star = [
-        _pwl([0, 1], [0, 1]),
-        _pwl([0, 0.5, 1], [0, 0.25, 1]),
-        _pwl([0, 0.5, 1], [0, 0.75, 1]),
-        _pwl([0, 1], [0, 1]),
-    ]
-    return f_star, f_2star
+    ident = PiecewiseLinearCdf([0, 1], [0, 1])
+    low = PiecewiseLinearCdf([0, 0.5, 1], [0, 0.25, 1])
+    high = PiecewiseLinearCdf([0, 0.5, 1], [0, 0.75, 1])
+    return [low, ident, ident, high], [ident, low, high, ident]
 
 
 def example54_copula() -> AnalyticCopula:
@@ -343,57 +355,17 @@ def example54_copula() -> AnalyticCopula:
     shuffles = [shuffle_d(i) for i in (1, 2, 3, 4)]
     f_star, f_2star = example54_margins()
 
-    def cdf(pts):
-        u1, u2, v = pts[:, 0], pts[:, 1], pts[:, 2]
-        total = np.zeros(len(pts))
-        for i in range(4):
-            overlap = np.clip(v - i / 4.0, 0.0, 0.25)
-            s = np.stack([f_star[i](u1), f_2star[i](u2)], axis=-1)
-            total += overlap * shuffles[i].cdf_many(s)
-        return total
-
-    def kern(v, u):
-        piece = np.clip((v * 4).astype(int), 0, 3)
-        out = np.empty(len(v))
-        for i in range(4):
-            sel = piece == i
-            if not np.any(sel):
-                continue
-            s = np.stack([f_star[i](u[sel, 0]), f_2star[i](u[sel, 1])], axis=-1)
-            out[sel] = shuffles[i].cdf_many(s)
-        return out
-
-    def conditional(t, s):
-        i = min(int(t * 4), 3)
-        return shuffles[i].cdf_many(np.asarray(s, dtype=float))
-
     def partial(s):
         s = np.asarray(s, dtype=float)
         return sum(sh.cdf_many(s) for sh in shuffles) / 4.0
 
     pieces = [ClosedFormPiece(i / 4, (i + 1) / 4, f_star[i], f_2star[i])
               for i in range(4)]
-    u1_breaks = _preimage_union(f_star, [0.25, 0.5, 0.75])
-    u2_breaks = _preimage_union(f_2star, [0.25, 0.5, 0.75])
-    fam = ClosedFormConditionalFamily(pieces, conditional, partial,
-                                      u_breaks=(tuple(u1_breaks), tuple(u2_breaks)))
-    cop = AnalyticCopula(
-        3, cdf, kernel_fn=kern,
-        kernel_v_breaks=np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
-        kernel_u_breaks=(u1_breaks, u2_breaks),
-        closed_family=fam, name="composite54",
-    )
-    return cop
-
-
-def _preimage_union(margins, targets):
-    pts = {0.0, 0.5, 1.0}
-    grid = np.linspace(0.0, 1.0, 4097)
-    for fm in margins:
-        vals = fm(grid)
-        for t in targets:
-            pts.add(float(np.interp(t, vals, grid)))
-    return np.array(sorted(pts))
+    quarters = [0.25, 0.5, 0.75]
+    u_breaks = (preimage_union(f_star, quarters), preimage_union(f_2star, quarters))
+    fam = ClosedFormConditionalFamily(pieces, partial, u_breaks=u_breaks)
+    return slab_mixture(pieces, [sh.cdf_many for sh in shuffles], u_breaks,
+                        "composite54", closed_family=fam)
 
 
 # -- discretization -----------------------------------------------------------

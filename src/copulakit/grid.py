@@ -71,6 +71,14 @@ def _interp_matrix(breaks: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return W
 
 
+def cum_nodes(masses: np.ndarray) -> np.ndarray:
+    """Zero-padded cumulative tensor of cell masses: the cdf at every node."""
+    c = masses
+    for ax in range(c.ndim):
+        c = np.cumsum(c, axis=ax)
+    return np.pad(c, [(1, 0)] * c.ndim)
+
+
 def multilinear_interp(nodes: np.ndarray, breaks_list, pts: np.ndarray) -> np.ndarray:
     """Interpolate a node tensor at points, one value per row of ``pts``."""
     pts = np.asarray(pts, dtype=float)
@@ -186,10 +194,7 @@ class GridCopula:
     def cum(self) -> np.ndarray:
         """Zero-padded cumulative tensor; entry [i1..id] = C at node (b1[i1],..)."""
         if self._cum is None:
-            c = self.masses
-            for ax in range(self.dim):
-                c = np.cumsum(c, axis=ax)
-            c = np.pad(c, [(1, 0)] * self.dim)
+            c = cum_nodes(self.masses)
             c.setflags(write=False)
             self._cum = c
         return self._cum
@@ -365,7 +370,7 @@ def _check_index_set(axes, dim: int) -> tuple:
 def _refine_matrix(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Mass transfer matrix (new cells x old cells) for constant densities."""
     if not np.all(np.isin(old, new)):
-        raise ResolutionOverflow("new breakpoints must contain the old ones")
+        raise DimensionMismatch("new breakpoints must contain the old ones")
     T = np.zeros((len(new) - 1, len(old) - 1))
     src = np.searchsorted(old, new[:-1], side="right") - 1
     T[np.arange(len(new) - 1), src] = np.diff(new) / np.diff(old)[src]

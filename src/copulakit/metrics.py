@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import slab_family
+from .analytic import AnalyticCopula
+from .empirical import EmpiricalCopula
 from .errors import (
     ChainViolation,
     DimensionMismatch,
     KernelUnavailable,
     SupportViolation,
 )
-from .grid import GridCopula, common_refinement, uniform_breaks
+from .grid import GridCopula, common_refinement, cum_nodes, uniform_breaks
 from .quadrature import (
     adaptive_gl,
     integrate_abs_multilinear,
@@ -73,17 +74,27 @@ def _report(name, t0, value, exactness, error, n_evals) -> MetricReport:
 # -- uniform metric -------------------------------------------------------------
 
 
+def _u_breaks(op, j: int) -> np.ndarray:
+    """Points where the kernel of ``op`` may be nonsmooth in free coordinate ``j``."""
+    kb = op.kernel_u_breaks if isinstance(op, AnalyticCopula) else None
+    extra = kb[j] if kb is not None and j < len(kb) else []
+    return np.union1d([0.0, 1.0], np.asarray(extra, dtype=float))
+
+
+def _v_breaks(op) -> np.ndarray:
+    """Conditioning values where the kernel of ``op`` may be nonsmooth."""
+    return op.kernel_v_breaks if isinstance(op, AnalyticCopula) else np.array([0.0, 1.0])
+
+
 def _lattice_axes(c1, c2, scan_m: int):
     axes = []
     for j in range(c1.dim):
         pts = uniform_breaks(scan_m)
         for op in (c1, c2):
-            mb = op.multilinear_breaks() if hasattr(op, "multilinear_breaks") else None
+            mb = op.multilinear_breaks()
             if mb is not None:
                 pts = np.union1d(pts, mb[j])
-            kb = getattr(op, "kernel_u_breaks", None)
-            if kb is not None and j < len(kb):
-                pts = np.union1d(pts, np.asarray(kb[j], dtype=float))
+            pts = np.union1d(pts, _u_breaks(op, j))
         axes.append(pts)
     return axes
 
@@ -91,11 +102,9 @@ def _lattice_axes(c1, c2, scan_m: int):
 def _eval_lattice(op, axes):
     """Lattice cdf values plus a certified evaluation gap (0 except for the
     step shortcut of large empirical copulas)."""
-    if hasattr(op, "lattice_gap") and op.multilinear_breaks() is None:
+    if isinstance(op, EmpiricalCopula) and op.multilinear_breaks() is None:
         return op.step_cdf_on_lattice(axes), op.lattice_gap
-    if hasattr(op, "cdf_on_lattice"):
-        return op.cdf_on_lattice(axes), 0.0
-    raise DimensionMismatch("operand cannot be evaluated on a lattice")
+    return op.cdf_on_lattice(axes), 0.0
 
 
 def d_inf(c1, c2, eps: float = 1e-8, node_budget: int = 2_000_000,
@@ -111,8 +120,8 @@ def d_inf(c1, c2, eps: float = 1e-8, node_budget: int = 2_000_000,
     t0 = time.perf_counter()
     if c1.dim != c2.dim:
         raise DimensionMismatch("operands differ in dimension")
-    b1 = c1.multilinear_breaks() if hasattr(c1, "multilinear_breaks") else None
-    b2 = c2.multilinear_breaks() if hasattr(c2, "multilinear_breaks") else None
+    b1 = c1.multilinear_breaks()
+    b2 = c2.multilinear_breaks()
     if b1 is not None and b2 is not None:
         axes = [np.union1d(a, b) for a, b in zip(b1, b2)]
         count = int(np.prod([len(a) for a in axes]))
@@ -127,11 +136,10 @@ def d_inf(c1, c2, eps: float = 1e-8, node_budget: int = 2_000_000,
     v1, g1 = _eval_lattice(c1, axes)
     v2, g2 = _eval_lattice(c2, axes)
     value = float(np.max(np.abs(v1 - v2)))
-    lip = getattr(c1, "lipschitz", 1.0) + getattr(c2, "lipschitz", 1.0)
-    width = sum(lip * float(np.max(np.diff(a))) / 2.0 for a in axes) + g1 + g2
+    # every copula is 1-Lipschitz per coordinate, so the difference moves by
+    # at most twice the distance to the nearest node, half a cell per axis
+    width = sum(float(np.max(np.diff(a))) for a in axes) + g1 + g2
     n_evals = 2 * int(np.prod([len(a) for a in axes]))
-    if width <= eps:
-        return _report("d_inf", t0, value, CERTIFIED, width, n_evals)
     return _report("d_inf", t0, value, CERTIFIED, width, n_evals)
 
 
@@ -150,10 +158,7 @@ def _slab_kernels(c: GridCopula):
     for k in range(c.shape[-1]):
         fiber = c.masses[..., k]
         w = float(fiber.sum())
-        cum = fiber
-        for ax in range(fiber.ndim):
-            cum = np.cumsum(cum, axis=ax)
-        cum = np.pad(cum, [(1, 0)] * fiber.ndim)
+        cum = cum_nodes(fiber)
         K = cum / w if w > 0 else cum
         out.append((float(widths[k]), K))
     return out
@@ -173,7 +178,7 @@ def _kernel_pair_grid(c1, c2, axis):
 def _as_kernel_operand(op):
     if isinstance(op, GridCopula):
         return op
-    if getattr(op, "has_kernel", False):
+    if isinstance(op, AnalyticCopula) and op.has_kernel:
         return op
     raise KernelUnavailable(f"{op!r} provides no Markov kernel")
 
@@ -220,8 +225,7 @@ def d_inf_kernel(c1, c2, eps: float = 1e-8, axis=None, scan_m: int = 128) -> Met
         # so the maximum over the cell sits at a node
         return _report("d_inf_kernel", t0, float(acc.max()), EXACT, 0.0, acc.size)
     k1, k2 = _as_kernel_operand(c1), _as_kernel_operand(c2)
-    vb = np.union1d(getattr(k1, "kernel_v_breaks", [0, 1]),
-                    getattr(k2, "kernel_v_breaks", [0, 1]))
+    vb = np.union1d(_v_breaks(k1), _v_breaks(k2))
     axes_u = _lattice_axes(c1, c2, scan_m)[: c1.dim - 1]
     grids = np.meshgrid(*axes_u, indexing="ij")
     U = np.stack([g.ravel() for g in grids], axis=-1)
@@ -270,17 +274,8 @@ def _kernel_integral_analytic(c1, c2, power: int, eps: float, axis):
         return np.abs(diff) ** power
 
     d = c1.dim
-    axes = []
-    for j in range(d - 1):
-        pts = np.array([0.0, 1.0])
-        for op in (k1, k2):
-            kb = getattr(op, "kernel_u_breaks", None)
-            if kb is not None and j < len(kb):
-                pts = np.union1d(pts, np.asarray(kb[j], dtype=float))
-        axes.append(pts)
-    vb = np.union1d(getattr(k1, "kernel_v_breaks", [0, 1]),
-                    getattr(k2, "kernel_v_breaks", [0, 1]))
-    axes.append(vb)
+    axes = [np.union1d(_u_breaks(k1, j), _u_breaks(k2, j)) for j in range(d - 1)]
+    axes.append(np.union1d(_v_breaks(k1), _v_breaks(k2)))
     return adaptive_gl(f, axes, order=8, tol=eps)
 
 

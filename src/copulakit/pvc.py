@@ -27,16 +27,18 @@ from .conditioning import (
     average_surfaces,
     conditional_margin,
     is_simplified,
+    preimage_union,
     slab_family,
     _surface_from_joint,
 )
+from .empirical import EmpiricalCopula
 from .errors import (
     ClosedFormUnavailable,
     DimensionMismatch,
     ResolutionOverflow,
     ZeroMassSlab,
 )
-from .families import discretize
+from .families import discretize, slab_mixture
 from .grid import DEFAULT_CELL_LIMIT, GridCopula
 from .metrics import d1, d_inf
 
@@ -66,27 +68,13 @@ def _fingerprint(C) -> str:
         for b in C.breaks:
             h.update(b.tobytes())
         h.update(C.masses.tobytes())
-    elif hasattr(C, "ranks"):
+    elif isinstance(C, EmpiricalCopula):
         h.update(np.ascontiguousarray(C.ranks).tobytes())
     else:
-        h.update(repr(getattr(C, "name", C)).encode())
+        # the name alone does not tell members of one family apart
+        h.update(repr(C.name).encode())
+        h.update(C.cdf_on_lattice([np.linspace(0.0, 1.0, 5)] * C.dim).tobytes())
     return h.hexdigest()[:16]
-
-
-def _preimage_union(margins, targets) -> np.ndarray:
-    pts = np.array([0.0, 1.0])
-    for fm in margins:
-        pts = np.union1d(pts, fm.preimages(targets))
-    return _merge_close(pts)
-
-
-def _merge_close(pts: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    keep = [pts[0]]
-    for x in pts[1:]:
-        if x - keep[-1] > tol:
-            keep.append(x)
-    keep[-1] = 1.0
-    return np.asarray(keep)
 
 
 def pvc3(C, resolutions=None, cell_limit: int = DEFAULT_CELL_LIMIT) -> PvcResult:
@@ -96,19 +84,16 @@ def pvc3(C, resolutions=None, cell_limit: int = DEFAULT_CELL_LIMIT) -> PvcResult
     The result's (1,3)- and (2,3)-margins coincide with the input's, and
     simplified inputs are fixed points.
     """
-    if hasattr(C, "slab_family_fast"):
+    if isinstance(C, EmpiricalCopula):
+        # every slab's conditional copula is the same surface: the operator fixes C
         fam = C.slab_family_fast()
-        keys = {s.key() for s in fam.surfaces}
-        if len(keys) == 1:
-            # conditional copulas agree on every slab: the operator fixes C
-            return PvcResult(_fingerprint(C), C, fam.surfaces[0], len(fam.weights))
-        raise DimensionMismatch("rank-form input with varying conditionals")
+        return PvcResult(_fingerprint(C), C, fam.surfaces[0], len(fam.weights))
     if C.dim != 3:
         raise DimensionMismatch("pvc3 expects a three-dimensional copula")
     fam = slab_family(C)
     cp = average_surfaces(fam.weights, fam.surfaces)
-    xs = _preimage_union(fam.margins1, cp.xs)
-    ys = _preimage_union(fam.margins2, cp.ys)
+    xs = preimage_union(fam.margins1, cp.xs)
+    ys = preimage_union(fam.margins2, cp.ys)
     ts = fam.t_breaks
     n_cells = (len(xs) - 1) * (len(ys) - 1) * (len(ts) - 1)
     if n_cells > cell_limit:
@@ -128,39 +113,13 @@ def pvc3(C, resolutions=None, cell_limit: int = DEFAULT_CELL_LIMIT) -> PvcResult
 def pvc3_analytic(C: AnalyticCopula, resolutions=None) -> PvcResult:
     """Exact operator image for analytic copulas carrying a closed-form
     conditional family (piecewise-constant conditional margins)."""
-    fam = getattr(C, "closed_family", None)
+    fam = C.closed_family
     if fam is None:
         raise ClosedFormUnavailable(f"{C!r} carries no closed-form family")
-    pieces = fam.pieces
-    partial = fam.partial
-
-    def cdf(pts):
-        u1, u2, v = pts[:, 0], pts[:, 1], pts[:, 2]
-        total = np.zeros(len(pts))
-        for p in pieces:
-            overlap = np.clip(v - p.t_lo, 0.0, p.t_hi - p.t_lo)
-            s = np.stack([p.margin1(u1), p.margin2(u2)], axis=-1)
-            total += overlap * partial(s)
-        return total
-
-    def kern(v, u):
-        out = np.empty(len(v))
-        for p in pieces:
-            sel = (v >= p.t_lo) & (v < p.t_hi) if p.t_hi < 1 else (v >= p.t_lo)
-            if not np.any(sel):
-                continue
-            s = np.stack([p.margin1(u[sel, 0]), p.margin2(u[sel, 1])], axis=-1)
-            out[sel] = partial(s)
-        return out
-
-    v_breaks = np.unique(np.concatenate([[p.t_lo for p in pieces], [1.0]]))
-    psi = AnalyticCopula(
-        3, cdf, kernel_fn=kern, kernel_v_breaks=v_breaks,
-        kernel_u_breaks=getattr(fam, "u_breaks", None),
-        name=f"pvc({getattr(C, 'name', 'analytic')})",
-    )
+    psi = slab_mixture(fam.pieces, [fam.partial] * len(fam.pieces), fam.u_breaks,
+                       f"pvc({C.name})")
     grid = discretize(psi, resolutions) if resolutions is not None else None
-    return PvcResult(_fingerprint(C), psi, partial, len(pieces), grid,
+    return PvcResult(_fingerprint(C), psi, fam.partial, len(fam.pieces), grid,
                      {"closed_family": fam})
 
 
@@ -176,7 +135,7 @@ def pvc_dvine(C: GridCopula, order=None, resolutions=None,
     With order ``(0, 2, 1)`` the three-dimensional ladder reproduces
     :func:`pvc3`, which conditions the pair (1, 2) on coordinate 3.
     """
-    if hasattr(C, "slab_family_fast"):
+    if isinstance(C, EmpiricalCopula):
         return pvc3(C)
     d = C.dim
     if d < 3:
@@ -266,8 +225,8 @@ def _build_block(work, blocks, i, span, cell_limit):
                                            cond_axes=tuple(range(0, span - 1)))
 
     live_cells = [c for c in np.ndindex(*cells_shape) if weights[c] > 0]
-    xs = _preimage_union([f_left[c] for c in live_cells], cp.xs)
-    ys = _preimage_union([f_right[c] for c in live_cells], cp.ys)
+    xs = preimage_union([f_left[c] for c in live_cells], cp.xs)
+    ys = preimage_union([f_right[c] for c in live_cells], cp.ys)
     shape = (len(xs) - 1,) + cells_shape + (len(ys) - 1,)
     if int(np.prod(shape)) > cell_limit:
         raise ResolutionOverflow(f"tree {span} block needs {np.prod(shape)} cells")

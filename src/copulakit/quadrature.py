@@ -26,6 +26,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from .grid import _interp_matrix
+
 
 @lru_cache(maxsize=None)
 def leg01(order: int):
@@ -138,7 +140,7 @@ def integrate_square_multilinear(values: np.ndarray, axes) -> float:
     for j in range(d):
         a = np.asarray(axes[j], dtype=float)
         pts = (a[:-1, None] + np.diff(a)[:, None] * x[None, :]).ravel()
-        W = _interp_rows(a, pts)
+        W = _interp_matrix(a, pts)
         vals = np.moveaxis(np.tensordot(W, vals, axes=(1, j)), 0, j)
     sq = vals**2
     for j in range(d):
@@ -146,16 +148,6 @@ def integrate_square_multilinear(values: np.ndarray, axes) -> float:
         wj = (np.diff(a)[:, None] * w[None, :]).ravel()
         sq = np.tensordot(wj, sq, axes=(0, 0))
     return float(sq)
-
-
-def _interp_rows(breaks: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    idx = np.clip(np.searchsorted(breaks, xs, side="right") - 1, 0, len(breaks) - 2)
-    frac = (xs - breaks[idx]) / (breaks[idx + 1] - breaks[idx])
-    W = np.zeros((len(xs), len(breaks)))
-    rows = np.arange(len(xs))
-    W[rows, idx] = 1.0 - frac
-    W[rows, idx + 1] += frac
-    return W
 
 
 def adaptive_gl(f, axes, order: int = 8, tol: float = 1e-8,

@@ -73,6 +73,31 @@ class TestUsageErrors:
         assert run(["metric", "--name", "dinf", "--a", "cube"]) == 2
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("kind", ["truncated-masses", "missing-resolutions",
+                                      "not-json", "non-integer-param"])
+    def test_bad_operand_is_usage_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "op.json"
+        grid = {"dim": 2, "resolutions": [2, 2], "masses": [0.5, 0.0, 0.0, 0.5]}
+        if kind == "truncated-masses":
+            path.write_text(json.dumps({**grid, "masses": [0.5, 0.0, 0.0]}))
+        elif kind == "missing-resolutions":
+            path.write_text(json.dumps({"dim": 2, "masses": grid["masses"]}))
+        elif kind == "not-json":
+            path.write_text("not json {")
+        operand = "cube:dim=x" if kind == "non-integer-param" else str(path)
+        assert run(["metric", "--name", "tv", "--a", operand, "--b", "cube"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_empty_sample_size_list_is_usage_error(self, tmp_path, capsys, fmt):
+        out = tmp_path / "rows"
+        assert run(["discontinuity", "--n-list", "", "--format", fmt,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestPipelines:
     def test_sample_empirical_round_trip(self, tmp_path):
         csv = tmp_path / "s.csv"

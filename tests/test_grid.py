@@ -221,6 +221,10 @@ class TestCommonRefinement:
         ra, rb = common_refinement(cube, cube)
         assert ra.resolutions == cube.resolutions
 
+    def test_refine_to_needs_nested_breakpoints(self, cube):
+        with pytest.raises(DimensionMismatch):
+            cube.refine_to([np.array([0.0, 0.3, 1.0])] * 3)
+
     def test_overflow_guard(self):
         a = independence(3, [97, 97, 97])
         b = independence(3, [89, 89, 89])

@@ -24,7 +24,8 @@ from copulakit import (
     tv,
     wcc_profile,
 )
-from copulakit.errors import ResolutionOverflow, SupportViolation
+from copulakit import verify
+from copulakit.errors import ChainViolation, ResolutionOverflow, SupportViolation
 from copulakit.verify import random_copula_grid
 from conftest import a1_cdf, a2_cdf
 
@@ -180,6 +181,24 @@ class TestChain:
             coarse = d1(a, b, eps=1e-6)
             fine = d1(a, b, eps=1e-10)
             assert abs(coarse.value - fine.value) <= coarse.error + fine.error + 1e-12
+
+    def test_case_records_violation_messages(self, monkeypatch):
+        def violated(c1, c2, eps):
+            raise ChainViolation("metric relations violated: ['d2 <= d1']")
+
+        monkeypatch.setattr(verify, "metric_chain_check", violated)
+        case = verify.case_metric_chain()
+        assert not case.passed
+        assert case.computed["violations"] == 100
+        assert case.computed["messages"][0] == "metric relations violated: ['d2 <= d1']"
+
+    def test_case_propagates_other_errors(self, monkeypatch):
+        def broken(c1, c2, eps):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(verify, "metric_chain_check", broken)
+        with pytest.raises(ZeroDivisionError):
+            verify.case_metric_chain()
 
     def test_dinf_below_sup_kernel(self, rng):
         for _ in range(20):

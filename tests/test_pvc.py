@@ -3,10 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from copulakit import (
+    EfgmSpec,
+    EmpiricalCopula,
     common_refinement,
     convex_combine,
     d_inf,
     discretize,
+    efgm,
     efgm_quadratic,
     empirical_copula,
     example54_copula,
@@ -86,6 +89,19 @@ class TestPvc3:
 
     def test_fingerprint_distinguishes_inputs(self, cube, rcube):
         assert pvc3(cube).fingerprint != pvc3(rcube).fingerprint
+
+    def test_fingerprint_distinguishes_analytic_members(self):
+        def member(a):
+            return efgm(EfgmSpec(3, lambda v: a * v * (1.0 - v), lambda v: a * (1.0 - 2.0 * v)))
+
+        plus, minus = pvc3_analytic(member(0.5)), pvc3_analytic(member(-0.5))
+        assert plus.fingerprint != minus.fingerprint
+        assert pvc3_analytic(member(0.5)).fingerprint == plus.fingerprint
+
+    def test_grid_and_rank_fingerprints_are_stable(self, cube):
+        emp = EmpiricalCopula(np.array([[1, 2, 3], [2, 3, 1], [3, 1, 2]]))
+        assert pvc3(cube).fingerprint == "d4acab5398df279b"
+        assert pvc3(emp).fingerprint == "383e7b92b38759c9"
 
 
 class TestWorstCaseCharacterization:

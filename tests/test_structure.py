@@ -1,0 +1,71 @@
+"""Source-level guards: operands are told apart by type, not by probing for
+attributes, and no module imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "copulakit"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree) -> set:
+    """Names listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _imported(tree):
+    """(bound name, line) for every module-level import."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_package_has_modules():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_capability_probes(path):
+    probes = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("hasattr", "getattr")
+    ]
+    assert probes == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    unused = [f"{path.name}:{line} {name}" for name, line in _imported(tree)
+              if name not in used]
+    assert unused == []
+
+
+def test_guards_catch_offenders(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import os\nfrom json import loads\n\n"
+                   "def f(x):\n    return hasattr(x, 'a') or getattr(x, 'b', None)\n")
+    with pytest.raises(AssertionError):
+        test_no_capability_probes(bad)
+    with pytest.raises(AssertionError):
+        test_no_unused_imports(bad)
