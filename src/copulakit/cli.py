@@ -111,7 +111,7 @@ def parse_operand(spec: str):
         return _read_operand(spec)
     except CopulaError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise BadOperand(f"malformed operand {spec!r}: {exc!r}") from exc
 
 
@@ -119,11 +119,13 @@ def _read_operand(spec: str):
     path = Path(spec)
     if path.exists():
         if spec.endswith(".csv"):
-            return empirical_copula(load_sample(path))
+            return empirical_copula(_read_sample(path))
         payload = json.loads(path.read_text())
         if "family" in payload:
             return build_family(payload["family"], payload.get("params", {}))
         return GridCopula.from_json(path.read_text())
+    if path.suffix in (".json", ".csv") or len(path.parts) > 1:
+        raise BadOperand(f"no operand file {spec!r}")
     name, _, argstr = spec.partition(":")
     params = {}
     if argstr:
@@ -158,12 +160,28 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _float_list(text: str):
-    return [float(x) for x in text.split(",") if x.strip()]
+def _read_sample(path) -> np.ndarray:
+    """Points of a CSV sample file; an unreadable file is a usage error."""
+    try:
+        return load_sample(path)
+    except (OSError, ValueError, StopIteration) as exc:
+        raise BadOperand(f"cannot read sample {str(path)!r}: {exc!r}") from exc
 
 
-def _int_list(text: str):
-    return [int(x) for x in text.split(",") if x.strip()]
+def _numbers(text: str, convert, sep: str = ","):
+    """Entries of a separated number list; a malformed one is a usage error."""
+    try:
+        return [convert(x) for x in text.split(sep) if x.strip()]
+    except ValueError as exc:
+        raise BadOperand(f"malformed number list {text!r}: {exc}") from exc
+
+
+def _resolutions(text: str):
+    """``--res`` value: one count per axis, e.g. ``8`` or ``8x8x4``."""
+    res = _numbers(text, int, "x")
+    if not res:
+        raise BadOperand(f"malformed resolution {text!r}")
+    return res
 
 
 def _surface_payload(surface):
@@ -282,7 +300,7 @@ def _dispatch(args) -> int:
                 params[key] = val
         cop = build_family(args.family, params)
         if args.res is not None:
-            res = [int(r) for r in str(args.res).split("x")]
+            res = _resolutions(args.res)
             if len(res) == 1:
                 res = res * cop.dim
             cop = cop if isinstance(cop, GridCopula) and cop.resolutions == res else discretize(cop, res)
@@ -311,8 +329,8 @@ def _dispatch(args) -> int:
 
     if cmd == "kernel":
         C = _as_grid(parse_operand(args.operand))
-        cond = tuple(_int_list(args.cond_axes)) if args.cond_axes else None
-        val = kernel_cdf(C, _float_list(args.t), _float_list(args.u), cond_axes=cond)
+        cond = tuple(_numbers(args.cond_axes, int)) if args.cond_axes else None
+        val = kernel_cdf(C, _numbers(args.t, float), _numbers(args.u, float), cond_axes=cond)
         _emit({"value": val, "error": 0.0}, args.out)
         return 0
 
@@ -341,11 +359,11 @@ def _dispatch(args) -> int:
 
     if cmd == "pvc":
         C = parse_operand(args.operand)
-        res = [int(r) for r in str(args.res).split("x")] if args.res else None
+        res = _resolutions(args.res) if args.res else None
         if isinstance(C, AnalyticCopula):
             result = pvc3_analytic(C, resolutions=res)
         elif args.dvine:
-            order = tuple(_int_list(args.order)) if args.order else None
+            order = tuple(_numbers(args.order, int)) if args.order else None
             result = pvc_dvine(C, order=order, resolutions=res)
         else:
             result = pvc3(C, resolutions=res)
@@ -378,7 +396,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "empirical":
-        pts = load_sample(args.operand)
+        pts = _read_sample(args.operand)
         emp = empirical_copula(pts, tie_break="stable" if args.jitter else "error")
         if emp.n <= 64:
             text = emp.to_grid().to_json()
@@ -403,7 +421,7 @@ def _dispatch(args) -> int:
         return 0 if all(c.passed for c in cases) else 1
 
     if cmd == "discontinuity":
-        rows = verify_mod.discontinuity_experiment(_int_list(args.n_list), seed=args.seed)
+        rows = verify_mod.discontinuity_experiment(_numbers(args.n_list, int), seed=args.seed)
         _emit(rows, args.out, args.format)
         return 0
 

@@ -3,9 +3,13 @@
 Two integrators are provided:
 
 * :func:`integrate_abs_multilinear` integrates ``|g|`` for a function that is
-  multilinear between the nodes of a rectangular mesh.  Sign-definite cells
-  are integrated exactly (corner mean times volume); mixed-sign cells are
-  bisected recursively.  Because multilinear interpolation has nonnegative
+  multilinear between the nodes of a rectangular mesh.  Cells whose corners
+  share a sign are integrated exactly (corner mean times volume).  On one
+  and two axes the mixed-sign cells are integrated in closed form as well,
+  so the result is exact (half-width 0): a linear cell in one line, a
+  bilinear cell as a midpoint rule plus a logarithm on at most three pieces
+  (:func:`_abs_bilinear_unit`).  On three or more axes mixed-sign cells are
+  bisected recursively; because multilinear interpolation has nonnegative
   weights, ``|corner-mean| * vol <= cell integral <= mean(|corners|) * vol``,
   which yields a certified bracket at every stage.
 
@@ -36,14 +40,21 @@ def leg01(order: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def _corner_slabs(values: np.ndarray) -> list:
+    """Per-cell corner values from a node tensor, one array of shape
+    ``cells`` per corner, corners in ``product((0, 1), repeat=d)`` order."""
+    return [values[tuple(slice(b, n - 1 + b) for n, b in zip(values.shape, bits))]
+            for bits in itertools.product((0, 1), repeat=values.ndim)]
+
+
 def _corner_tensor(values: np.ndarray) -> np.ndarray:
     """Stack per-cell corner values: shape (*cells, 2**d) from node tensor."""
-    d = values.ndim
-    slabs = []
-    for bits in itertools.product((0, 1), repeat=d):
-        sl = tuple(slice(b, values.shape[j] - 1 + b) for j, b in enumerate(bits))
-        slabs.append(values[sl])
-    return np.stack(slabs, axis=-1)
+    return np.stack(_corner_slabs(values), axis=-1)
+
+
+def _any_corner(mask: np.ndarray) -> np.ndarray:
+    """Cells with at least one node of ``mask``, flattened in C order."""
+    return reduce(np.logical_or, _corner_slabs(mask)).reshape(-1)
 
 
 _SPLIT_CACHE: dict = {}
@@ -78,19 +89,124 @@ def integrate_abs_multilinear(values: np.ndarray, axes, tol: float = 1e-10,
     axes : sequence of 1-d arrays
         Mesh breakpoints per axis.
     tol : float
-        Target width of the certified bracket.
+        Target width of the certified bracket on three or more axes.
+    max_rounds : int
+        Bisection rounds at most, on three or more axes.
 
     Returns
     -------
     (value, half_width) : tuple of float
-        ``value`` is the bracket midpoint; the true integral lies within
-        ``half_width`` of it (certified).
+        The true integral lies within ``half_width`` of ``value``.  On one
+        and two axes the value is the closed form and ``half_width`` is 0.
     """
     d = values.ndim
     widths = [np.diff(np.asarray(a, dtype=float)) for a in axes]
-    vols = reduce(np.multiply.outer, widths) if d > 1 else widths[0]
-    active_c = _corner_tensor(values).reshape(-1, 2**d)
-    active_v = vols.reshape(-1).copy()
+    vols = (reduce(np.multiply.outer, widths) if d > 1 else widths[0]).reshape(-1)
+    corners = _corner_tensor(values).reshape(-1, 2**d)
+    if d > 2:
+        return _bisect_abs(corners, vols, d, tol, max_rounds)
+    # exact on sign-definite cells; only mixed cells are overwritten, so a
+    # mesh without them sums the same per-cell values in the same order
+    cells = np.abs(corners.mean(axis=1)) * vols
+    mixed = _any_corner(values < 0.0) & _any_corner(values > 0.0)
+    if mixed.any():
+        c = corners[mixed]
+        unit = _abs_linear_unit(c[:, 0], c[:, 1]) if d == 1 else _abs_bilinear_unit(c)
+        cells[mixed] = unit * vols[mixed]
+    return float(cells.sum()), 0.0
+
+
+def _abs_linear_unit(a, b):
+    """``int_0^1 |a + (b - a) x| dx`` where ``a`` and ``b`` have strictly
+    opposite signs."""
+    return (a * a + b * b) / (2.0 * np.abs(b - a))
+
+
+# terms of the power series used where the log form cancels: |z| <= 1/4, so
+# the truncation is below 4**-30 < 1e-18 relative, under the rounding unit
+_SERIES_TERMS = 30
+_SERIES_K = np.arange(_SERIES_TERMS)
+
+
+def _abs_bilinear_unit(c):
+    """``int |g|`` over the unit square for bilinear ``g`` with corner values
+    ``c[:, 0..3]`` at (0, 0), (0, 1), (1, 0), (1, 1).
+
+    For fixed ``t`` the integrand is linear in ``x``, from ``g0(t) = g(0, t)``
+    to ``g1(t) = g(1, t)``, so the inner integral is ``|g0 + g1| / 2`` where
+    they share a sign and ``(g0**2 + g1**2) / (2 |g1 - g0|)`` where they do
+    not.  ``t`` is split at the roots of ``g0`` and ``g1`` (at most three
+    pieces); on each piece the signs are fixed, so the first form integrates
+    exactly by the midpoint rule and the second by :func:`_abs_cross_piece`.
+    """
+    c00, c01, c10, c11 = c.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r0 = np.where(c00 * c01 < 0.0, c00 / (c00 - c01), np.nan)
+        r1 = np.where(c10 * c11 < 0.0, c10 / (c10 - c11), np.nan)
+    ends = np.stack([np.zeros_like(r0), r0, r1, np.ones_like(r0)], axis=1)
+    t = np.sort(ends, axis=1)  # missing roots sort last as nan: empty pieces at 1
+    t[np.isnan(t)] = 1.0
+    # g0, g1 at the piece ends, exactly 0 at their own roots
+    g0 = np.where(t == r0[:, None], 0.0, (1.0 - t) * c00[:, None] + t * c01[:, None])
+    g1 = np.where(t == r1[:, None], 0.0, (1.0 - t) * c10[:, None] + t * c11[:, None])
+    h = np.diff(t, axis=1)
+    m0 = (g0[:, :-1] + g0[:, 1:]) / 2.0
+    m1 = (g1[:, :-1] + g1[:, 1:]) / 2.0
+    out = h * np.abs(m0 + m1) / 2.0
+    cross = (np.sign(m0) * np.sign(m1) < 0.0) & (h > 0.0)
+    if cross.any():
+        out[cross] = h[cross] * _abs_cross_piece(
+            g0[:, :-1][cross], g0[:, 1:][cross], g1[:, :-1][cross], g1[:, 1:][cross])
+    return out.sum(axis=1)
+
+
+def _abs_cross_piece(a0, a1, b0, b1):
+    """``int_0^1 (g0**2 + g1**2) / (2 |g1 - g0|) ds`` for linear ``g0`` from
+    ``a0`` to ``a1`` and ``g1`` from ``b0`` to ``b1`` of strictly opposite
+    signs on (0, 1).
+
+    ``beta = g1 - g0`` keeps its sign; with ``s = 0`` at the end where
+    ``|beta|`` is larger, ``beta = q0 w`` with ``w = 1 + z s`` and
+    ``z in [-1, 0]``.  Writing ``g0 = e + rho w`` (``e`` is ``g0`` at the
+    pole ``w = 0``) turns the integrand into
+    ``(e**2 / w + m1 + m2 w) / |q0|``, whose integral is
+    ``(e**2 log1p(z) / z + m1 + m2 (1 + z / 2)) / |q0|``.  That form cancels
+    for small ``|z|``; there the power series of ``1 / w`` is used instead.
+    A pole on the piece's end (``z = -1``) is a shared root of ``g0`` and
+    ``g1``, where ``e = 0``, so the log term is dropped.
+    """
+    flip = np.abs(a1 - b1) > np.abs(a0 - b0)
+    a0, a1 = np.where(flip, a1, a0), np.where(flip, a0, a1)
+    b0, b1 = np.where(flip, b1, b0), np.where(flip, b0, b1)
+    q0 = b0 - a0
+    z = np.clip(((b1 - a1) - q0) / q0, -1.0, 0.0)
+    da, db = a1 - a0, b1 - b0
+    out = np.empty_like(z)
+    series = z >= -0.25
+    if series.any():
+        # int_0^1 N(s) s**k ds for N = (g0**2 + g1**2) / 2 = n0 + n1 s + n2 s**2
+        a, b, p, q = a0[series], b0[series], da[series], db[series]
+        k = _SERIES_K[None, :]
+        moments = ((a * a + b * b)[:, None] / (2.0 * (k + 1))
+                   + (a * p + b * q)[:, None] / (k + 2)
+                   + (p * p + q * q)[:, None] / (2.0 * (k + 3)))
+        out[series] = (moments * (-z[series])[:, None] ** k).sum(axis=1)
+    logf = ~series
+    if logf.any():
+        zz, qq = z[logf], q0[logf]
+        rho = da[logf] / zz
+        e = a0[logf] - rho
+        pole = zz == -1.0
+        log_term = np.where(pole, 0.0, e * e * np.log1p(np.where(pole, -0.5, zz)) / zz)
+        out[logf] = (log_term + e * (2.0 * rho + qq)
+                     + (rho * rho + rho * qq + qq * qq / 2.0) * (1.0 + zz / 2.0))
+    return out / np.abs(q0)
+
+
+def _bisect_abs(corners, vols, d, tol, max_rounds):
+    """Certified bracket of ``int |g|`` by recursive bisection of the
+    ``d``-dimensional cells with corner rows ``corners`` and volumes ``vols``."""
+    active_c, active_v = corners, vols
     split = _split_matrix(d)
 
     settled_lo = 0.0

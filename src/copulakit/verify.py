@@ -282,12 +282,14 @@ def case_cube_kernel_l1(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
     cube = cube_copula()
     res = pvc3(cube)
     rep = d1(cube, res.psi, eps=1e-9)
-    expected = 15.0 / 64.0
+    expected = 1.0 / 16.0
     passed = abs(rep.value - expected) <= 1e-6
     return _case(
         "cube-kernel-l1",
-        "block copula: integrated kernel distance to its operator image",
-        "d1 = 15/64 = 0.234375",
+        "block copula: integrated kernel distance to its operator image, which is "
+        "independence; on each of the four quadrants of the free square "
+        "|A_k - Pi| integrates to 1/64 in either slab, so d1 = 4 x 1/64",
+        "d1 = 1/16 = 0.0625",
         "1e-6",
         {"d1": rep.value, "d1_error": rep.error},
         passed, t0,

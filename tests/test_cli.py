@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from copulakit import GridCopula
+from copulakit import verify as verify_mod
 from copulakit.cli import main, parse_operand
 
 SCHEMA = json.loads(
@@ -54,11 +56,18 @@ class TestMetricCommand:
         payload = json.loads(capsys.readouterr().out)
         jsonschema.validate(payload, SCHEMA)
         assert payload["value"] == 0.0
+        # the scan fallback's certificate is far wider than the default eps
+        assert payload["error"] > 1e-8 and payload["target_met"] is False
 
     def test_grid_pair(self, tmp_path, capsys):
         assert run(["metric", "--name", "tv", "--a", "cube", "--b", "pi:res=2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == 0.5
+
+    def test_exact_grid_pair_meets_eps(self, capsys):
+        assert run(["metric", "--name", "dinf", "--a", "cube", "--b", "pi:res=2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == 0.0 and payload["target_met"] is True
 
     def test_numerical_error_exit_code(self, capsys):
         # kl support violation maps to exit code 3
@@ -87,6 +96,31 @@ class TestMalformedInput:
             path.write_text("not json {")
         operand = "cube:dim=x" if kind == "non-integer-param" else str(path)
         assert run(["metric", "--name", "tv", "--a", operand, "--b", "cube"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["discontinuity", "--n-list", "a"],
+        ["kernel", "--in", "cube", "--t", "x", "--u", "0.5,0.5"],
+        ["kernel", "--in", "cube", "--t", "0.5", "--u", "0.5,y"],
+        ["kernel", "--in", "cube", "--t", "0.5", "--u", "0.5,0.5", "--cond-axes", "z"],
+        ["make", "cube", "--res", "x"],
+        ["make", "cube", "--res", "4xq"],
+        ["pvc", "--in", "cube", "--res", "x"],
+    ], ids=["n-list", "kernel-t", "kernel-u", "cond-axes", "make-res", "make-res-axis",
+            "pvc-res"])
+    def test_malformed_number_is_usage_error(self, capsys, args):
+        assert run(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["empirical", "--in", "{missing}.csv"],
+        ["metric", "--name", "tv", "--a", "{missing}.json", "--b", "cube"],
+        ["metric", "--name", "tv", "--a", "cube", "--b", "missing.json"],
+        ["simplified", "--in", "{missing}.csv"],
+    ], ids=["empirical-csv", "metric-json-path", "metric-json-name", "simplified-csv"])
+    def test_missing_file_is_usage_error(self, tmp_path, capsys, args):
+        missing = str(tmp_path / "nothing-here")
+        assert run([a.replace("{missing}", missing) for a in args]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -162,15 +196,29 @@ class TestVerifyCommand:
     def test_unknown_case_is_numerical_error(self, capsys):
         assert run(["verify", "no-such-case"]) == 3
 
-    def test_failing_case_exit_code(self, tmp_path, capsys):
-        # the pinned kernel-L1 constant is not attained by the computed
-        # integral; the case reports honestly and the exit code signals it
+    def test_failing_case_exit_code(self, tmp_path, capsys, monkeypatch):
+        # every case passes, so one is made to fail: its d1 is moved off the
+        # expected 1/16 by 1e-3; the case reports that and exit code 1 signals it
+        real_d1 = verify_mod.d1
+
+        def off_by_1e3(*args, **kwargs):
+            rep = real_d1(*args, **kwargs)
+            return dataclasses.replace(rep, value=rep.value + 1e-3)
+
+        monkeypatch.setattr(verify_mod, "d1", off_by_1e3)
         out = tmp_path / "case.json"
         code = run(["verify", "cube-kernel-l1", "--out", str(out)])
         assert code == 1
         payload = json.loads(out.read_text())
         assert payload[0]["passed"] is False
-        assert payload[0]["computed"]["d1"] == pytest.approx(1 / 16, abs=1e-9)
+        assert payload[0]["computed"]["d1"] == pytest.approx(1 / 16 + 1e-3, abs=1e-9)
+
+    def test_cube_kernel_l1_passes(self, tmp_path, capsys):
+        out = tmp_path / "case.json"
+        assert run(["verify", "cube-kernel-l1", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload[0]["passed"] is True
+        assert payload[0]["computed"] == {"d1": 1 / 16, "d1_error": 0.0}
 
 
 # One invocation per JSON report the CLI writes, on cheap operands, with the

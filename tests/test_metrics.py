@@ -17,10 +17,12 @@ from copulakit import (
     discretize,
     efgm_quadratic,
     efgm_sequence_member,
+    example54_copula,
     independence,
     independence_analytic,
     kl,
     metric_chain_check,
+    pvc3,
     tv,
     wcc_profile,
 )
@@ -110,6 +112,59 @@ class TestKernelMetrics:
         a = random_grid((2, 2, 3), seed=4)
         b = random_grid((2, 3, 2), seed=5)
         assert d1(a, b).value == pytest.approx(d1(b, a).value, abs=1e-10)
+
+
+class TestCubeKernelL1:
+    """d1(cube, psi(cube)) against a brute-force oracle from the cdfs."""
+
+    @staticmethod
+    def midpoint_oracle(c1, c2, k):
+        """Midpoint sum of |K1 - K2| on the 2^k x 2^k mesh of the free square,
+        slab by slab: on a conditioning slab [lo, hi] a checkerboard kernel
+        is (C(u, hi) - C(u, lo)) / (hi - lo), read here from the cdfs."""
+        mids = (np.arange(2**k) + 0.5) / 2**k
+        vb = np.union1d(c1.breaks[2], c2.breaks[2])
+        total = 0.0
+        for lo, hi in zip(vb[:-1], vb[1:]):
+            axes = [mids, mids, np.array([lo, hi])]
+            k1, k2 = (np.diff(c.cdf_on_lattice(axes), axis=2)[..., 0] / (hi - lo)
+                      for c in (c1, c2))
+            total += (hi - lo) * float(np.abs(k1 - k2).mean())
+        return total
+
+    def test_psi_of_cube_is_independence(self, cube):
+        psi = pvc3(cube).psi
+        assert d_inf(psi, independence(3, [1, 1, 1])).value == 0.0
+
+    def test_oracle_converges_to_one_sixteenth(self, cube):
+        # on each quadrant |A_k - Pi| is bilinear and sign-definite, so the
+        # midpoint sums hit 1/16 on every dyadic mesh; O(h) is the bound
+        psi = pvc3(cube).psi
+        for k in range(6, 10):
+            assert abs(self.midpoint_oracle(cube, psi, k) - 1 / 16) <= 2.0**-k
+
+    def test_d1_is_exact_one_sixteenth(self, cube):
+        rep = d1(cube, pvc3(cube).psi, eps=1e-9)
+        assert rep.exactness == "exact" and rep.error == 0.0
+        assert rep.value == 1 / 16
+
+    def test_case_passes(self):
+        case = verify.case_cube_kernel_l1()
+        assert case.passed
+        assert case.computed["d1"] == 1 / 16
+
+
+class TestTargetMet:
+    def test_scan_fallback_misses_eps(self):
+        ex = example54_copula()
+        rep = d_inf(ex, ex, eps=1e-8, scan_m=16)
+        assert rep.value == 0.0 and rep.error > 1e-8
+        assert rep.target_met is False
+        assert rep.to_dict()["target_met"] is False
+
+    def test_grid_pair_meets_eps(self, cube, pi2):
+        for rep in (d_inf(cube, pi2), d1(cube, pi2), tv(cube, pi2)):
+            assert rep.target_met is True
 
 
 class TestTv:

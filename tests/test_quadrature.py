@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,107 @@ class TestAbsMultilinear:
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         val, half = integrate_abs_multilinear(X - Y, (xs, ys), tol=1e-10)
         assert abs(val - 1 / 3) <= half + 1e-10
+
+
+UNIT = np.array([0.0, 1.0])
+
+
+class TestAbsClosedForm:
+    def test_abs_x_minus_y(self):
+        val, half = integrate_abs_multilinear(np.array([[0.0, -1.0], [1.0, 0.0]]),
+                                              (UNIT, UNIT))
+        assert half == 0.0
+        assert val == pytest.approx(1 / 3, abs=1e-16)
+
+    def test_abs_xy_minus_quarter(self):
+        # a mixed cell whose y-integral takes the log branch
+        val, half = integrate_abs_multilinear(np.array([[-0.25, -0.25], [-0.25, 0.75]]),
+                                              (UNIT, UNIT))
+        assert half == 0.0
+        assert val == pytest.approx((0.75 + math.log(2)) / 8, abs=1e-16)
+
+    def test_one_free_axis(self):
+        xs = np.array([0.0, 0.2, 0.7, 1.0])
+        val, half = integrate_abs_multilinear(np.array([1.0, -1.5, 0.5, 0.0]), (xs,))
+        # pieces: 0.2 (1 + 1.5^2) / 5, 0.5 (1.5^2 + 0.5^2) / 4, 0.3 * 0.5 / 2
+        truth = 0.2 * 3.25 / 5 + 0.5 * 2.5 / 4 + 0.075
+        assert half == 0.0
+        assert val == pytest.approx(truth, abs=1e-16)
+
+    def test_sign_definite_mesh_keeps_corner_mean_sum(self):
+        # no mixed cell: the value is the corner-mean sum, bit for bit
+        xs = np.array([0.0, 0.3, 1.0])
+        ys = np.array([0.0, 0.6, 1.0])
+        v = np.array([[0.0, 0.1, 0.2], [0.0, 0.4, 0.3], [0.1, 0.0, 0.9]])
+        corners = np.stack([v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]], axis=-1)
+        vols = np.multiply.outer(np.diff(xs), np.diff(ys))
+        expected = float((np.abs(corners.reshape(-1, 4).mean(axis=1)) * vols.ravel()).sum())
+        assert integrate_abs_multilinear(v, (xs, ys)) == (expected, 0.0)
+
+
+KINDS = ("zero-corners", "zero-edges", "saddle", "shared-roots", "rounded", "small-twist")
+
+
+def random_mesh(rng, kind):
+    """Random nonuniform 2-D mesh of node values of one kind."""
+    nx, ny = (int(n) for n in rng.integers(2, 6, size=2))
+    xs = np.sort(np.concatenate([[0.0, 1.0], rng.random(nx - 2)]))
+    ys = np.sort(np.concatenate([[0.0, 1.0], rng.random(ny - 2)]))
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    v = rng.normal(size=(nx, ny))
+    if kind == "zero-corners":
+        v[rng.random(v.shape) < 0.3] = 0.0
+    elif kind == "zero-edges":  # as on the u1 = 0 and u2 = 0 edges of a kernel difference
+        v[0, :] = 0.0
+        v[:, 0] = 0.0
+    elif kind == "saddle":
+        a, b = rng.random(2)
+        v = (X - a) * (Y - b)
+    elif kind == "shared-roots":
+        v = np.outer(np.round(rng.normal(size=nx), 1), np.round(rng.normal(size=ny), 1))
+    elif kind == "rounded":
+        v = np.round(v, 1)
+    elif kind == "small-twist":  # nearly linear cells, where the log form cancels
+        a, b, c = rng.normal(size=3)
+        v = a * X + b * Y + c + 10.0 ** rng.uniform(-9, -2) * X * Y
+    return xs, ys, v
+
+
+def outer_gl_oracle(xs, ys, v):
+    """The x-integral per cell in closed form (linear integrand), the
+    y-integral by adaptive Gauss-Legendre with breaks at the cells' roots."""
+    c00, c01 = v[:-1, :-1].ravel(), v[:-1, 1:].ravel()
+    c10, c11 = v[1:, :-1].ravel(), v[1:, 1:].ravel()
+    vol = np.multiply.outer(np.diff(xs), np.diff(ys)).ravel()
+
+    def inner(pts):
+        t = pts[:, :1]  # local coordinate in every cell
+        g0 = c00 + (c01 - c00) * t
+        g1 = c10 + (c11 - c10) * t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (g0 * g0 + g1 * g1) / (2.0 * np.abs(g1 - g0))
+        return np.where(g0 * g1 >= 0.0, np.abs(g0 + g1) / 2.0, cross) @ vol
+
+    roots = [a / (a - b) for a, b in zip(np.r_[c00, c10], np.r_[c01, c11]) if a * b < 0]
+    val, _, _ = adaptive_gl(inner, [np.union1d([0.0, 1.0], roots)], tol=1e-14,
+                            max_evals=50_000)
+    return val
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_closed_form_inside_bisection_bracket(kind):
+    # 50 seeded meshes per kind, 300 in all; the bracket comes from the
+    # bisection path, fed the mesh as 3-D with a trivial [0, 1] axis
+    rng = np.random.default_rng([2024, KINDS.index(kind)])
+    for _ in range(50):
+        xs, ys, v = random_mesh(rng, kind)
+        val, half = integrate_abs_multilinear(v, (xs, ys))
+        assert half == 0.0
+        v3 = np.repeat(v[:, :, None], 2, axis=2)
+        mid, half3 = integrate_abs_multilinear(v3, (xs, ys, UNIT), tol=1e-12, max_rounds=5)
+        # the bracket's own ends are rounded: allow an ulp or so
+        assert abs(val - mid) <= half3 + 1e-15 * val
+        assert val == pytest.approx(outer_gl_oracle(xs, ys, v), rel=1e-13, abs=1e-300)
 
 
 def test_integrate_multilinear_mean_rule():
