@@ -4,7 +4,8 @@ Used for the singular and smooth constructions (shuffles, perturbation
 families, the composite worst-case example) that have no finite
 checkerboard representation.  An :class:`AnalyticCopula` carries a
 vectorized cdf, an optional Markov-kernel evaluator conditioning on the
-last coordinate, and structural hints consumed by the metrics layer.
+last coordinate, structural hints consumed by the metrics layer and, in
+dimension three, optionally its conditional family.
 """
 
 from __future__ import annotations
@@ -36,14 +37,16 @@ class AnalyticCopula:
     multilinear : bool
         True only if the cdf is globally multilinear (e.g. the independence
         copula), which lets the sup-metric use exact node maxima.
-    closed_family : object, optional
-        Closed-form conditional decomposition consumed by the vine operator
-        (see :mod:`copulakit.pvc`).
+    family : ConditionalFamily, optional
+        Closed-form conditional decomposition w.r.t. the last coordinate
+        (see :class:`copulakit.conditioning.ConditionalFamily`); the
+        conditioning layer and the vine operator :func:`copulakit.pvc.pvc3`
+        work from it.
     """
 
     def __init__(self, dim, cdf_fn, kernel_fn=None, kernel_v_breaks=None,
                  kernel_u_breaks=None, multilinear=False,
-                 closed_family=None, name=""):
+                 family=None, name=""):
         self.dim = int(dim)
         self._cdf_fn = cdf_fn
         self._kernel_fn = kernel_fn
@@ -53,7 +56,7 @@ class AnalyticCopula:
         )
         self.kernel_u_breaks = kernel_u_breaks
         self._multilinear = bool(multilinear)
-        self.closed_family = closed_family
+        self.family = family
         self.name = name
 
     @property

@@ -48,7 +48,7 @@ from .families import (
 )
 from .grid import GridCopula, product_extend
 from .metrics import d1, d2, d_inf, d_inf_kernel, kl, tv
-from .pvc import pvc3, pvc3_analytic, pvc_dvine, pvc_distance_report
+from .pvc import pvc3, pvc_dvine, pvc_distance_report
 
 _METRICS = {
     "dinf": d_inf,
@@ -58,6 +58,10 @@ _METRICS = {
     "tv": tv,
     "kl": kl,
 }
+
+_FAMILY_NAMES = ("pi|pi-analytic|m|w|cube|rcube|bstar|bstarstar|efgm|efgm-seq|"
+                "shuffle-d1..d4|example54|product-extend|empirical")
+
 
 def build_family(name: str, params: dict):
     """Instantiate a named family; see the make subcommand for the list."""
@@ -95,7 +99,7 @@ def build_family(name: str, params: dict):
         return product_extend(base, int(params.get("dim", base.dim + 1)))
     if name == "empirical":
         return EmpiricalCopula(np.asarray(params["ranks"], dtype=np.int64))
-    raise UnknownCase(f"unknown family {name!r}")
+    raise BadOperand(f"unknown family {name!r}; known: {_FAMILY_NAMES}")
 
 
 def parse_operand(spec: str):
@@ -205,8 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
     p = sub.add_parser("make", help="construct a named family")
-    p.add_argument("family", help="pi|cube|rcube|efgm|efgm-seq|shuffle-d1..d4|"
-                                  "bstar|bstarstar|example54|product-extend")
+    p.add_argument("family", help=_FAMILY_NAMES)
     p.add_argument("--res", default=None, help="discretize to this resolution, e.g. 8 or 8x8x4")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
@@ -328,7 +331,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "kernel":
-        C = _as_grid(parse_operand(args.operand))
+        C = parse_operand(args.operand)
         cond = tuple(_numbers(args.cond_axes, int)) if args.cond_axes else None
         val = kernel_cdf(C, _numbers(args.t, float), _numbers(args.u, float), cond_axes=cond)
         _emit({"value": val, "error": 0.0}, args.out)
@@ -360,9 +363,7 @@ def _dispatch(args) -> int:
     if cmd == "pvc":
         C = parse_operand(args.operand)
         res = _resolutions(args.res) if args.res else None
-        if isinstance(C, AnalyticCopula):
-            result = pvc3_analytic(C, resolutions=res)
-        elif args.dvine:
+        if args.dvine:
             order = tuple(_numbers(args.order, int)) if args.order else None
             result = pvc_dvine(C, order=order, resolutions=res)
         else:

@@ -1,4 +1,4 @@
-"""Markov kernels and conditional copulas of checkerboard copulas.
+"""Markov kernels and conditional copulas.
 
 For a grid copula the kernel conditioning on an axis set is piecewise
 constant across conditioning cells and multilinear within the remaining
@@ -6,6 +6,10 @@ coordinates, so every quantity here (conditional margins, conditional
 copulas obtained by Sklar inversion, the partial copula, the
 simplifiedness gap and the integrated conditional-difference functional)
 is computed from finite node data without sampling.
+
+One type, :class:`ConditionalFamily`, holds the conditional decomposition
+of a three-dimensional copula with respect to its last coordinate, whether
+it comes from a grid, a rank-form empirical copula or a closed form.
 
 Conditioning defaults to the last coordinate; contiguous blocks of axes
 are supported for the vine ladder.
@@ -17,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadAxis, DegenerateMargins, DimensionMismatch, ZeroMassSlab
+from .analytic import AnalyticCopula
+from .empirical import EmpiricalCopula
+from .errors import (
+    BadAxis,
+    ClosedFormUnavailable,
+    DegenerateMargins,
+    DimensionMismatch,
+    ZeroMassSlab,
+)
 from .grid import (
     GridCopula,
     _corner_matrix,
@@ -25,6 +37,7 @@ from .grid import (
     box_mass,
     cum_nodes,
     multilinear_interp,
+    uniform_breaks,
 )
 from .quadrature import integrate_abs_multilinear
 
@@ -144,9 +157,6 @@ class BilinearSurface:
         wy = _interp_matrix(self.ys, pts[:, 1])
         return np.einsum("pi,ij,pj->p", wx, self.values, wy)
 
-    def refine_to(self, xs2, ys2) -> "BilinearSurface":
-        return BilinearSurface(xs2, ys2, self.eval_lattice(xs2, ys2), check=False)
-
     def key(self) -> bytes:
         return self.xs.tobytes() + b"|" + self.ys.tobytes() + b"|" + self.values.tobytes()
 
@@ -155,22 +165,37 @@ class BilinearSurface:
 class ConditionalFamily:
     """Per-slab conditional decomposition w.r.t. one conditioning axis.
 
-    ``weights`` are the slab masses (equal to slab widths for a copula) and
-    sum to one; ``surfaces[k]`` is the conditional copula of slab ``k`` and
-    ``margins1[k]``/``margins2[k]`` are the conditional univariate margins.
+    On slab ``k``, ``[t_breaks[k], t_breaks[k + 1]]``, the conditional
+    margins are ``margins1[k]``, ``margins2[k]`` and the conditional copula
+    is ``surfaces[k]``: a :class:`BilinearSurface` for grid and empirical
+    input, a vectorized bivariate cdf for a closed form, None throughout
+    where it varies inside a slab (as for EFGM).  ``closed_partial`` is the
+    closed-form partial copula, if one is known.
     """
 
     t_breaks: np.ndarray
-    weights: np.ndarray
-    surfaces: list
     margins1: list
     margins2: list
+    surfaces: list | None = None
+    closed_partial: object = None
 
-    def __post_init__(self):
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-9:
-            raise DimensionMismatch("conditional family weights must sum to 1")
-        for s in self.surfaces:
-            s.check_margins()
+    @property
+    def weights(self) -> np.ndarray:
+        """Slab masses, equal to the slab widths for a copula."""
+        return np.diff(self.t_breaks)
+
+    def partial_copula(self):
+        """The closed-form partial copula, else the slab-weighted average of
+        the conditional copulas (computed on each call)."""
+        if self.closed_partial is not None:
+            return self.closed_partial
+        return average_surfaces(self.weights, self.surfaces)
+
+    def bilinear_surfaces(self) -> list:
+        """The conditional copulas; ClosedFormUnavailable unless bilinear."""
+        if self.surfaces is None or not isinstance(self.surfaces[0], BilinearSurface):
+            raise ClosedFormUnavailable("the conditional copulas are not bilinear surfaces")
+        return self.surfaces
 
 
 # -- kernels -------------------------------------------------------------------
@@ -205,24 +230,29 @@ def _fiber(C: GridCopula, cond_axes, cell):
     return C.masses[tuple(index)]
 
 
-def kernel_cdf(C: GridCopula, t, u, cond_axes=None) -> float:
-    """Markov kernel ``K(t, [0, u])`` of a grid copula.
+def kernel_cdf(C, t, u, cond_axes=None) -> float:
+    """Markov kernel ``K(t, [0, u])`` of a grid or analytic copula.
 
-    ``cond_axes`` selects the conditioning coordinates (default: the last);
-    ``u`` lists the remaining coordinates in ascending axis order.  The
-    kernel is constant in ``t`` across conditioning cells and multilinear
-    in ``u`` within cells.
+    ``cond_axes`` selects the conditioning coordinates (default: the last,
+    the only choice for an analytic copula); ``u`` lists the remaining
+    coordinates in ascending axis order.  On a grid the kernel is constant
+    in ``t`` across conditioning cells and multilinear in ``u`` within cells.
     """
     cond_axes = _normalize_cond_axes(C, cond_axes)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    free = [a for a in range(C.dim) if a not in cond_axes]
+    if len(t) != len(cond_axes) or len(u) != len(free):
+        raise DimensionMismatch("need one t per conditioning axis, one u per free axis")
+    if isinstance(C, AnalyticCopula):
+        if cond_axes != (C.dim - 1,):
+            raise BadAxis("an analytic copula conditions on its last axis only")
+        return float(C.kernel(t, u)[0])
     cell = _conditioning_cell(C, t, cond_axes)
     fiber = _fiber(C, cond_axes, cell)
     w = float(fiber.sum())
     if w <= 0.0:
         raise ZeroMassSlab(f"conditioning cell {cell} has zero mass")
-    free = [a for a in range(C.dim) if a not in cond_axes]
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if len(u) != len(free):
-        raise DimensionMismatch(f"u must list the {len(free)} free coordinates")
     val = multilinear_interp(cum_nodes(fiber), [C.breaks[a] for a in free], u[None, :])[0]
     return float(val / w)
 
@@ -268,47 +298,71 @@ def _surface_from_joint(bx, by, joint):
         raise DegenerateMargins("flat conditional margin overlaps positive mass")
     sx, ix = np.unique(f1, return_index=True)
     sy, iy = np.unique(f2, return_index=True)
-    S = BilinearSurface(sx, sy, K[np.ix_(ix, iy)], check=False)
+    S = BilinearSurface(sx, sy, K[np.ix_(ix, iy)])
     m1 = PiecewiseLinearCdf(bx, f1)
     m2 = PiecewiseLinearCdf(by, f2)
     return S, m1, m2
 
 
 def slab_family(C, axis_a: int = 0, axis_b: int = 1, cond_axis=None) -> ConditionalFamily:
-    """Conditional family of a three-dimensional copula w.r.t. one axis."""
-    if not isinstance(C, GridCopula):
-        return C.slab_family_fast()
+    """Conditional family of a three-dimensional copula w.r.t. one axis:
+    any axis of a grid, the last of an empirical copula, and the family an
+    analytic copula carries (ClosedFormUnavailable if it carries none)."""
+    if isinstance(C, AnalyticCopula):
+        if C.family is None:
+            raise ClosedFormUnavailable(f"{C!r} carries no closed-form family")
+        return C.family
     if C.dim != 3:
         raise DimensionMismatch("slab_family expects a three-dimensional copula")
+    if isinstance(C, EmpiricalCopula):
+        return _empirical_family(C)
     cond = C.dim - 1 if cond_axis is None else int(cond_axis)
     order = [axis_a, axis_b, cond]
     if sorted(order) != [0, 1, 2]:
         raise BadAxis(f"axes ({axis_a}, {axis_b}, {cond}) must partition 0..2")
     M = np.transpose(C.masses, order)
     bx, by, bt = (C.breaks[axis_a], C.breaks[axis_b], C.breaks[cond])
-    weights = np.diff(bt)
     surfaces, m1s, m2s = [], [], []
     for k in range(M.shape[2]):
         S, m1, m2 = _surface_from_joint(bx, by, M[:, :, k])
         surfaces.append(S)
         m1s.append(m1)
         m2s.append(m2)
-    return ConditionalFamily(bt, weights, surfaces, m1s, m2s)
+    return ConditionalFamily(bt, m1s, m2s, surfaces)
+
+
+def _empirical_family(C: EmpiricalCopula) -> ConditionalFamily:
+    """Each slab of a rank-form empirical copula holds one point, so its
+    conditional copula is independence on the collapsed image grid and its
+    conditional margins are ramps across that point's cells (each rank
+    occurs once per axis, so both axes share the n ramps)."""
+    square = BilinearSurface([0.0, 1.0], [0.0, 1.0], [[0.0, 0.0], [0.0, 1.0]])
+    ramps = [_ramp(C.n, r) for r in range(1, C.n + 1)]
+    ranks = C.ranks[np.argsort(C.ranks[:, 2])] - 1
+    return ConditionalFamily(uniform_breaks(C.n), [ramps[r] for r in ranks[:, 0]],
+                             [ramps[r] for r in ranks[:, 1]], [square] * C.n)
+
+
+def _ramp(n: int, r: int) -> PiecewiseLinearCdf:
+    """Cdf of the uniform law on the ``r``-th of ``n`` equal cells."""
+    keep = [True, r > 1, True, r < n]
+    return PiecewiseLinearCdf(np.array([0.0, (r - 1) / n, r / n, 1.0])[keep],
+                              np.array([0.0, 0.0, 1.0, 1.0])[keep])
 
 
 def conditional_copula(C, slab_index: int) -> BilinearSurface:
     """Conditional copula of coordinates (1, 2) given the last-axis slab."""
-    fam = slab_family(C)
-    if not 0 <= slab_index < len(fam.surfaces):
+    surfaces = slab_family(C).bilinear_surfaces()
+    if not 0 <= slab_index < len(surfaces):
         raise BadAxis(f"slab {slab_index} out of range")
-    return fam.surfaces[slab_index]
+    return surfaces[slab_index]
 
 
-def partial_copula(C) -> BilinearSurface:
+def partial_copula(C):
     """Slab-weighted average of the conditional copulas (the expected
-    conditional copula)."""
-    fam = slab_family(C)
-    return average_surfaces(fam.weights, fam.surfaces)
+    conditional copula): a :class:`BilinearSurface` for grid and empirical
+    input, the closed-form bivariate cdf for analytic input."""
+    return slab_family(C).partial_copula()
 
 
 def average_surfaces(weights, surfaces) -> BilinearSurface:
@@ -345,9 +399,8 @@ def is_simplified(C, tol: float = 1e-9):
     surfaces are grouped first, so a simplified copula with many slabs costs
     one comparison.
     """
-    fam = slab_family(C)
     groups: dict = {}
-    for s in fam.surfaces:
+    for s in slab_family(C).bilinear_surfaces():
         groups.setdefault(s.key(), s)
     distinct = list(groups.values())
     delta = 0.0
@@ -366,6 +419,8 @@ def j_functional(C, D, tol: float = 1e-8):
     """
     fam_c = slab_family(C)
     fam_d = slab_family(D)
+    surf_c = fam_c.bilinear_surfaces()
+    surf_d = fam_d.bilinear_surfaces()
     t = np.union1d(fam_c.t_breaks, fam_d.t_breaks)
     total = 0.0
     cache: dict = {}
@@ -373,8 +428,8 @@ def j_functional(C, D, tol: float = 1e-8):
         mid = (lo + hi) / 2
         kc = int(np.searchsorted(fam_c.t_breaks, mid, side="right") - 1)
         kd = int(np.searchsorted(fam_d.t_breaks, mid, side="right") - 1)
-        sc = fam_c.surfaces[kc]
-        sd = fam_d.surfaces[kd]
+        sc = surf_c[kc]
+        sd = surf_d[kd]
         key = (sc.key(), sd.key())
         if key not in cache:
             cache[key] = surface_l1_distance(sc, sd)

@@ -6,7 +6,7 @@ per axis carrying mass 1/n in exactly one cell per slab, located by the
 coordinatewise ranks.  It is stored in rank form so that large n stays
 cheap; a dense :class:`~copulakit.grid.GridCopula` view is available for
 small n.  Every slab's conditional copula is the independence copula, which
-the conditioning layer exploits through :meth:`slab_family_fast`.
+:func:`copulakit.conditioning.slab_family` exploits.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import csv
 
 import numpy as np
 
-from .conditioning import BilinearSurface, ConditionalFamily, PiecewiseLinearCdf
 from .errors import DimensionMismatch, TiesDetected
 from .grid import GridCopula, box_mass, uniform_breaks
 
@@ -167,40 +166,6 @@ class EmpiricalCopula:
     def margin(self, axes) -> "EmpiricalCopula":
         axes = tuple(int(a) for a in axes)
         return EmpiricalCopula(self.ranks[:, list(axes)])
-
-    def slab_family_fast(self) -> ConditionalFamily:
-        """Conditional family w.r.t. the last axis: every slab's conditional
-        copula is independence on the collapsed image grid."""
-        if self.dim != 3:
-            raise DimensionMismatch("slab families are three-dimensional")
-        square = BilinearSurface(
-            np.array([0.0, 1.0]),
-            np.array([0.0, 1.0]),
-            np.array([[0.0, 0.0], [0.0, 1.0]]),
-            check=False,
-        )
-        order = np.argsort(self.ranks[:, 2])
-        m1, m2 = [], []
-        for i in order:
-            m1.append(self._ramp(self.ranks[i, 0]))
-            m2.append(self._ramp(self.ranks[i, 1]))
-        weights = np.full(self.n, 1.0 / self.n)
-        return ConditionalFamily(
-            uniform_breaks(self.n), weights, [square] * self.n, m1, m2
-        )
-
-    def _ramp(self, r: int) -> PiecewiseLinearCdf:
-        xs = [0.0]
-        vs = [0.0]
-        if r > 1:
-            xs.append((r - 1) / self.n)
-            vs.append(0.0)
-        xs.append(r / self.n)
-        vs.append(1.0)
-        if r < self.n:
-            xs.append(1.0)
-            vs.append(1.0)
-        return PiecewiseLinearCdf(np.array(xs), np.array(vs))
 
     def __repr__(self):
         return f"EmpiricalCopula(n={self.n}, dim={self.dim})"

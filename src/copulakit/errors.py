@@ -85,7 +85,9 @@ class SupportViolation(CopulaError, ValueError):
 
 
 class ClosedFormUnavailable(CopulaError):
-    """The operand does not carry a closed-form conditional family."""
+    """The operand lacks the conditional structure an operation needs: a
+    closed-form conditional family, bilinear conditional copulas, or a
+    grid for the vine ladder."""
 
 
 class ChainViolation(CopulaError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import AnalyticCopula
-from .conditioning import PiecewiseLinearCdf, preimage_union
+from .conditioning import ConditionalFamily, PiecewiseLinearCdf, preimage_union
 from .errors import BadIndex, InvalidShuffle, NonCopulaInput
 from .grid import GridCopula, new_grid, uniform_breaks
 
@@ -135,7 +135,6 @@ def shuffle_of_w(spec: ShuffleSpec, name: str = "shuffle") -> AnalyticCopula:
                                          [s.tgt_hi for s in segs]]))
     cop = AnalyticCopula(2, cdf, kernel_fn=kern, kernel_v_breaks=v_breaks, name=name)
     cop.transport = transport
-    cop.shuffle_spec = spec
     return cop
 
 
@@ -198,13 +197,10 @@ def efgm(spec: EfgmSpec) -> AnalyticCopula:
     def kern(v, u):
         return np.prod(u, axis=1) + spec.fprime(v) * np.prod(u * (1.0 - u), axis=1)
 
-    cop = AnalyticCopula(d, cdf, kernel_fn=kern,
-                         kernel_v_breaks=np.asarray(spec.v_breaks, dtype=float),
-                         name=spec.label)
-    cop.efgm_spec = spec
-    if d == 3:
-        cop.closed_family = _efgm_closed_family(spec)
-    return cop
+    return AnalyticCopula(d, cdf, kernel_fn=kern,
+                          kernel_v_breaks=np.asarray(spec.v_breaks, dtype=float),
+                          family=_efgm_family(spec) if d == 3 else None,
+                          name=spec.label)
 
 
 def efgm_quadratic(dim: int = 3) -> AnalyticCopula:
@@ -263,63 +259,39 @@ def bstarstar() -> GridCopula:
 # -- closed-form conditional families -----------------------------------------
 
 
-@dataclass
-class ClosedFormPiece:
-    t_lo: float
-    t_hi: float
-    margin1: callable
-    margin2: callable
-
-
-@dataclass
-class ClosedFormConditionalFamily:
-    """Conditional decomposition with conditioning on the last coordinate.
-
-    ``pieces`` cover (0,1); within a piece the two conditional margins are
-    constant in the conditioning value.  ``partial(s)`` is the exact
-    lambda-average of the conditional copulas.
-    """
-
-    pieces: list
-    partial: callable
-    u_breaks: tuple = ((0.0, 1.0), (0.0, 1.0))
-
-
-def slab_mixture(pieces, surfaces, u_breaks, name, closed_family=None) -> AnalyticCopula:
+def slab_mixture(family: ConditionalFamily, u_breaks, name) -> AnalyticCopula:
     """Three-dimensional copula ``sum_k overlap_k(v) S_k(F1k(u1), F2k(u2))``.
 
-    ``pieces[k]`` gives the conditioning interval and the conditional
-    margins ``F1k``, ``F2k``; ``surfaces[k]`` is the bivariate cdf ``S_k``
-    of that piece.  The Markov kernel on piece ``k`` is
-    ``S_k(F1k(u1), F2k(u2))``.
+    Slab ``k`` of ``family`` gives the conditioning interval, the
+    conditional margins ``F1k``, ``F2k`` and the bivariate cdf ``S_k``
+    (``family.surfaces[k]``).  The Markov kernel on slab ``k`` is
+    ``S_k(F1k(u1), F2k(u2))``, and the copula carries ``family``.
     """
-    t_lo = np.array([p.t_lo for p in pieces])
+    t = family.t_breaks
+    slabs = list(zip(t[:-1], t[1:], family.margins1, family.margins2, family.surfaces))
 
     def cdf(pts):
         u1, u2, v = pts[:, 0], pts[:, 1], pts[:, 2]
         total = np.zeros(len(pts))
-        for p, surface in zip(pieces, surfaces):
-            overlap = np.clip(v - p.t_lo, 0.0, p.t_hi - p.t_lo)
-            total += overlap * surface(np.stack([p.margin1(u1), p.margin2(u2)], axis=-1))
+        for lo, hi, m1, m2, surface in slabs:
+            overlap = np.clip(v - lo, 0.0, hi - lo)
+            total += overlap * surface(np.stack([m1(u1), m2(u2)], axis=-1))
         return total
 
     def kern(v, u):
-        piece = np.clip(np.searchsorted(t_lo, v, side="right") - 1, 0, len(pieces) - 1)
+        slab = np.clip(np.searchsorted(t, v, side="right") - 1, 0, len(slabs) - 1)
         out = np.empty(len(v))
-        for k in np.unique(piece):
-            p, sel = pieces[k], piece == k
-            s = np.stack([p.margin1(u[sel, 0]), p.margin2(u[sel, 1])], axis=-1)
-            out[sel] = surfaces[k](s)
+        for k in np.unique(slab):
+            _, _, m1, m2, surface = slabs[k]
+            sel = slab == k
+            out[sel] = surface(np.stack([m1(u[sel, 0]), m2(u[sel, 1])], axis=-1))
         return out
 
-    return AnalyticCopula(
-        3, cdf, kernel_fn=kern,
-        kernel_v_breaks=np.append(t_lo, pieces[-1].t_hi),
-        kernel_u_breaks=u_breaks, closed_family=closed_family, name=name,
-    )
+    return AnalyticCopula(3, cdf, kernel_fn=kern, kernel_v_breaks=t,
+                          kernel_u_breaks=u_breaks, family=family, name=name)
 
 
-def _efgm_closed_family(spec: EfgmSpec) -> ClosedFormConditionalFamily:
+def _efgm_family(spec: EfgmSpec) -> ConditionalFamily:
     ident = lambda x: np.asarray(x, dtype=float)
     f_total = float(np.asarray(spec.f(np.array([1.0])))[0])
 
@@ -330,9 +302,9 @@ def _efgm_closed_family(spec: EfgmSpec) -> ClosedFormConditionalFamily:
             s[:, 0] * (1 - s[:, 0]) * s[:, 1] * (1 - s[:, 1])
         )
 
-    pieces = [ClosedFormPiece(lo, hi, ident, ident)
-              for lo, hi in zip(spec.v_breaks[:-1], spec.v_breaks[1:])]
-    return ClosedFormConditionalFamily(pieces, partial)
+    k = len(spec.v_breaks) - 1
+    return ConditionalFamily(np.asarray(spec.v_breaks, dtype=float), [ident] * k,
+                             [ident] * k, closed_partial=partial)
 
 
 def example54_margins():
@@ -359,13 +331,11 @@ def example54_copula() -> AnalyticCopula:
         s = np.asarray(s, dtype=float)
         return sum(sh.cdf_many(s) for sh in shuffles) / 4.0
 
-    pieces = [ClosedFormPiece(i / 4, (i + 1) / 4, f_star[i], f_2star[i])
-              for i in range(4)]
     quarters = [0.25, 0.5, 0.75]
     u_breaks = (preimage_union(f_star, quarters), preimage_union(f_2star, quarters))
-    fam = ClosedFormConditionalFamily(pieces, partial, u_breaks=u_breaks)
-    return slab_mixture(pieces, [sh.cdf_many for sh in shuffles], u_breaks,
-                        "composite54", closed_family=fam)
+    fam = ConditionalFamily(uniform_breaks(4), f_star, f_2star,
+                            [sh.cdf_many for sh in shuffles], closed_partial=partial)
+    return slab_mixture(fam, u_breaks, "composite54")
 
 
 # -- discretization -----------------------------------------------------------

@@ -14,7 +14,6 @@ Cell layout is row major with the last axis fastest (C order).
 from __future__ import annotations
 
 import json
-from functools import reduce
 
 import numpy as np
 
@@ -182,13 +181,6 @@ class GridCopula:
     def resolutions(self) -> list:
         """Per-axis cell counts (meaningful for uniform grids)."""
         return [len(b) - 1 for b in self.breaks]
-
-    def cell_volumes(self) -> np.ndarray:
-        widths = [np.diff(b) for b in self.breaks]
-        return reduce(np.multiply.outer, widths)
-
-    def max_density(self) -> float:
-        return float(np.max(self.masses / self.cell_volumes()))
 
     @property
     def cum(self) -> np.ndarray:
@@ -377,16 +369,6 @@ def _refine_matrix(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     return T
 
 
-def _union_breaks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    merged = np.union1d(a, b)
-    return merged
-
-
-def _lcm_breaks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na, nb = len(a) - 1, len(b) - 1
-    return uniform_breaks(int(np.lcm(na, nb)))
-
-
 def common_refinement(c1: GridCopula, c2: GridCopula, cell_limit: int = DEFAULT_CELL_LIMIT):
     """Re-express two grid copulas on a shared per-axis grid.
 
@@ -404,7 +386,8 @@ def common_refinement(c1: GridCopula, c2: GridCopula, cell_limit: int = DEFAULT_
     for b1, b2 in zip(c1.breaks, c2.breaks):
         u1 = np.array_equal(b1, uniform_breaks(len(b1) - 1))
         u2 = np.array_equal(b2, uniform_breaks(len(b2) - 1))
-        target.append(_lcm_breaks(b1, b2) if (u1 and u2) else _union_breaks(b1, b2))
+        target.append(uniform_breaks(int(np.lcm(len(b1) - 1, len(b2) - 1)))
+                      if u1 and u2 else np.union1d(b1, b2))
     cells = int(np.prod([len(t) - 1 for t in target]))
     if cells > cell_limit:
         raise ResolutionOverflow(f"refinement needs {cells} cells > limit {cell_limit}")

@@ -28,6 +28,7 @@ from .quadrature import (
     adaptive_gl,
     integrate_abs_multilinear,
     integrate_square_multilinear,
+    leg01,
 )
 
 EXACT = "exact"
@@ -224,7 +225,13 @@ def d2(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
 
 
 def d_inf_kernel(c1, c2, eps: float = 1e-8, axis=None, scan_m: int = 128) -> MetricReport:
-    """Sup over sections of the integrated kernel distance."""
+    """Sup over sections of the integrated kernel distance.
+
+    Exact on grid pairs.  Otherwise each conditioning piece is integrated
+    by the 8-point Gauss-Legendre rule on each of its halves, and the error
+    estimate is the largest gap over the ``u`` lattice between that and
+    the same rule on the whole piece.
+    """
     t0 = time.perf_counter()
     if isinstance(c1, GridCopula) and isinstance(c2, GridCopula):
         free, diffs = _kernel_pair_grid(c1, c2, axis)
@@ -239,17 +246,24 @@ def d_inf_kernel(c1, c2, eps: float = 1e-8, axis=None, scan_m: int = 128) -> Met
     axes_u = _lattice_axes(c1, c2, scan_m)[: c1.dim - 1]
     grids = np.meshgrid(*axes_u, indexing="ij")
     U = np.stack([g.ravel() for g in grids], axis=-1)
-    total = np.zeros(len(U))
-    n_evals = 0
-    from .quadrature import leg01
-
     x8, w8 = leg01(8)
-    for lo, hi in zip(vb[:-1], vb[1:]):
+
+    def integral(lo, hi):
+        acc = np.zeros(len(U))
         for xq, wq in zip(x8, w8):
             v = np.full(len(U), lo + (hi - lo) * xq)
-            total += (hi - lo) * wq * np.abs(_kernel_eval(k1, v, U) - _kernel_eval(k2, v, U))
-            n_evals += len(U)
-    return _report("d_inf_kernel", t0, float(total.max()), ESTIMATED, eps, n_evals, eps)
+            acc += (hi - lo) * wq * np.abs(_kernel_eval(k1, v, U) - _kernel_eval(k2, v, U))
+        return acc
+
+    coarse = np.zeros(len(U))
+    fine = np.zeros(len(U))
+    for lo, hi in zip(vb[:-1], vb[1:]):
+        mid = (lo + hi) / 2
+        coarse += integral(lo, hi)
+        fine += integral(lo, mid) + integral(mid, hi)
+    err = float(np.max(np.abs(fine - coarse)))
+    n_evals = 3 * len(x8) * len(U) * (len(vb) - 1)
+    return _report("d_inf_kernel", t0, float(fine.max()), ESTIMATED, err, n_evals, eps)
 
 
 def _kernel_eval(op, v, U):

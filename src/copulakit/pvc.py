@@ -3,11 +3,12 @@
 ``pvc3`` maps a three-dimensional copula to its unique simplified
 approximation obtained by averaging the conditional copulas over the
 conditioning (last) coordinate and re-inserting the average into the
-disintegration with the original conditional margins.  ``pvc_dvine``
-is the d-dimensional ladder on consecutive-pair trees: tree-1 margins are
-copied, higher trees average conditional pair copulas against the measure
-of the previously built middle block and reassemble with the previous
-blocks' conditional margins.
+disintegration with the original conditional margins.  It reads both from
+the copula's conditional family, for grid, empirical and closed-form
+input alike.  ``pvc_dvine`` is the d-dimensional ladder on consecutive-pair
+trees: tree-1 margins are copied, higher trees average conditional pair
+copulas against the measure of the previously built middle block and
+reassemble with the previous blocks' conditional margins.
 
 For a checkerboard input every step is closed under nonuniform
 checkerboards, so the returned operator image is exact (no quadrature):
@@ -18,7 +19,7 @@ the partial-copula nodes under the conditional margins.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,9 +50,12 @@ class PvcResult:
 
     ``psi`` is the exact operator image: a (generally nonuniform)
     checkerboard for grid input, an analytic evaluator for closed-form
-    input.  ``psi_grid`` is its uniform-grid discretization at the
-    requested resolution.  ``tree_artifacts`` keeps the per-step partial
-    copulas and marginal blocks of the ladder.
+    input and the input itself for a rank-form empirical copula.
+    ``partial`` is the partial copula: a bilinear surface, or the
+    closed-form bivariate cdf.  ``psi_grid`` is the uniform-grid
+    discretization of ``psi`` at the requested resolution.
+    ``tree_artifacts`` keeps the per-step partial copulas and marginal
+    blocks of the ladder.
     """
 
     fingerprint: str
@@ -78,49 +82,43 @@ def _fingerprint(C) -> str:
 
 
 def pvc3(C, resolutions=None, cell_limit: int = DEFAULT_CELL_LIMIT) -> PvcResult:
-    """Partial vine copula of a three-dimensional copula, conditioning on
-    the last coordinate.
+    """Partial vine copula of a three-dimensional grid, empirical or
+    closed-form copula, conditioning on the last coordinate.
 
     The result's (1,3)- and (2,3)-margins coincide with the input's, and
-    simplified inputs are fixed points.
+    simplified inputs are fixed points.  An analytic copula without a
+    conditional family raises ClosedFormUnavailable.
     """
+    fam = slab_family(C)
+    slab_count = len(fam.t_breaks) - 1
     if isinstance(C, EmpiricalCopula):
         # every slab's conditional copula is the same surface: the operator fixes C
-        fam = C.slab_family_fast()
-        return PvcResult(_fingerprint(C), C, fam.surfaces[0], len(fam.weights))
-    if C.dim != 3:
-        raise DimensionMismatch("pvc3 expects a three-dimensional copula")
-    fam = slab_family(C)
-    cp = average_surfaces(fam.weights, fam.surfaces)
-    xs = preimage_union(fam.margins1, cp.xs)
-    ys = preimage_union(fam.margins2, cp.ys)
-    ts = fam.t_breaks
-    n_cells = (len(xs) - 1) * (len(ys) - 1) * (len(ts) - 1)
-    if n_cells > cell_limit:
-        raise ResolutionOverflow(f"operator image needs {n_cells} cells")
-    masses = np.empty((len(xs) - 1, len(ys) - 1, len(ts) - 1))
-    for k, w in enumerate(fam.weights):
-        imgx = fam.margins1[k](xs)
-        imgy = fam.margins2[k](ys)
-        P = cp.eval_lattice(imgx, imgy)
-        masses[:, :, k] = w * np.diff(np.diff(P, axis=0), axis=1)
-    psi = GridCopula((xs, ys, ts), masses)
+        return PvcResult(_fingerprint(C), C, fam.surfaces[0], slab_count)
+    cp = fam.partial_copula()
+    if isinstance(C, AnalyticCopula):
+        image = replace(fam, surfaces=[cp] * slab_count)
+        psi = slab_mixture(image, C.kernel_u_breaks, f"pvc({C.name})")
+    else:
+        xs = preimage_union(fam.margins1, cp.xs)
+        ys = preimage_union(fam.margins2, cp.ys)
+        ts = fam.t_breaks
+        n_cells = (len(xs) - 1) * (len(ys) - 1) * (len(ts) - 1)
+        if n_cells > cell_limit:
+            raise ResolutionOverflow(f"operator image needs {n_cells} cells")
+        masses = np.empty((len(xs) - 1, len(ys) - 1, len(ts) - 1))
+        for k, w in enumerate(fam.weights):
+            imgx = fam.margins1[k](xs)
+            imgy = fam.margins2[k](ys)
+            P = cp.eval_lattice(imgx, imgy)
+            masses[:, :, k] = w * np.diff(np.diff(P, axis=0), axis=1)
+        psi = GridCopula((xs, ys, ts), masses)
     grid = discretize(psi, resolutions) if resolutions is not None else None
-    return PvcResult(_fingerprint(C), psi, cp, len(fam.weights), grid,
-                     {"partial": cp})
+    return PvcResult(_fingerprint(C), psi, cp, slab_count, grid)
 
 
 def pvc3_analytic(C: AnalyticCopula, resolutions=None) -> PvcResult:
-    """Exact operator image for analytic copulas carrying a closed-form
-    conditional family (piecewise-constant conditional margins)."""
-    fam = C.closed_family
-    if fam is None:
-        raise ClosedFormUnavailable(f"{C!r} carries no closed-form family")
-    psi = slab_mixture(fam.pieces, [fam.partial] * len(fam.pieces), fam.u_breaks,
-                       f"pvc({C.name})")
-    grid = discretize(psi, resolutions) if resolutions is not None else None
-    return PvcResult(_fingerprint(C), psi, fam.partial, len(fam.pieces), grid,
-                     {"closed_family": fam})
+    """Same as :func:`pvc3`, under its former name for closed-form input."""
+    return pvc3(C, resolutions=resolutions)
 
 
 # -- d-dimensional ladder -------------------------------------------------------
@@ -137,6 +135,8 @@ def pvc_dvine(C: GridCopula, order=None, resolutions=None,
     """
     if isinstance(C, EmpiricalCopula):
         return pvc3(C)
+    if not isinstance(C, GridCopula):
+        raise ClosedFormUnavailable(f"the ladder needs a grid copula, got {C!r}")
     d = C.dim
     if d < 3:
         raise DimensionMismatch("the ladder needs dimension >= 3")
@@ -262,7 +262,7 @@ def pvc_distance_report(C, eps: float = 1e-6, resolutions=None) -> dict:
             "fingerprint": res.fingerprint,
         }
     if isinstance(C, AnalyticCopula):
-        res = pvc3_analytic(C)
+        res = pvc3(C)
         rep_di = d_inf(C, res.psi, scan_m=256)
         disc_res = [64, 64, max(4, res.slab_count)]
         dC = discretize(C, disc_res)

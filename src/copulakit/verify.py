@@ -38,7 +38,7 @@ from .grid import (
     product_extend,
 )
 from .metrics import d1, d_inf, metric_chain_check, wcc_profile
-from .pvc import pvc3, pvc3_analytic, pvc_dvine
+from .pvc import pvc3, pvc_dvine
 
 
 @dataclass
@@ -299,7 +299,7 @@ def case_cube_kernel_l1(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
 def case_composite_worst_case(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
     t0 = time.perf_counter()
     ex = example54_copula()
-    res = pvc3_analytic(ex)
+    res = pvc3(ex)
     c_val = ex.cdf([0.5, 0.5, 1.0])
     p_val = res.psi.cdf([0.5, 0.5, 1.0])
     disc = discretize(ex, [64, 64, 4])
@@ -328,7 +328,7 @@ def case_efgm_approximation(seed: int = 0, eps: float = 1e-8) -> VerificationCas
     e = efgm_quadratic(3)
     pi_a = independence_analytic(3)
     rep = d_inf(e, pi_a, scan_m=128)
-    res = pvc3_analytic(e)
+    res = pvc3(e)
     g = np.linspace(0.0, 1.0, 21)
     pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     probe = float(np.max(np.abs(res.psi.cdf_many(pts) - pts.prod(axis=1))))

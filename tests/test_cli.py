@@ -8,7 +8,7 @@ import pytest
 
 from copulakit import GridCopula
 from copulakit import verify as verify_mod
-from copulakit.cli import main, parse_operand
+from copulakit.cli import _FAMILY_NAMES, main, parse_operand
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/copulakit/schemas/report.schema.json")
@@ -69,6 +69,15 @@ class TestMetricCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == 0.0 and payload["target_met"] is True
 
+    def test_kernel_sup_error_brackets_truth(self, capsys):
+        # sup over u of the integral of |1 - 2t| u1 (1 - u1) u2 (1 - u2) is 1/32;
+        # the requested 1e-12 is out of the quadrature's reach
+        assert run(["metric", "--name", "dinfk", "--a", "efgm", "--b", "pi-analytic",
+                    "--eps", "1e-12"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["target_met"] is False
+        assert abs(payload["value"] - 1 / 32) <= payload["error"]
+
     def test_numerical_error_exit_code(self, capsys):
         # kl support violation maps to exit code 3
         assert run(["metric", "--name", "kl", "--a", "pi:res=2", "--b", "cube"]) == 3
@@ -84,7 +93,7 @@ class TestUsageErrors:
 
 class TestMalformedInput:
     @pytest.mark.parametrize("kind", ["truncated-masses", "missing-resolutions",
-                                      "not-json", "non-integer-param"])
+                                      "not-json", "non-integer-param", "unknown-family"])
     def test_bad_operand_is_usage_error(self, tmp_path, capsys, kind):
         path = tmp_path / "op.json"
         grid = {"dim": 2, "resolutions": [2, 2], "masses": [0.5, 0.0, 0.0, 0.5]}
@@ -94,7 +103,8 @@ class TestMalformedInput:
             path.write_text(json.dumps({"dim": 2, "masses": grid["masses"]}))
         elif kind == "not-json":
             path.write_text("not json {")
-        operand = "cube:dim=x" if kind == "non-integer-param" else str(path)
+        operand = {"non-integer-param": "cube:dim=x",
+                   "unknown-family": "nosuchfamily"}.get(kind, str(path))
         assert run(["metric", "--name", "tv", "--a", operand, "--b", "cube"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -166,6 +176,24 @@ class TestPipelines:
         assert run(["conditional", "--in", "cube", "--slab", "0"]) == 0
         surf = json.loads(capsys.readouterr().out)
         assert surf["values"][-1][-1] == 1.0
+
+    def test_analytic_kernel_is_not_discretized(self, capsys):
+        assert run(["kernel", "--in", "efgm", "--t", "0.3", "--u", "0.3,0.6"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == pytest.approx(0.20016, abs=1e-15)
+
+    def test_make_help_lists_every_family(self, capsys):
+        assert run(["make", "--help"]) == 0
+        # the help wraps the list at hyphens, so compare without whitespace
+        assert _FAMILY_NAMES in "".join(capsys.readouterr().out.split())
+        listed = _FAMILY_NAMES.split("|")
+        assert sorted(listed) == sorted([
+            "pi", "pi-analytic", "m", "w", "cube", "rcube", "bstar", "bstarstar", "efgm",
+            "efgm-seq", "shuffle-d1..d4", "example54", "product-extend", "empirical"])
+        specs = {"efgm-seq": "efgm-seq:m=1,k=1", "shuffle-d1..d4": "shuffle-d4"}
+        for name in listed:
+            if name != "empirical":  # takes its ranks from a descriptor file
+                parse_operand(specs.get(name, name))
 
     def test_simplified_and_jfun(self, capsys):
         assert run(["simplified", "--in", "cube"]) == 0

@@ -9,6 +9,7 @@ from copulakit import (
     conditional_margin,
     discretize,
     disintegration_residual,
+    efgm_quadratic,
     empirical_copula,
     example54_copula,
     independence,
@@ -75,6 +76,13 @@ class TestKernel:
         # inside a diagonal cell the third coordinate is uniform on (0, 1/2)
         val = kernel_cdf(cube, [0.25, 0.25], [0.25], cond_axes=(0, 1))
         assert val == pytest.approx(0.5, abs=1e-15)
+
+    def test_analytic_conditions_on_last_axis(self):
+        # u1 u2 + f'(t) u1 (1 - u1) u2 (1 - u2) with f'(t) = 1 - 2t
+        efgm = efgm_quadratic(3)
+        assert kernel_cdf(efgm, 0.3, [0.3, 0.6]) == pytest.approx(0.20016, abs=1e-15)
+        with pytest.raises(BadAxis):
+            kernel_cdf(efgm, 0.3, [0.3, 0.6], cond_axes=(0,))
 
     def test_margin_identity(self, cube, random_grid):
         # kernel of a margin = kernel of the full copula with dropped
@@ -161,6 +169,11 @@ class TestPartialCopula:
         pts = np.random.default_rng(4).random((20, 2))
         assert_allclose(p.eval_many(pts), pts.prod(axis=1), atol=1e-14)
 
+    def test_composite_closed_form_partial(self):
+        # the average of the four shuffles at (1/4, 1/2)
+        p = partial_copula(example54_copula())
+        assert p(np.array([[0.25, 0.5]]))[0] == pytest.approx(1 / 16, abs=1e-15)
+
     def test_composite_partial_value(self):
         # the partial copula of the composite construction averages the four
         # shuffles; at (1/4, 1/2) the average is 1/16
@@ -183,6 +196,15 @@ class TestIsSimplified:
         pts = sample(cube, 50, seed=11)
         flag, delta = is_simplified(empirical_copula(pts))
         assert flag and delta == 0.0
+
+    def test_empirical_family_matches_dense_route(self, cube):
+        emp = empirical_copula(sample(cube, 12, seed=13))
+        rank, dense = slab_family(emp), slab_family(emp.to_grid())
+        assert np.array_equal(rank.t_breaks, dense.t_breaks)
+        nodes = dense.t_breaks
+        for margins in ("margins1", "margins2"):
+            for f, g in zip(getattr(rank, margins), getattr(dense, margins)):
+                assert_allclose(f(nodes), g(nodes), atol=1e-15)
 
     def test_small_empirical_grid_route(self, cube):
         # same statement through the dense checkerboard machinery

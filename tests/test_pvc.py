@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from copulakit import (
     EfgmSpec,
     EmpiricalCopula,
+    GridCopula,
+    cube_copula,
     common_refinement,
     convex_combine,
     d_inf,
@@ -15,7 +19,9 @@ from copulakit import (
     example54_copula,
     independence,
     is_simplified,
+    j_functional,
     new_grid,
+    partial_copula,
     product_extend,
     pvc3,
     pvc3_analytic,
@@ -23,7 +29,7 @@ from copulakit import (
     pvc_dvine,
     sample,
 )
-from copulakit.errors import ClosedFormUnavailable, DimensionMismatch
+from copulakit.errors import ClosedFormUnavailable, CopulaError, DimensionMismatch
 from conftest import f3pi_member
 
 
@@ -104,6 +110,52 @@ class TestPvc3:
         assert pvc3(emp).fingerprint == "383e7b92b38759c9"
 
 
+@st.composite
+def nonuniform_grids(draw):
+    """Three-dimensional grid copula with 2-4 cells per axis at random
+    breakpoints, fitted to uniform margins by iterative proportional fitting
+    of a positive random tensor."""
+    breaks = []
+    for _ in range(3):
+        n = draw(st.integers(2, 4))
+        widths = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+        b = np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+        b[-1] = 1.0
+        breaks.append(b)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.random(tuple(len(b) - 1 for b in breaks)) + 0.05
+    for _ in range(400):
+        for ax, b in enumerate(breaks):
+            axes = tuple(a for a in range(3) if a != ax)
+            m = m * np.expand_dims(np.diff(b) / m.sum(axis=axes), axes)
+    return GridCopula(breaks, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonuniform_grids())
+def test_pvc3_invariants_on_nonuniform_grids(C):
+    psi = pvc3(C).psi
+    GridCopula(psi.breaks, psi.masses)  # validates masses and uniform margins
+    for axes in ((0, 2), (1, 2)):
+        assert cellwise_gap(psi.margin(axes), C.margin(axes)) <= 1e-12
+    assert d_inf(pvc3(psi).psi, psi).value <= 1e-12
+    assert is_simplified(psi)[0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_simplified(efgm_quadratic(3)),
+    lambda: partial_copula(example54_copula()),
+    lambda: pvc3(efgm_quadratic(3)),
+    lambda: j_functional(efgm_quadratic(3), cube_copula()),
+    lambda: pvc_dvine(efgm_quadratic(3)),
+], ids=["is_simplified", "partial_copula", "pvc3", "j_functional", "pvc_dvine"])
+def test_closed_form_operands_answer_or_raise_copula_error(call):
+    try:
+        call()
+    except CopulaError:
+        pass
+
+
 class TestWorstCaseCharacterization:
     def test_quadrant_constrained_members_attain_the_bound(self, rng):
         # distribute each quarter of mass inside the four blocks of the
@@ -132,12 +184,12 @@ class TestWorstCaseCharacterization:
 class TestPvc3Analytic:
     def test_composite_witness(self):
         ex = example54_copula()
-        res = pvc3_analytic(ex)
+        res = pvc3(ex)
         assert res.psi.cdf([0.5, 0.5, 1.0]) == pytest.approx(3 / 16, abs=1e-12)
         assert ex.cdf([0.5, 0.5, 1.0]) - res.psi.cdf([0.5, 0.5, 1.0]) >= 3 / 16 - 1e-12
 
     def test_efgm_image_is_independence(self):
-        res = pvc3_analytic(efgm_quadratic(3))
+        res = pvc3(efgm_quadratic(3))
         g = np.linspace(0, 1, 21)
         pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
         assert np.max(np.abs(res.psi.cdf_many(pts) - pts.prod(axis=1))) <= 1e-12
@@ -146,7 +198,17 @@ class TestPvc3Analytic:
         from copulakit import shuffle_d
 
         with pytest.raises(ClosedFormUnavailable):
+            pvc3(shuffle_d(1))
+        with pytest.raises(ClosedFormUnavailable):
             pvc3_analytic(shuffle_d(1))
+
+    def test_image_is_a_fixed_point(self):
+        # the image carries its own family, whose partial is the input's
+        ex = example54_copula()
+        psi = pvc3(ex).psi
+        pts = np.random.default_rng(5).random((200, 3))
+        assert_allclose(pvc3(psi).psi.cdf_many(pts), psi.cdf_many(pts), atol=1e-15)
+        assert pvc3_analytic(ex).psi.cdf([0.5, 0.5, 1.0]) == psi.cdf([0.5, 0.5, 1.0])
 
     def test_discretized_pipeline_tracks_analytic(self):
         ex = example54_copula()

@@ -69,3 +69,11 @@ def test_guards_catch_offenders(tmp_path):
         test_no_capability_probes(bad)
     with pytest.raises(AssertionError):
         test_no_unused_imports(bad)
+
+
+def test_empirical_does_not_import_conditioning():
+    # the conditioning layer builds the empirical copula's conditional
+    # family, so an import the other way would be a cycle
+    tree = _tree(PACKAGE / "empirical.py")
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "conditioning" not in modules
