@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .analytic import AnalyticCopula, comonotone, countermonotone, independence_analytic
+from .analytic import comonotone, countermonotone, independence_analytic
 from .conditioning import (
+    BilinearSurface,
     conditional_copula,
     is_simplified,
     j_functional,
@@ -33,8 +34,9 @@ from .conditioning import (
     partial_copula,
 )
 from .empirical import EmpiricalCopula, empirical_copula, load_sample, sample, save_sample
-from .errors import BadOperand, CopulaError, UnknownCase
+from .errors import BadOperand, ClosedFormUnavailable, CopulaError, UnknownCase
 from .families import (
+    SHUFFLE_SPECS,
     bstar,
     bstarstar,
     cube_copula,
@@ -61,6 +63,8 @@ _METRICS = {
 
 _FAMILY_NAMES = ("pi|pi-analytic|m|w|cube|rcube|bstar|bstarstar|efgm|efgm-seq|"
                 "shuffle-d1..d4|example54|product-extend|empirical")
+
+_SHUFFLES = {f"shuffle-d{i}": i for i in SHUFFLE_SPECS}
 
 
 def build_family(name: str, params: dict):
@@ -90,8 +94,8 @@ def build_family(name: str, params: dict):
         return efgm_quadratic(dim)
     if name == "efgm-seq":
         return efgm_sequence_member(int(params["m"]), int(params["k"]), dim)
-    if name.startswith("shuffle-d"):
-        return shuffle_d(int(name[-1]))
+    if name in _SHUFFLES:
+        return shuffle_d(_SHUFFLES[name])
     if name == "example54":
         return example54_copula()
     if name == "product-extend":
@@ -189,6 +193,8 @@ def _resolutions(text: str):
 
 
 def _surface_payload(surface):
+    if not isinstance(surface, BilinearSurface):
+        raise ClosedFormUnavailable("a closed-form surface has no node values to report")
     return {
         "xs": surface.xs.tolist(),
         "ys": surface.ys.tolist(),
@@ -202,10 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="checkerboard copulas, kernels, metrics and the partial vine operator",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--eps", type=float, default=1e-8)
     common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
     p = sub.add_parser("make", help="construct a named family")
@@ -221,6 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--axis", type=int, default=None)
+    p.add_argument("--eps", type=float, default=1e-8)
 
     p = sub.add_parser("kernel", help="Markov kernel value K(t, [0,u])")
     p.add_argument("--in", dest="operand", required=True)
@@ -249,10 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default=None, help="axis permutation, e.g. 0,2,1")
     p.add_argument("--res", default=None)
     p.add_argument("--report", default=None)
+    p.add_argument("--eps", type=float, default=1e-8)
 
     p = sub.add_parser("sample", help="draw a sample from a grid copula")
     p.add_argument("--in", dest="operand", required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("empirical", help="empirical copula of a CSV sample")
     p.add_argument("--in", dest="operand", required=True)
@@ -264,16 +270,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discontinuity", help="operator discontinuity experiment")
     p.add_argument("--n-list", default="100,1000,10000")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("nonopt", help="operator non-optimality experiment")
     p.add_argument("--n", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("nowheredense", help="conditional-field lower-bound diagnostic")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("convergence-lab", help="convergence experiments (CSV rows)")
     p.add_argument("--mode", required=True, choices=("efgm-seq", "d1-continuity"))
     p.add_argument("--max-m", type=int, default=6)
-
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     return ap
 
 
@@ -338,25 +348,23 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "conditional":
-        C = _as_grid(parse_operand(args.operand))
+        C = parse_operand(args.operand)
         _emit(_surface_payload(conditional_copula(C, args.slab)), args.out)
         return 0
 
     if cmd == "partial":
-        C = _as_grid(parse_operand(args.operand))
+        C = parse_operand(args.operand)
         _emit(_surface_payload(partial_copula(C)), args.out)
         return 0
 
     if cmd == "simplified":
         C = parse_operand(args.operand)
-        flag, delta = is_simplified(_as_grid(C), tol=args.tol)
+        flag, delta = is_simplified(C, tol=args.tol)
         _emit({"simplified": bool(flag), "delta": delta, "tol": args.tol}, args.out)
         return 0
 
     if cmd == "jfun":
-        a = _as_grid(parse_operand(args.a))
-        b = _as_grid(parse_operand(args.b))
-        val, err = j_functional(a, b, tol=args.eps)
+        val, err = j_functional(parse_operand(args.a), parse_operand(args.b))
         _emit({"value": val, "error": err}, args.out)
         return 0
 
@@ -386,7 +394,10 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "sample":
-        C = _as_grid(parse_operand(args.operand))
+        C = parse_operand(args.operand)
+        if not isinstance(C, GridCopula):
+            raise BadOperand(f"sample needs a grid operand, got {C!r}; "
+                             "discretize it with make <family> --res N")
         pts = sample(C, args.n, args.seed)
         if args.out:
             save_sample(args.out, pts)
@@ -440,13 +451,6 @@ def _dispatch(args) -> int:
         return 0
 
     raise UnknownCase(f"unhandled command {cmd}")
-
-
-def _as_grid(C):
-    if isinstance(C, AnalyticCopula):
-        res = [32] * (C.dim - 1) + [max(4, len(C.kernel_v_breaks) - 1)]
-        return discretize(C, res)
-    return C
 
 
 if __name__ == "__main__":

@@ -69,25 +69,6 @@ class PiecewiseLinearCdf:
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.xs, self.values)
 
-    def quasi_inverse(self, p):
-        """Generalized inverse ``inf {x : F(x) >= p}`` (left endpoints on flats)."""
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.empty_like(p)
-        for i, pi in enumerate(p):
-            k = int(np.searchsorted(self.values, pi, side="left"))
-            if k == 0:
-                out[i] = self.xs[0]
-            elif k >= len(self.values):
-                out[i] = self.xs[-1]
-            elif self.values[k] == pi:
-                out[i] = self.xs[k]
-            else:
-                dv = self.values[k] - self.values[k - 1]
-                out[i] = self.xs[k - 1] + (pi - self.values[k - 1]) / dv * (
-                    self.xs[k] - self.xs[k - 1]
-                )
-        return out if out.shape != (1,) else float(out[0])
-
     def preimages(self, targets) -> np.ndarray:
         """All breakpoints plus one preimage point per target value crossed
         strictly inside a linear piece (flat pieces contribute their ends)."""
@@ -151,12 +132,6 @@ class BilinearSurface:
         wy = _interp_matrix(self.ys, np.asarray(ys2, dtype=float))
         return wx @ self.values @ wy.T
 
-    def eval_many(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        wx = _interp_matrix(self.xs, pts[:, 0])
-        wy = _interp_matrix(self.ys, pts[:, 1])
-        return np.einsum("pi,ij,pj->p", wx, self.values, wy)
-
     def key(self) -> bytes:
         return self.xs.tobytes() + b"|" + self.ys.tobytes() + b"|" + self.values.tobytes()
 
@@ -210,16 +185,16 @@ def _normalize_cond_axes(C, cond_axes):
     return axes
 
 
+def _cell_index(b, ti) -> int:
+    """Index of the cell of breakpoints ``b`` that holds ``ti``."""
+    return int(np.clip(np.searchsorted(b, ti, side="right") - 1, 0, len(b) - 2))
+
+
 def _conditioning_cell(C: GridCopula, t, cond_axes):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if len(t) != len(cond_axes):
         raise DimensionMismatch("one conditioning value per conditioning axis")
-    cell = []
-    for a, ti in zip(cond_axes, t):
-        b = C.breaks[a]
-        idx = int(np.clip(np.searchsorted(b, ti, side="right") - 1, 0, len(b) - 2))
-        cell.append(idx)
-    return tuple(cell)
+    return tuple(_cell_index(C.breaks[a], ti) for a, ti in zip(cond_axes, t))
 
 
 def _fiber(C: GridCopula, cond_axes, cell):
@@ -231,12 +206,13 @@ def _fiber(C: GridCopula, cond_axes, cell):
 
 
 def kernel_cdf(C, t, u, cond_axes=None) -> float:
-    """Markov kernel ``K(t, [0, u])`` of a grid or analytic copula.
+    """Markov kernel ``K(t, [0, u])`` of a grid, empirical or analytic copula.
 
     ``cond_axes`` selects the conditioning coordinates (default: the last,
-    the only choice for an analytic copula); ``u`` lists the remaining
-    coordinates in ascending axis order.  On a grid the kernel is constant
-    in ``t`` across conditioning cells and multilinear in ``u`` within cells.
+    the only choice for empirical and analytic copulas); ``u`` lists the
+    remaining coordinates in ascending axis order.  On a grid the kernel is
+    constant in ``t`` across conditioning cells and multilinear in ``u``
+    within cells; an empirical copula is read through its conditional family.
     """
     cond_axes = _normalize_cond_axes(C, cond_axes)
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -244,10 +220,15 @@ def kernel_cdf(C, t, u, cond_axes=None) -> float:
     free = [a for a in range(C.dim) if a not in cond_axes]
     if len(t) != len(cond_axes) or len(u) != len(free):
         raise DimensionMismatch("need one t per conditioning axis, one u per free axis")
+    if isinstance(C, (AnalyticCopula, EmpiricalCopula)) and cond_axes != (C.dim - 1,):
+        raise BadAxis(f"{C!r} conditions on its last axis only")
     if isinstance(C, AnalyticCopula):
-        if cond_axes != (C.dim - 1,):
-            raise BadAxis("an analytic copula conditions on its last axis only")
         return float(C.kernel(t, u)[0])
+    if isinstance(C, EmpiricalCopula):
+        fam = slab_family(C)
+        k = _cell_index(fam.t_breaks, t[0])
+        x, y = fam.margins1[k](u[:1]), fam.margins2[k](u[1:])
+        return float(fam.surfaces[k].eval_lattice(x, y)[0, 0])
     cell = _conditioning_cell(C, t, cond_axes)
     fiber = _fiber(C, cond_axes, cell)
     w = float(fiber.sum())
@@ -304,9 +285,9 @@ def _surface_from_joint(bx, by, joint):
     return S, m1, m2
 
 
-def slab_family(C, axis_a: int = 0, axis_b: int = 1, cond_axis=None) -> ConditionalFamily:
-    """Conditional family of a three-dimensional copula w.r.t. one axis:
-    any axis of a grid, the last of an empirical copula, and the family an
+def slab_family(C) -> ConditionalFamily:
+    """Conditional family of a three-dimensional copula w.r.t. its last
+    axis: built from a grid or an empirical copula, and the family an
     analytic copula carries (ClosedFormUnavailable if it carries none)."""
     if isinstance(C, AnalyticCopula):
         if C.family is None:
@@ -316,15 +297,10 @@ def slab_family(C, axis_a: int = 0, axis_b: int = 1, cond_axis=None) -> Conditio
         raise DimensionMismatch("slab_family expects a three-dimensional copula")
     if isinstance(C, EmpiricalCopula):
         return _empirical_family(C)
-    cond = C.dim - 1 if cond_axis is None else int(cond_axis)
-    order = [axis_a, axis_b, cond]
-    if sorted(order) != [0, 1, 2]:
-        raise BadAxis(f"axes ({axis_a}, {axis_b}, {cond}) must partition 0..2")
-    M = np.transpose(C.masses, order)
-    bx, by, bt = (C.breaks[axis_a], C.breaks[axis_b], C.breaks[cond])
+    bx, by, bt = C.breaks
     surfaces, m1s, m2s = [], [], []
-    for k in range(M.shape[2]):
-        S, m1, m2 = _surface_from_joint(bx, by, M[:, :, k])
+    for k in range(C.shape[2]):
+        S, m1, m2 = _surface_from_joint(bx, by, C.masses[:, :, k])
         surfaces.append(S)
         m1s.append(m1)
         m2s.append(m2)

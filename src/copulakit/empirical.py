@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DimensionMismatch, TiesDetected
 from .grid import GridCopula, box_mass, uniform_breaks
 
-_EXACT_LATTICE_BUDGET = 50_000_000
+# sample points per block of the cdf evaluations
+_CHUNK = 256
 
 
 def sample(copula: GridCopula, n: int, seed: int) -> np.ndarray:
@@ -90,15 +91,15 @@ class EmpiricalCopula:
     def cdf(self, u) -> float:
         return float(self.cdf_many(np.asarray(u, dtype=float)[None, :])[0])
 
-    def cdf_many(self, points, chunk: int = 256) -> np.ndarray:
+    def cdf_many(self, points) -> np.ndarray:
         """Exact d-linear cdf: each sample point contributes the product of
         per-axis overlap fractions ``clip(n x - (r-1), 0, 1)``."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise DimensionMismatch(f"points must have shape (m, {self.dim})")
         out = np.empty(len(points))
-        for s in range(0, len(points), chunk):
-            blk = points[s : s + chunk]
+        for s in range(0, len(points), _CHUNK):
+            blk = points[s : s + _CHUNK]
             acc = np.ones((len(blk), self.n))
             for j in range(self.dim):
                 acc *= np.clip(
@@ -106,24 +107,25 @@ class EmpiricalCopula:
                     0.0,
                     1.0,
                 )
-            out[s : s + chunk] = acc.sum(axis=1) / self.n
+            out[s : s + _CHUNK] = acc.sum(axis=1) / self.n
         return out
 
     def cdf_on_lattice(self, axes) -> np.ndarray:
-        """Exact values on a product lattice when affordable, else the step
-        subcopula (callers add the ``dim/n`` gap to their certificates)."""
-        sizes = [len(a) for a in axes]
-        if self.n * int(np.prod(sizes)) <= _EXACT_LATTICE_BUDGET:
-            letters = "abcde"
+        """Exact d-linear cdf on a product lattice, summed over blocks of
+        sample points so the temporaries stay small."""
+        letters = "abcde"
+        spec = ",".join(f"i{letters[j]}" for j in range(self.dim))
+        spec += "->" + letters[: self.dim]
+        total = 0.0
+        for s in range(0, self.n, _CHUNK):
+            ranks = self.ranks[s : s + _CHUNK]
             ws = [
                 np.clip(self.n * np.asarray(a, dtype=float)[None, :]
-                        - (self.ranks[:, j][:, None] - 1), 0.0, 1.0)
+                        - (ranks[:, j][:, None] - 1), 0.0, 1.0)
                 for j, a in enumerate(axes)
             ]
-            spec = ",".join(f"i{letters[j]}" for j in range(self.dim))
-            spec += "->" + letters[: self.dim]
-            return np.einsum(spec, *ws, optimize=True) / self.n
-        return self.step_cdf_on_lattice(axes)
+            total = total + np.einsum(spec, *ws, optimize=True)
+        return total / self.n
 
     def step_cdf_on_lattice(self, axes) -> np.ndarray:
         """Step subcopula ``#(ranks/n <= nodes)/n`` on a lattice; differs from

@@ -86,8 +86,8 @@ class SupportViolation(CopulaError, ValueError):
 
 class ClosedFormUnavailable(CopulaError):
     """The operand lacks the conditional structure an operation needs: a
-    closed-form conditional family, bilinear conditional copulas, or a
-    grid for the vine ladder."""
+    closed-form conditional family, bilinear conditional or partial
+    copulas, or a grid for the vine ladder."""
 
 
 class ChainViolation(CopulaError):

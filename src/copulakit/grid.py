@@ -32,6 +32,7 @@ from .errors import (
 
 VALIDATION_TOL = 1e-12
 DEFAULT_CELL_LIMIT = 10**8
+_CDF_CHUNK = 4096
 
 GRID_ORDER_TAG = "row-major-last-fastest"
 
@@ -197,18 +198,16 @@ class GridCopula:
         """Copula value at one point (multilinear within cells, exact at nodes)."""
         return float(self.cdf_many(np.asarray(u, dtype=float)[None, :])[0])
 
-    def cdf_many(self, points: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    def cdf_many(self, points: np.ndarray) -> np.ndarray:
         """Copula values at ``points`` of shape (m, dim)."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise DimensionMismatch(f"points must have shape (m, {self.dim})")
         out = np.empty(len(points))
-        for start in range(0, len(points), chunk):
-            out[start : start + chunk] = self._cdf_chunk(points[start : start + chunk])
+        for start in range(0, len(points), _CDF_CHUNK):
+            stop = start + _CDF_CHUNK
+            out[start:stop] = multilinear_interp(self.cum, self.breaks, points[start:stop])
         return out
-
-    def _cdf_chunk(self, pts: np.ndarray) -> np.ndarray:
-        return multilinear_interp(self.cum, self.breaks, pts)
 
     def cdf_on_lattice(self, axes) -> np.ndarray:
         """Copula values on the product lattice ``axes[0] x ... x axes[d-1]``."""

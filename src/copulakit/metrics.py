@@ -35,6 +35,11 @@ EXACT = "exact"
 CERTIFIED = "certified"
 ESTIMATED = "estimated"
 
+# largest merged lattice d_inf evaluates exactly, and the per-axis node
+# count of the scan lattices
+_NODE_BUDGET = 2_000_000
+_SCAN_M = 128
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -111,8 +116,7 @@ def _eval_lattice(op, axes):
     return op.cdf_on_lattice(axes), 0.0
 
 
-def d_inf(c1, c2, eps: float = 1e-8, node_budget: int = 2_000_000,
-          scan_m: int = 128) -> MetricReport:
+def d_inf(c1, c2, eps: float = 1e-8, scan_m: int = _SCAN_M) -> MetricReport:
     """Uniform distance ``max |C1 - C2|``.
 
     Exact whenever both operands are multilinear between known breakpoints
@@ -129,7 +133,7 @@ def d_inf(c1, c2, eps: float = 1e-8, node_budget: int = 2_000_000,
     if b1 is not None and b2 is not None:
         axes = [np.union1d(a, b) for a, b in zip(b1, b2)]
         count = int(np.prod([len(a) for a in axes]))
-        if count <= node_budget:
+        if count <= _NODE_BUDGET:
             v1, g1 = _eval_lattice(c1, axes)
             v2, g2 = _eval_lattice(c2, axes)
             value = float(np.max(np.abs(v1 - v2)))
@@ -224,7 +228,7 @@ def d2(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
     return _report("d2", t0, val, ESTIMATED, err, ne, eps)
 
 
-def d_inf_kernel(c1, c2, eps: float = 1e-8, axis=None, scan_m: int = 128) -> MetricReport:
+def d_inf_kernel(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
     """Sup over sections of the integrated kernel distance.
 
     Exact on grid pairs.  Otherwise each conditioning piece is integrated
@@ -243,7 +247,7 @@ def d_inf_kernel(c1, c2, eps: float = 1e-8, axis=None, scan_m: int = 128) -> Met
         return _report("d_inf_kernel", t0, float(acc.max()), EXACT, 0.0, acc.size)
     k1, k2 = _as_kernel_operand(c1), _as_kernel_operand(c2)
     vb = np.union1d(_v_breaks(k1), _v_breaks(k2))
-    axes_u = _lattice_axes(c1, c2, scan_m)[: c1.dim - 1]
+    axes_u = _lattice_axes(c1, c2, _SCAN_M)[: c1.dim - 1]
     grids = np.meshgrid(*axes_u, indexing="ij")
     U = np.stack([g.ravel() for g in grids], axis=-1)
     x8, w8 = leg01(8)
@@ -332,7 +336,7 @@ def kl(c1: GridCopula, c2: GridCopula) -> MetricReport:
 # -- conditional-slice diagnostic --------------------------------------------------
 
 
-def wcc_profile(c1, c2, v_grid, scan_m: int = 128):
+def wcc_profile(c1, c2, v_grid):
     """Kolmogorov distance between the conditional measures at each probed
     conditioning value: ``sup_u |K1(v, [0,u]) - K2(v, [0,u])|``.
 
@@ -340,7 +344,7 @@ def wcc_profile(c1, c2, v_grid, scan_m: int = 128):
     convergence from finitely many slices.
     """
     k1, k2 = _as_kernel_operand(c1), _as_kernel_operand(c2)
-    axes_u = _lattice_axes(c1, c2, scan_m)[: c1.dim - 1]
+    axes_u = _lattice_axes(c1, c2, _SCAN_M)[: c1.dim - 1]
     grids = np.meshgrid(*axes_u, indexing="ij")
     U = np.stack([g.ravel() for g in grids], axis=-1)
     out = []

@@ -19,7 +19,7 @@ the partial-copula nodes under the conditional margins.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,8 +54,6 @@ class PvcResult:
     ``partial`` is the partial copula: a bilinear surface, or the
     closed-form bivariate cdf.  ``psi_grid`` is the uniform-grid
     discretization of ``psi`` at the requested resolution.
-    ``tree_artifacts`` keeps the per-step partial copulas and marginal
-    blocks of the ladder.
     """
 
     fingerprint: str
@@ -63,7 +61,6 @@ class PvcResult:
     partial: object
     slab_count: int
     psi_grid: GridCopula | None = None
-    tree_artifacts: dict = field(default_factory=dict)
 
 
 def _fingerprint(C) -> str:
@@ -81,7 +78,7 @@ def _fingerprint(C) -> str:
     return h.hexdigest()[:16]
 
 
-def pvc3(C, resolutions=None, cell_limit: int = DEFAULT_CELL_LIMIT) -> PvcResult:
+def pvc3(C, resolutions=None) -> PvcResult:
     """Partial vine copula of a three-dimensional grid, empirical or
     closed-form copula, conditioning on the last coordinate.
 
@@ -103,7 +100,7 @@ def pvc3(C, resolutions=None, cell_limit: int = DEFAULT_CELL_LIMIT) -> PvcResult
         ys = preimage_union(fam.margins2, cp.ys)
         ts = fam.t_breaks
         n_cells = (len(xs) - 1) * (len(ys) - 1) * (len(ts) - 1)
-        if n_cells > cell_limit:
+        if n_cells > DEFAULT_CELL_LIMIT:
             raise ResolutionOverflow(f"operator image needs {n_cells} cells")
         masses = np.empty((len(xs) - 1, len(ys) - 1, len(ts) - 1))
         for k, w in enumerate(fam.weights):
@@ -124,8 +121,7 @@ def pvc3_analytic(C: AnalyticCopula, resolutions=None) -> PvcResult:
 # -- d-dimensional ladder -------------------------------------------------------
 
 
-def pvc_dvine(C: GridCopula, order=None, resolutions=None,
-              cell_limit: int = DEFAULT_CELL_LIMIT) -> PvcResult:
+def pvc_dvine(C: GridCopula, order=None, resolutions=None) -> PvcResult:
     """Partial vine copula along the consecutive-pair tree sequence.
 
     ``order`` optionally permutes the variables before running the ladder
@@ -143,23 +139,19 @@ def pvc_dvine(C: GridCopula, order=None, resolutions=None,
     perm = list(range(d)) if order is None else [int(a) for a in order]
     work = C.permute(perm) if perm != list(range(d)) else C
     blocks = {(i, i + 1): work.margin((i, i + 1)) for i in range(d - 1)}
-    partials = {}
     for span in range(2, d):
         for i in range(d - span):
-            block, cp = _build_block(work, blocks, i, span, cell_limit)
-            blocks[(i, i + span)] = block
-            partials[(i, i + span)] = cp
+            # the last block built is the whole ladder, (0, d - 1)
+            blocks[(i, i + span)], cp = _build_block(work, blocks, i, span)
     psi = blocks[(0, d - 1)]
     if perm != list(range(d)):
         inv = np.argsort(perm).tolist()
         psi = psi.permute(inv)
     grid = discretize(psi, resolutions) if resolutions is not None else None
-    return PvcResult(_fingerprint(C), psi, partials.get((0, d - 1)),
-                     len(psi.breaks[-1]) - 1, grid,
-                     {"blocks": blocks, "partials": partials})
+    return PvcResult(_fingerprint(C), psi, cp, len(psi.breaks[-1]) - 1, grid)
 
 
-def _build_block(work, blocks, i, span, cell_limit):
+def _build_block(work, blocks, i, span):
     """One ladder step: the (span+1)-variable block (i .. i+span)."""
     J = tuple(range(i, i + span + 1))
     GJ = work.margin(J)
@@ -228,7 +220,7 @@ def _build_block(work, blocks, i, span, cell_limit):
     xs = preimage_union([f_left[c] for c in live_cells], cp.xs)
     ys = preimage_union([f_right[c] for c in live_cells], cp.ys)
     shape = (len(xs) - 1,) + cells_shape + (len(ys) - 1,)
-    if int(np.prod(shape)) > cell_limit:
+    if int(np.prod(shape)) > DEFAULT_CELL_LIMIT:
         raise ResolutionOverflow(f"tree {span} block needs {np.prod(shape)} cells")
     masses = np.zeros(shape)
     for cell in live_cells:
@@ -242,7 +234,7 @@ def _build_block(work, blocks, i, span, cell_limit):
 # -- summary report -------------------------------------------------------------
 
 
-def pvc_distance_report(C, eps: float = 1e-6, resolutions=None) -> dict:
+def pvc_distance_report(C, eps: float = 1e-6) -> dict:
     """Distances between a copula and its partial vine approximation.
 
     For grid input everything is computed on the exact operator image; for
@@ -250,7 +242,7 @@ def pvc_distance_report(C, eps: float = 1e-6, resolutions=None) -> dict:
     evaluators and the remaining diagnostics a documented discretization.
     """
     if isinstance(C, GridCopula) and C.dim == 3:
-        res = pvc3(C, resolutions=resolutions)
+        res = pvc3(C)
         rep_di = d_inf(C, res.psi)
         rep_d1 = d1(C, res.psi, eps=eps)
         _, delta = is_simplified(C)
@@ -278,7 +270,7 @@ def pvc_distance_report(C, eps: float = 1e-6, resolutions=None) -> dict:
             "fingerprint": res.fingerprint,
         }
     if isinstance(C, GridCopula):
-        res = pvc_dvine(C, resolutions=resolutions)
+        res = pvc_dvine(C)
         rep_di = d_inf(C, res.psi)
         return {
             "d_inf": rep_di.to_dict(),

@@ -239,15 +239,6 @@ def _bisect_abs(corners, vols, d, tol, max_rounds):
     return (total_lo + total_up) / 2.0, (total_up - total_lo) / 2.0
 
 
-def integrate_multilinear(values: np.ndarray, axes) -> float:
-    """Exact integral of a function multilinear between mesh nodes."""
-    d = values.ndim
-    widths = [np.diff(np.asarray(a, dtype=float)) for a in axes]
-    vols = reduce(np.multiply.outer, widths) if d > 1 else widths[0]
-    corners = _corner_tensor(values).reshape(-1, 2**d)
-    return float(np.dot(corners.mean(axis=1), vols.reshape(-1)))
-
-
 def integrate_square_multilinear(values: np.ndarray, axes) -> float:
     """Exact integral of ``g**2`` for mesh-multilinear ``g`` (2-point GL)."""
     d = values.ndim

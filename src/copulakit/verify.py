@@ -115,11 +115,11 @@ def _sup_distances(emp: EmpiricalCopula, targets, scan_m: int):
     return empirical_sup_scan(emp, targets, m=m)
 
 
-def random_copula_grid(rng, resolutions, positive: bool = True) -> GridCopula:
+def random_copula_grid(rng, resolutions) -> GridCopula:
     """Random checkerboard copula via iterative proportional fitting of a
     positive random tensor to uniform margins."""
     shape = tuple(int(n) for n in resolutions)
-    m = rng.random(shape) + (0.05 if positive else 0.0)
+    m = rng.random(shape) + 0.05
     targets = [np.full(n, 1.0 / n) for n in shape]
     for _ in range(400):
         worst = 0.0
@@ -200,7 +200,7 @@ def nonopt_experiment(n: int = 10_000, seed: int = 40_000, scan_m: int = 500):
     }
 
 
-def nowheredense_experiment(seed: int = 60_000, n: int = 200):
+def nowheredense_experiment(seed: int = 60_000):
     """Lower-bound check: the integrated conditional-difference functional
     between any simplified copula and the block copula stays above half the
     block copula's simplifiedness gap."""
@@ -209,8 +209,8 @@ def nowheredense_experiment(seed: int = 60_000, n: int = 200):
     rng = np.random.default_rng(seed)
     diag = new_grid(2, [2, 2], [[0.5, 0.0], [0.0, 0.5]])
     battery = {
-        "emp_pi": empirical_copula(rng.random((n, 3))),
-        "emp_cube": empirical_copula(sample(cube, n, seed + 1)),
+        "emp_pi": empirical_copula(rng.random((200, 3))),
+        "emp_cube": empirical_copula(sample(cube, 200, seed + 1)),
         "product_diag": product_extend(diag, 3),
         "pi": independence(3, [2, 2, 2]),
     }
@@ -222,7 +222,7 @@ def nowheredense_experiment(seed: int = 60_000, n: int = 200):
             "bound": delta / 2.0}
 
 
-def convergence_lab(mode: str, max_m: int = 6, n_list=(2, 4, 8, 16, 32)):
+def convergence_lab(mode: str, max_m: int = 6):
     """Emit plot-ready rows for the two convergence experiments."""
     if mode == "efgm-seq":
         pi = independence_analytic(3)
@@ -245,7 +245,7 @@ def convergence_lab(mode: str, max_m: int = 6, n_list=(2, 4, 8, 16, 32)):
         smooth = convex_combine([0.5, 0.5], [independence(3, [2, 2, 2]), cube_copula()])
         psi_limit = pvc3(smooth).psi
         rows = []
-        for n in n_list:
+        for n in (2, 4, 8, 16, 32):
             cn = convex_combine([1 - 1 / n, 1 / n], [smooth, independence(3, [2, 2, 2])])
             rows.append({
                 "n": int(n),
@@ -259,7 +259,7 @@ def convergence_lab(mode: str, max_m: int = 6, n_list=(2, 4, 8, 16, 32)):
 # -- verification cases -----------------------------------------------------------
 
 
-def case_cube_worst_case(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
+def case_cube_worst_case() -> VerificationCase:
     t0 = time.perf_counter()
     cube = cube_copula()
     res = pvc3(cube)
@@ -277,7 +277,7 @@ def case_cube_worst_case(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
     )
 
 
-def case_cube_kernel_l1(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
+def case_cube_kernel_l1() -> VerificationCase:
     t0 = time.perf_counter()
     cube = cube_copula()
     res = pvc3(cube)
@@ -296,7 +296,7 @@ def case_cube_kernel_l1(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
     )
 
 
-def case_composite_worst_case(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
+def case_composite_worst_case() -> VerificationCase:
     t0 = time.perf_counter()
     ex = example54_copula()
     res = pvc3(ex)
@@ -323,7 +323,7 @@ def case_composite_worst_case(seed: int = 0, eps: float = 1e-8) -> VerificationC
     )
 
 
-def case_efgm_approximation(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
+def case_efgm_approximation() -> VerificationCase:
     t0 = time.perf_counter()
     e = efgm_quadratic(3)
     pi_a = independence_analytic(3)
@@ -343,7 +343,7 @@ def case_efgm_approximation(seed: int = 0, eps: float = 1e-8) -> VerificationCas
     )
 
 
-def case_dvine_product(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
+def case_dvine_product() -> VerificationCase:
     t0 = time.perf_counter()
     cube = cube_copula()
     computed = {}
@@ -367,9 +367,9 @@ def case_dvine_product(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
     )
 
 
-def case_operator_discontinuity(seed: int = 20_000, eps: float = 1e-8) -> VerificationCase:
+def case_operator_discontinuity() -> VerificationCase:
     t0 = time.perf_counter()
-    rows = [discontinuity_experiment([10_000], seed=seed + 37 * i)[0] for i in range(20)]
+    rows = [discontinuity_experiment([10_000], seed=20_000 + 37 * i)[0] for i in range(20)]
     close = sum(r["d_emp_cube_upper"] < 0.03 for r in rows)
     far = sum(r["d_psi_emp_psi_cube"] >= 0.09 for r in rows)
     passed = close >= 18 and far == 20
@@ -385,9 +385,9 @@ def case_operator_discontinuity(seed: int = 20_000, eps: float = 1e-8) -> Verifi
     )
 
 
-def case_operator_nonoptimality(seed: int = 40_000, eps: float = 1e-8) -> VerificationCase:
+def case_operator_nonoptimality() -> VerificationCase:
     t0 = time.perf_counter()
-    results = [nonopt_experiment(10_000, seed=seed + 11 * i) for i in range(20)]
+    results = [nonopt_experiment(10_000, seed=40_000 + 11 * i) for i in range(20)]
     passed = all(r["simplified"] and r["delta"] <= 1e-12 and r["beats_operator"]
                  for r in results)
     return _case(
@@ -402,9 +402,9 @@ def case_operator_nonoptimality(seed: int = 40_000, eps: float = 1e-8) -> Verifi
     )
 
 
-def case_nowhere_dense(seed: int = 60_000, eps: float = 1e-8) -> VerificationCase:
+def case_nowhere_dense() -> VerificationCase:
     t0 = time.perf_counter()
-    out = nowheredense_experiment(seed)
+    out = nowheredense_experiment(60_000)
     passed = abs(out["delta_cube"] - 0.125) <= 1e-9 and all(
         v >= 1.0 / 16.0 - 1e-6 for v in out["j_values"].values()
     )
@@ -417,9 +417,9 @@ def case_nowhere_dense(seed: int = 60_000, eps: float = 1e-8) -> VerificationCas
     )
 
 
-def case_metric_chain(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
+def case_metric_chain() -> VerificationCase:
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed + 2024)
+    rng = np.random.default_rng(2024)
     messages = []
     pinsker_ok = True
     for _ in range(100):
@@ -428,7 +428,7 @@ def case_metric_chain(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
         c1 = random_copula_grid(rng, res1)
         c2 = random_copula_grid(rng, res2)
         try:
-            rep = metric_chain_check(c1, c2, eps=eps)
+            rep = metric_chain_check(c1, c2, eps=1e-8)
         except ChainViolation as exc:
             messages.append(str(exc))
             continue
@@ -447,7 +447,7 @@ def case_metric_chain(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
     )
 
 
-def case_kernel_l1_convergence(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
+def case_kernel_l1_convergence() -> VerificationCase:
     t0 = time.perf_counter()
     rows = convergence_lab("efgm-seq", max_m=6)
     passed = all(
@@ -464,9 +464,9 @@ def case_kernel_l1_convergence(seed: int = 0, eps: float = 1e-8) -> Verification
     )
 
 
-def case_invariants(seed: int = 0, eps: float = 1e-8) -> VerificationCase:
+def case_invariants() -> VerificationCase:
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed + 77)
+    rng = np.random.default_rng(77)
     battery = family_battery()
     worst_margin = 0.0
     worst_residual = 0.0
@@ -548,11 +548,11 @@ CASES = {
 }
 
 
-def run_case(case_id: str, **kwargs) -> VerificationCase:
+def run_case(case_id: str) -> VerificationCase:
     if case_id not in CASES:
         raise UnknownCase(f"unknown case {case_id!r}; known: {sorted(CASES)}")
-    return CASES[case_id](**kwargs)
+    return CASES[case_id]()
 
 
-def run_all(**kwargs):
-    return [CASES[cid](**kwargs) for cid in CASES]
+def run_all():
+    return [case() for case in CASES.values()]

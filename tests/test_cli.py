@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 from pathlib import Path
@@ -6,9 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from copulakit import GridCopula
+from copulakit import GridCopula, empirical_copula, kernel_cdf, load_sample
 from copulakit import verify as verify_mod
-from copulakit.cli import _FAMILY_NAMES, main, parse_operand
+from copulakit.cli import _FAMILY_NAMES, _build_parser, main, parse_operand
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/copulakit/schemas/report.schema.json")
@@ -91,9 +92,60 @@ class TestUsageErrors:
         assert run(["metric", "--name", "dinf", "--a", "cube"]) == 2
 
 
+# what each subcommand accepts: options by flag, positional arguments by name
+OPTIONS = {
+    "make": {"family", "--res", "--dim", "--m", "--k", "--base", "--out"},
+    "metric": {"--name", "--a", "--b", "--axis", "--eps", "--out"},
+    "kernel": {"--in", "--t", "--u", "--cond-axes", "--out"},
+    "conditional": {"--in", "--slab", "--out"},
+    "partial": {"--in", "--out"},
+    "simplified": {"--in", "--tol", "--out"},
+    "jfun": {"--a", "--b", "--out"},
+    "pvc": {"--in", "--dvine", "--order", "--res", "--report", "--eps", "--out"},
+    "sample": {"--in", "--n", "--seed", "--out"},
+    "empirical": {"--in", "--jitter", "--out"},
+    "verify": {"case", "--out"},
+    "discontinuity": {"--n-list", "--seed", "--format", "--out"},
+    "nonopt": {"--n", "--seed", "--out"},
+    "nowheredense": {"--seed", "--out"},
+    "convergence-lab": {"--mode", "--max-m", "--format", "--out"},
+}
+
+
+class TestOptions:
+    def test_each_subcommand_accepts_exactly_its_options(self):
+        ap = _build_parser()
+        (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        accepted = {
+            name: {a.option_strings[-1] if a.option_strings else a.dest
+                   for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+            for name, parser in sub.choices.items()
+        }
+        assert accepted == OPTIONS
+        assert sum(len(v) for v in OPTIONS.values()) == 58
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "cube-worst-case", "--seed", "5"],
+        ["make", "cube", "--eps", "1"],
+        ["jfun", "--a", "cube", "--b", "cube", "--eps", "1e-3"],
+        ["nonopt", "--n", "24", "--format", "csv"],
+    ], ids=["verify-seed", "make-eps", "jfun-eps", "nonopt-format"])
+    def test_option_a_subcommand_does_not_read_is_usage_error(self, capsys, args):
+        assert run(args) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sample_reads_seed(self, tmp_path):
+        paths = [tmp_path / f"s{seed}.csv" for seed in (5, 6)]
+        for seed, path in zip((5, 6), paths):
+            assert run(["sample", "--in", "cube", "--n", "8", "--seed", str(seed),
+                        "--out", str(path)]) == 0
+        assert paths[0].read_text() != paths[1].read_text()
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("kind", ["truncated-masses", "missing-resolutions",
-                                      "not-json", "non-integer-param", "unknown-family"])
+                                      "not-json", "non-integer-param", "unknown-family",
+                                      "shuffle-d9", "shuffle-d12"])
     def test_bad_operand_is_usage_error(self, tmp_path, capsys, kind):
         path = tmp_path / "op.json"
         grid = {"dim": 2, "resolutions": [2, 2], "masses": [0.5, 0.0, 0.0, 0.5]}
@@ -104,7 +156,9 @@ class TestMalformedInput:
         elif kind == "not-json":
             path.write_text("not json {")
         operand = {"non-integer-param": "cube:dim=x",
-                   "unknown-family": "nosuchfamily"}.get(kind, str(path))
+                   "unknown-family": "nosuchfamily",
+                   "shuffle-d9": "shuffle-d9",
+                   "shuffle-d12": "shuffle-d12"}.get(kind, str(path))
         assert run(["metric", "--name", "tv", "--a", operand, "--b", "cube"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -140,6 +194,40 @@ class TestMalformedInput:
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestOperandKinds:
+    @pytest.mark.parametrize("args", [
+        ["jfun", "--a", "efgm", "--b", "pi-analytic"],
+        ["simplified", "--in", "efgm"],
+        ["conditional", "--in", "example54", "--slab", "0"],
+        ["partial", "--in", "efgm"],
+        ["partial", "--in", "example54"],
+    ], ids=["jfun", "simplified", "conditional", "partial-efgm", "partial-example54"])
+    def test_analytic_operand_is_not_discretized(self, capsys, args):
+        assert run(args) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sample_needs_a_grid(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        assert run(["sample", "--in", "cube", "--n", "8", "--out", str(csv)]) == 0
+        for operand in ("efgm", str(csv)):
+            assert run(["sample", "--in", operand, "--n", "4"]) == 2
+            assert "make <family> --res N" in capsys.readouterr().err
+
+    def test_empirical_operand(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        assert run(["sample", "--in", "cube", "--n", "24", "--seed", "5",
+                    "--out", str(csv)]) == 0
+        grid = empirical_copula(load_sample(csv)).to_grid()
+        assert run(["kernel", "--in", str(csv), "--t", "0.3", "--u", "0.5,0.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == pytest.approx(
+            kernel_cdf(grid, 0.3, [0.5, 0.5]), abs=1e-15)
+        assert run(["simplified", "--in", str(csv)]) == 0
+        assert json.loads(capsys.readouterr().out)["simplified"] is True
+        assert run(["jfun", "--a", str(csv), "--b", "cube"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] >= 1 / 16 - 1e-12
 
 
 class TestPipelines:

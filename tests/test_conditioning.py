@@ -84,6 +84,21 @@ class TestKernel:
         with pytest.raises(BadAxis):
             kernel_cdf(efgm, 0.3, [0.3, 0.6], cond_axes=(0,))
 
+    def test_empirical_matches_dense_grid(self, cube):
+        # the rank-form family gives the kernel of the dense checkerboard view,
+        # inside slabs, on slab edges and at the ends
+        rng = np.random.default_rng(17)
+        for n, seed in ((1, 0), (7, 1), (33, 2), (64, 3)):
+            emp = empirical_copula(sample(cube, n, seed=seed))
+            grid = emp.to_grid()
+            ts = np.concatenate([rng.random(20), np.arange(n + 1) / n])
+            for t in ts:
+                u = rng.random(2)
+                assert kernel_cdf(emp, t, u) == pytest.approx(
+                    kernel_cdf(grid, t, u), abs=1e-15)
+        with pytest.raises(BadAxis):
+            kernel_cdf(emp, 0.3, [0.3, 0.6], cond_axes=(0,))
+
     def test_margin_identity(self, cube, random_grid):
         # kernel of a margin = kernel of the full copula with dropped
         # coordinates pushed to 1
@@ -116,29 +131,19 @@ class TestConditionalMargin:
         with pytest.raises(BadAxis):
             conditional_margin(cube, 2, 0.5)
 
-    def test_quasi_inverse_left_endpoint(self):
-        f = PiecewiseLinearCdf(
-            np.array([0.0, 0.25, 0.75, 1.0]), np.array([0.0, 0.5, 0.5, 1.0])
-        )
-        assert f.quasi_inverse(0.5) == 0.25
-        assert f.quasi_inverse(0.25) == 0.125
-        assert f.quasi_inverse(0.0) == 0.0
-        assert f.quasi_inverse(1.0) == 1.0
-
 
 class TestConditionalCopula:
     def test_cube_slabs_are_the_two_block_copulas(self, cube):
         s0 = conditional_copula(cube, 0)
         s1 = conditional_copula(cube, 1)
         g = np.linspace(0, 1, 9)
-        for u in g:
-            for v in g:
-                assert s0.eval_many([[u, v]])[0] == pytest.approx(a1_cdf(u, v), abs=1e-14)
-                assert s1.eval_many([[u, v]])[0] == pytest.approx(a2_cdf(u, v), abs=1e-14)
+        u, v = np.meshgrid(g, g, indexing="ij")
+        assert_allclose(s0.eval_lattice(g, g), a1_cdf(u, v), atol=1e-14)
+        assert_allclose(s1.eval_lattice(g, g), a2_cdf(u, v), atol=1e-14)
 
     def test_independence_slabs(self, pi4):
         s = conditional_copula(pi4, 2)
-        assert s.eval_many([[0.3, 0.8]])[0] == pytest.approx(0.24, abs=1e-14)
+        assert s.eval_lattice([0.3], [0.8])[0, 0] == pytest.approx(0.24, abs=1e-14)
 
     def test_uniform_margins_at_nodes(self, random_grid):
         fam = slab_family(random_grid((4, 3, 3)))
@@ -161,13 +166,13 @@ class TestConditionalCopula:
 class TestPartialCopula:
     def test_cube_partial_is_independence(self, cube):
         p = partial_copula(cube)
-        pts = np.random.default_rng(3).random((50, 2))
-        assert_allclose(p.eval_many(pts), pts.prod(axis=1), atol=1e-14)
+        x, y = np.random.default_rng(3).random((2, 50))
+        assert_allclose(p.eval_lattice(x, y), np.outer(x, y), atol=1e-14)
 
     def test_independence_fixed(self, pi4):
         p = partial_copula(pi4)
-        pts = np.random.default_rng(4).random((20, 2))
-        assert_allclose(p.eval_many(pts), pts.prod(axis=1), atol=1e-14)
+        x, y = np.random.default_rng(4).random((2, 20))
+        assert_allclose(p.eval_lattice(x, y), np.outer(x, y), atol=1e-14)
 
     def test_composite_closed_form_partial(self):
         # the average of the four shuffles at (1/4, 1/2)
@@ -179,7 +184,7 @@ class TestPartialCopula:
         # shuffles; at (1/4, 1/2) the average is 1/16
         d = discretize(example54_copula(), [64, 64, 4])
         p = partial_copula(d)
-        assert p.eval_many([[0.25, 0.5]])[0] == pytest.approx(1 / 16, abs=2e-2)
+        assert p.eval_lattice([0.25], [0.5])[0, 0] == pytest.approx(1 / 16, abs=2e-2)
 
 
 class TestIsSimplified:
@@ -268,9 +273,9 @@ class TestReconstruction:
                         total = 0.0
                         for k in range(ti + 1):
                             s = fam.surfaces[k]
-                            total += fam.weights[k] * s.eval_many(
-                                [[fam.margins1[k](u1), fam.margins2[k](u2)]]
-                            )[0]
+                            total += fam.weights[k] * s.eval_lattice(
+                                [fam.margins1[k](u1)], [fam.margins2[k](u2)]
+                            )[0, 0]
                         assert total == pytest.approx(
                             g.cdf([u1, u2, t_hi]), abs=1e-12
                         )

@@ -60,6 +60,17 @@ class TestEmpiricalEvaluation:
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
         assert_allclose(lat.ravel(), emp.cdf_many(grid), atol=1e-13)
 
+    def test_lattice_is_exact_on_large_lattices(self, cube):
+        # 64 points on 113 nodes per axis: every lattice value is the d-linear
+        # cdf, so the distance to the same copula refined is rounding only
+        from copulakit import d_inf
+
+        emp = empirical_copula(sample(cube, 64, seed=3))
+        axis = np.union1d(np.arange(65) / 64, np.arange(51) / 50)
+        rep = d_inf(emp, emp.to_grid().refine_to([axis] * 3))
+        assert rep.exactness == "exact" and rep.error == 0.0
+        assert rep.value <= 1e-15
+
     def test_step_lattice_at_aligned_nodes(self, cube):
         emp = empirical_copula(sample(cube, 40, seed=7))
         axes = [np.arange(5) / 4.0] * 3  # quarters align with the 40-grid

@@ -6,7 +6,6 @@ import pytest
 from copulakit.quadrature import (
     adaptive_gl,
     integrate_abs_multilinear,
-    integrate_multilinear,
     integrate_square_multilinear,
     leg01,
 )
@@ -147,12 +146,6 @@ def test_closed_form_inside_bisection_bracket(kind):
         # the bracket's own ends are rounded: allow an ulp or so
         assert abs(val - mid) <= half3 + 1e-15 * val
         assert val == pytest.approx(outer_gl_oracle(xs, ys, v), rel=1e-13, abs=1e-300)
-
-
-def test_integrate_multilinear_mean_rule():
-    xs = np.linspace(0, 1, 6)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    assert integrate_multilinear(X * Y, (xs, xs)) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_integrate_square():

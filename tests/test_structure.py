@@ -1,13 +1,16 @@
 """Source-level guards: operands are told apart by type, not by probing for
-attributes, and no module imports a name it never uses."""
+attributes, no module imports a name it never uses, and every function the
+package defines is used by the package or the benchmark."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "copulakit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "copulakit"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
 
 
 def _tree(path):
@@ -33,6 +36,36 @@ def _imported(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name, node.lineno
+
+
+def _defined_functions(tree):
+    """(name, line) of every function and method, dunder methods aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+            node.name.startswith("__") and node.name.endswith("__")
+        ):
+            yield node.name, node.lineno
+
+
+def _references(tree) -> set:
+    """Names a module reads, attributes it reads, and every dotted part of
+    its string constants (``__all__`` entries, ``"Class.method"`` specs)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.update(node.value.split("."))
+    return refs
+
+
+def unreferenced_functions(modules, readers) -> list:
+    """Functions defined in ``modules`` that no file of ``readers`` uses."""
+    refs = set().union(*(_references(_tree(p)) for p in readers))
+    return [f"{p.name}:{line} {name}" for p in modules
+            for name, line in _defined_functions(_tree(p)) if name not in refs]
 
 
 def test_package_has_modules():
@@ -69,6 +102,20 @@ def test_guards_catch_offenders(tmp_path):
         test_no_capability_probes(bad)
     with pytest.raises(AssertionError):
         test_no_unused_imports(bad)
+
+
+def test_every_function_is_used_outside_tests():
+    assert unreferenced_functions(MODULES, MODULES + BENCHMARKS) == []
+
+
+def test_reference_guard_catches_offenders(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def used():\n    return 1\n\n\ndef unused():\n    return used()\n\n\n"
+                   "class K:\n    def __init__(self):\n        pass\n\n"
+                   "    def listed(self):\n        pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text('TRACED = ["K.listed"]\n')
+    assert unreferenced_functions([lib], [lib, caller]) == ["lib.py:5 unused"]
 
 
 def test_empirical_does_not_import_conditioning():
