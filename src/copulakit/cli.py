@@ -395,6 +395,9 @@ def _dispatch(args) -> int:
 
     if cmd == "sample":
         C = parse_operand(args.operand)
+        if isinstance(C, EmpiricalCopula):
+            raise BadOperand(f"sample needs a grid operand, got {C!r}; "
+                             "empirical --in s.csv writes one for n <= 64")
         if not isinstance(C, GridCopula):
             raise BadOperand(f"sample needs a grid operand, got {C!r}; "
                              "discretize it with make <family> --res N")

@@ -212,7 +212,8 @@ def kernel_cdf(C, t, u, cond_axes=None) -> float:
     the only choice for empirical and analytic copulas); ``u`` lists the
     remaining coordinates in ascending axis order.  On a grid the kernel is
     constant in ``t`` across conditioning cells and multilinear in ``u``
-    within cells; an empirical copula is read through its conditional family.
+    within cells; an empirical copula, which must be three-dimensional, is
+    read through its conditional family.
     """
     cond_axes = _normalize_cond_axes(C, cond_axes)
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -225,6 +226,8 @@ def kernel_cdf(C, t, u, cond_axes=None) -> float:
     if isinstance(C, AnalyticCopula):
         return float(C.kernel(t, u)[0])
     if isinstance(C, EmpiricalCopula):
+        if C.dim != 3:
+            raise DimensionMismatch("the kernel of an empirical copula needs three dimensions")
         fam = slab_family(C)
         k = _cell_index(fam.t_breaks, t[0])
         x, y = fam.margins1[k](u[:1]), fam.margins2[k](u[1:])

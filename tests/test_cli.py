@@ -211,9 +211,10 @@ class TestOperandKinds:
     def test_sample_needs_a_grid(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
         assert run(["sample", "--in", "cube", "--n", "8", "--out", str(csv)]) == 0
-        for operand in ("efgm", str(csv)):
+        for operand, hint in (("efgm", "make <family> --res N"),
+                              (str(csv), "empirical --in s.csv")):
             assert run(["sample", "--in", operand, "--n", "4"]) == 2
-            assert "make <family> --res N" in capsys.readouterr().err
+            assert hint in capsys.readouterr().err
 
     def test_empirical_operand(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"

@@ -21,7 +21,7 @@ from copulakit import (
     slab_family,
 )
 from copulakit.conditioning import PiecewiseLinearCdf, _surface_from_joint
-from copulakit.errors import BadAxis, DegenerateMargins, ZeroMassSlab
+from copulakit.errors import BadAxis, DegenerateMargins, DimensionMismatch, ZeroMassSlab
 from conftest import a1_cdf, a2_cdf
 
 
@@ -99,6 +99,11 @@ class TestKernel:
         with pytest.raises(BadAxis):
             kernel_cdf(emp, 0.3, [0.3, 0.6], cond_axes=(0,))
 
+    def test_empirical_needs_three_dimensions(self):
+        pts = np.random.default_rng(4).random((6, 2))
+        with pytest.raises(DimensionMismatch, match="kernel"):
+            kernel_cdf(empirical_copula(pts), 0.3, [0.5])
+
     def test_margin_identity(self, cube, random_grid):
         # kernel of a margin = kernel of the full copula with dropped
         # coordinates pushed to 1
@@ -138,8 +143,8 @@ class TestConditionalCopula:
         s1 = conditional_copula(cube, 1)
         g = np.linspace(0, 1, 9)
         u, v = np.meshgrid(g, g, indexing="ij")
-        assert_allclose(s0.eval_lattice(g, g), a1_cdf(u, v), atol=1e-14)
-        assert_allclose(s1.eval_lattice(g, g), a2_cdf(u, v), atol=1e-14)
+        assert_allclose(s0.eval_lattice(g, g), a1_cdf(u, v), rtol=0, atol=1e-14)
+        assert_allclose(s1.eval_lattice(g, g), a2_cdf(u, v), rtol=0, atol=1e-14)
 
     def test_independence_slabs(self, pi4):
         s = conditional_copula(pi4, 2)
