@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,49 +62,51 @@ _METRICS = {
     "kl": kl,
 }
 
-_FAMILY_NAMES = ("pi|pi-analytic|m|w|cube|rcube|bstar|bstarstar|efgm|efgm-seq|"
-                "shuffle-d1..d4|example54|product-extend|empirical")
 
-_SHUFFLES = {f"shuffle-d{i}": i for i in SHUFFLE_SPECS}
+def _product_extend(base="cube", dim=None):
+    grid = build_family(str(base), {})
+    if not isinstance(grid, GridCopula):
+        raise BadOperand(f"product-extend needs a grid base, got {base!r}")
+    return product_extend(grid, grid.dim + 1 if dim is None else int(dim))
+
+
+# name -> (builder, the parameters it reads); the values are text in an operand
+# spec and numbers from make's options or a descriptor file
+FAMILIES = {
+    "pi": (lambda dim=3, res=None: independence(
+        int(dim), None if res is None else _resolutions(res, int(dim))), ("dim", "res")),
+    "pi-analytic": (lambda dim=3: independence_analytic(int(dim)), ("dim",)),
+    "m": (lambda dim=3: comonotone(int(dim)), ("dim",)),
+    "w": (countermonotone, ()),
+    "cube": (cube_copula, ()),
+    "rcube": (rcube_copula, ()),
+    "bstar": (bstar, ()),
+    "bstarstar": (bstarstar, ()),
+    "efgm": (lambda dim=3: efgm_quadratic(int(dim)), ("dim",)),
+    "efgm-seq": (lambda m, k, dim=3: efgm_sequence_member(int(m), int(k), int(dim)),
+                 ("m", "k", "dim")),
+    **{f"shuffle-d{i}": (partial(shuffle_d, i), ()) for i in SHUFFLE_SPECS},
+    "example54": (example54_copula, ()),
+    "product-extend": (_product_extend, ("base", "dim")),
+}
 
 
 def build_family(name: str, params: dict):
-    """Instantiate a named family; see the make subcommand for the list."""
-    dim = int(params.get("dim", 3))
-    if name == "pi":
-        res = params.get("res")
-        if res is None:
-            return independence(dim)
-        res = [int(r) for r in str(res).split("x")] if "x" in str(res) else [int(res)] * dim
-        return independence(dim, res)
-    if name == "pi-analytic":
-        return independence_analytic(dim)
-    if name == "m":
-        return comonotone(dim)
-    if name == "w":
-        return countermonotone()
-    if name == "cube":
-        return cube_copula()
-    if name == "rcube":
-        return rcube_copula()
-    if name == "bstar":
-        return bstar()
-    if name == "bstarstar":
-        return bstarstar()
-    if name == "efgm":
-        return efgm_quadratic(dim)
-    if name == "efgm-seq":
-        return efgm_sequence_member(int(params["m"]), int(params["k"]), dim)
-    if name in _SHUFFLES:
-        return shuffle_d(_SHUFFLES[name])
-    if name == "example54":
-        return example54_copula()
-    if name == "product-extend":
-        base = build_family(str(params.get("base", "cube")), {})
-        return product_extend(base, int(params.get("dim", base.dim + 1)))
-    if name == "empirical":
-        return EmpiricalCopula(np.asarray(params["ranks"], dtype=np.int64))
-    raise BadOperand(f"unknown family {name!r}; known: {_FAMILY_NAMES}")
+    """Instantiate a family of :data:`FAMILIES`; a parameter it does not
+    read is a usage error."""
+    if name not in FAMILIES:
+        raise BadOperand(f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
+    builder, reads = FAMILIES[name]
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise BadOperand(f"family {name!r} does not read {', '.join(unread)}; "
+                         f"it reads: {', '.join(reads) or 'nothing'}")
+    try:
+        return builder(**params)
+    except CopulaError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise BadOperand(f"malformed parameters for family {name!r}: {exc}") from exc
 
 
 def parse_operand(spec: str):
@@ -130,17 +133,16 @@ def _read_operand(spec: str):
             return empirical_copula(_read_sample(path))
         payload = json.loads(path.read_text())
         if "family" in payload:
-            return build_family(payload["family"], payload.get("params", {}))
+            params = payload.get("params", {})
+            if payload["family"] == "empirical":
+                return EmpiricalCopula(params["ranks"])
+            return build_family(payload["family"], params)
         return GridCopula.from_json(path.read_text())
     if path.suffix in (".json", ".csv") or len(path.parts) > 1:
         raise BadOperand(f"no operand file {spec!r}")
     name, _, argstr = spec.partition(":")
-    params = {}
-    if argstr:
-        for kv in argstr.split(","):
-            k, _, v = kv.partition("=")
-            params[k.strip()] = v.strip()
-    return build_family(name, params)
+    pairs = (kv.partition("=") for kv in argstr.split(",") if kv)
+    return build_family(name, {k.strip(): v.strip() for k, _, v in pairs})
 
 
 def _emit(payload, out, fmt: str = "json"):
@@ -154,6 +156,11 @@ def _emit(payload, out, fmt: str = "json"):
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out):
+    """Write ``text`` to the file ``out``, or to standard output without one."""
     if out:
         Path(out).write_text(text)
     else:
@@ -184,22 +191,27 @@ def _numbers(text: str, convert, sep: str = ","):
         raise BadOperand(f"malformed number list {text!r}: {exc}") from exc
 
 
-def _resolutions(text: str):
-    """``--res`` value: one count per axis, e.g. ``8`` or ``8x8x4``."""
-    res = _numbers(text, int, "x")
-    if not res:
-        raise BadOperand(f"malformed resolution {text!r}")
+def _resolutions(text, dim: int):
+    """Cell counts of a resolution such as ``8`` (every axis) or ``8x8x4``."""
+    res = _numbers(str(text), int, "x")
+    res = res * dim if len(res) == 1 else res
+    if len(res) != dim:
+        raise BadOperand(f"resolution {text!r} does not fit dimension {dim}")
     return res
+
+
+def _discretized(cop, text: str):
+    """``cop`` on the uniform grid of a ``--res`` value; a grid already on it is kept."""
+    res = _resolutions(text, cop.dim)
+    if isinstance(cop, GridCopula) and cop.is_uniform and cop.resolutions == res:
+        return cop
+    return discretize(cop, res)
 
 
 def _surface_payload(surface):
     if not isinstance(surface, BilinearSurface):
         raise ClosedFormUnavailable("a closed-form surface has no node values to report")
-    return {
-        "xs": surface.xs.tolist(),
-        "ys": surface.ys.tolist(),
-        "values": surface.values.tolist(),
-    }
+    return {"xs": surface.xs, "ys": surface.ys, "values": surface.values}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -212,7 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
     p = sub.add_parser("make", help="construct a named family")
-    p.add_argument("family", help=_FAMILY_NAMES)
+    p.add_argument("family", help="family:parameters it reads, one of " + " | ".join(
+        ":".join([name, ",".join(reads)]) if reads else name
+        for name, (_, reads) in FAMILIES.items()))
     p.add_argument("--res", default=None, help="discretize to this resolution, e.g. 8 or 8x8x4")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
@@ -251,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="operand", required=True)
     p.add_argument("--dvine", action="store_true")
     p.add_argument("--order", default=None, help="axis permutation, e.g. 0,2,1")
-    p.add_argument("--res", default=None)
+    p.add_argument("--res", default=None, help="discretize the image, e.g. 8 or 8x8x4")
     p.add_argument("--report", default=None)
     p.add_argument("--eps", type=float, default=1e-8)
 
@@ -306,23 +320,13 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "make":
-        params = {}
-        for key in ("dim", "m", "k", "base"):
-            val = vars(args).get(key)
-            if val is not None:
-                params[key] = val
+        params = {key: vars(args)[key] for key in ("dim", "m", "k", "base")
+                  if vars(args)[key] is not None}
         cop = build_family(args.family, params)
         if args.res is not None:
-            res = _resolutions(args.res)
-            if len(res) == 1:
-                res = res * cop.dim
-            cop = cop if isinstance(cop, GridCopula) and cop.resolutions == res else discretize(cop, res)
+            cop = _discretized(cop, args.res)
         if isinstance(cop, GridCopula):
-            text = cop.to_json()
-            if args.out:
-                Path(args.out).write_text(text)
-            else:
-                sys.stdout.write(text + "\n")
+            _write(cop.to_json() + "\n", args.out)
         else:
             _emit({"family": args.family, "params": params}, args.out)
         return 0
@@ -370,24 +374,16 @@ def _dispatch(args) -> int:
 
     if cmd == "pvc":
         C = parse_operand(args.operand)
-        res = _resolutions(args.res) if args.res else None
         if args.dvine:
             order = tuple(_numbers(args.order, int)) if args.order else None
-            result = pvc_dvine(C, order=order, resolutions=res)
+            result = pvc_dvine(C, order=order)
         else:
-            result = pvc3(C, resolutions=res)
+            result = pvc3(C)
+        psi = _discretized(result.psi, args.res) if args.res is not None else result.psi
         if args.report:
-            Path(args.report).write_text(
-                json.dumps(pvc_distance_report(C, eps=args.eps), indent=2,
-                           default=_json_default)
-            )
-        target = result.psi_grid if result.psi_grid is not None else result.psi
-        if isinstance(target, GridCopula):
-            text = target.to_json()
-            if args.out:
-                Path(args.out).write_text(text)
-            else:
-                sys.stdout.write(text + "\n")
+            _emit(pvc_distance_report(C, result, eps=args.eps), args.report)
+        if isinstance(psi, GridCopula):
+            _write(psi.to_json() + "\n", args.out)
         else:
             _emit({"family": f"pvc({args.operand})", "slab_count": result.slab_count},
                   args.out)
@@ -418,17 +414,11 @@ def _dispatch(args) -> int:
         else:
             text = json.dumps({"family": "empirical",
                                "params": {"ranks": emp.ranks.tolist()}})
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text + "\n")
+        _write(text + "\n", args.out)
         return 0
 
     if cmd == "verify":
-        if args.case == "all":
-            cases = verify_mod.run_all()
-        else:
-            cases = [verify_mod.run_case(args.case)]
+        cases = verify_mod.run_all() if args.case == "all" else [verify_mod.run_case(args.case)]
         for c in cases:
             status = "pass" if c.passed else "FAIL"
             print(f"[{status}] {c.case_id}: {c.description} ({c.runtime_s:.2f}s)")

@@ -113,9 +113,6 @@ class EmpiricalCopula:
     def cdf_on_lattice(self, axes) -> np.ndarray:
         """Exact d-linear cdf on a product lattice, summed over blocks of
         sample points so the temporaries stay small."""
-        letters = "abcde"
-        spec = ",".join(f"i{letters[j]}" for j in range(self.dim))
-        spec += "->" + letters[: self.dim]
         total = 0.0
         for s in range(0, self.n, _CHUNK):
             ranks = self.ranks[s : s + _CHUNK]
@@ -124,7 +121,10 @@ class EmpiricalCopula:
                         - (ranks[:, j][:, None] - 1), 0.0, 1.0)
                 for j, a in enumerate(axes)
             ]
-            total = total + np.einsum(spec, *ws, optimize=True)
+            # sublist form: sample axis 0, lattice axis j + 1, any dimension
+            operands = [x for j, w in enumerate(ws) for x in (w, [0, j + 1])]
+            total = total + np.einsum(*operands, list(range(1, self.dim + 1)),
+                                      optimize=True)
         return total / self.n
 
     def step_cdf_on_lattice(self, axes) -> np.ndarray:

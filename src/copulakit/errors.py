@@ -85,9 +85,9 @@ class SupportViolation(CopulaError, ValueError):
 
 
 class ClosedFormUnavailable(CopulaError):
-    """The operand lacks the conditional structure an operation needs: a
-    closed-form conditional family, bilinear conditional or partial
-    copulas, or a grid for the vine ladder."""
+    """The operand lacks the structure an operation needs: a closed-form
+    conditional family, bilinear conditional or partial copulas, or a grid
+    for the vine ladder, tv and kl."""
 
 
 class ChainViolation(CopulaError):

@@ -25,7 +25,7 @@ _PARTITION_TOL = 1e-12
 # -- independence and block families -----------------------------------------
 
 
-def independence(dim: int, resolutions=None) -> GridCopula:
+def independence(dim: int, resolutions: list | None = None) -> GridCopula:
     """Independence copula as a checkerboard (default: one cell per axis)."""
     if resolutions is None:
         resolutions = [1] * dim
@@ -133,9 +133,7 @@ def shuffle_of_w(spec: ShuffleSpec, name: str = "shuffle") -> AnalyticCopula:
 
     v_breaks = np.unique(np.concatenate([[0.0, 1.0], tgt_lo,
                                          [s.tgt_hi for s in segs]]))
-    cop = AnalyticCopula(2, cdf, kernel_fn=kern, kernel_v_breaks=v_breaks, name=name)
-    cop.transport = transport
-    return cop
+    return AnalyticCopula(2, cdf, kernel_fn=kern, kernel_v_breaks=v_breaks, name=name)
 
 
 def _desc(spec_rows):

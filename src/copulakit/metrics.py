@@ -19,6 +19,7 @@ from .analytic import AnalyticCopula
 from .empirical import EmpiricalCopula
 from .errors import (
     ChainViolation,
+    ClosedFormUnavailable,
     DimensionMismatch,
     KernelUnavailable,
     SupportViolation,
@@ -134,12 +135,8 @@ def d_inf(c1, c2, eps: float = 1e-8, scan_m: int = _SCAN_M) -> MetricReport:
         axes = [np.union1d(a, b) for a, b in zip(b1, b2)]
         count = int(np.prod([len(a) for a in axes]))
         if count <= _NODE_BUDGET:
-            v1, g1 = _eval_lattice(c1, axes)
-            v2, g2 = _eval_lattice(c2, axes)
-            value = float(np.max(np.abs(v1 - v2)))
-            if g1 + g2 == 0.0:
-                return _report("d_inf", t0, value, EXACT, 0.0, count)
-            return _report("d_inf", t0, value, CERTIFIED, g1 + g2, count, eps)
+            value = float(np.max(np.abs(c1.cdf_on_lattice(axes) - c2.cdf_on_lattice(axes))))
+            return _report("d_inf", t0, value, EXACT, 0.0, count)
     axes = _lattice_axes(c1, c2, scan_m)
     v1, g1 = _eval_lattice(c1, axes)
     v2, g2 = _eval_lattice(c2, axes)
@@ -310,11 +307,20 @@ def _kernel_integral_analytic(c1, c2, power: int, eps: float, axis):
 # -- measure metrics --------------------------------------------------------------
 
 
+def _grid_refinement(c1, c2):
+    """Common refinement of two grid operands, which tv and kl need."""
+    if not (isinstance(c1, GridCopula) and isinstance(c2, GridCopula)):
+        raise ClosedFormUnavailable(
+            f"tv and kl need grid operands, got {c1!r} and {c2!r}; empirical --in s.csv "
+            "writes one for n <= 64, make <family> --res N discretizes a family")
+    return common_refinement(c1, c2)
+
+
 def tv(c1: GridCopula, c2: GridCopula) -> MetricReport:
     """Total variation: half the L1 distance of cell densities on the common
     refinement (the optimizing event is where one density exceeds the other)."""
     t0 = time.perf_counter()
-    r1, r2 = common_refinement(c1, c2)
+    r1, r2 = _grid_refinement(c1, c2)
     value = 0.5 * float(np.abs(r1.masses - r2.masses).sum())
     return _report("tv", t0, value, EXACT, 0.0, r1.masses.size)
 
@@ -323,7 +329,7 @@ def kl(c1: GridCopula, c2: GridCopula) -> MetricReport:
     """Kullback-Leibler divergence of cell masses (volumes cancel on the
     common refinement); requires the support of ``c1`` inside that of ``c2``."""
     t0 = time.perf_counter()
-    r1, r2 = common_refinement(c1, c2)
+    r1, r2 = _grid_refinement(c1, c2)
     m1 = r1.masses.ravel()
     m2 = r2.masses.ravel()
     has_mass = m1 > 0

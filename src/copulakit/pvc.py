@@ -34,6 +34,7 @@ from .conditioning import (
 )
 from .empirical import EmpiricalCopula
 from .errors import (
+    BadOperand,
     ClosedFormUnavailable,
     DimensionMismatch,
     ResolutionOverflow,
@@ -52,15 +53,13 @@ class PvcResult:
     checkerboard for grid input, an analytic evaluator for closed-form
     input and the input itself for a rank-form empirical copula.
     ``partial`` is the partial copula: a bilinear surface, or the
-    closed-form bivariate cdf.  ``psi_grid`` is the uniform-grid
-    discretization of ``psi`` at the requested resolution.
+    closed-form bivariate cdf.
     """
 
     fingerprint: str
     psi: object
     partial: object
     slab_count: int
-    psi_grid: GridCopula | None = None
 
 
 def _fingerprint(C) -> str:
@@ -78,7 +77,7 @@ def _fingerprint(C) -> str:
     return h.hexdigest()[:16]
 
 
-def pvc3(C, resolutions=None) -> PvcResult:
+def pvc3(C) -> PvcResult:
     """Partial vine copula of a three-dimensional grid, empirical or
     closed-form copula, conditioning on the last coordinate.
 
@@ -109,19 +108,18 @@ def pvc3(C, resolutions=None) -> PvcResult:
             P = cp.eval_lattice(imgx, imgy)
             masses[:, :, k] = w * np.diff(np.diff(P, axis=0), axis=1)
         psi = GridCopula((xs, ys, ts), masses)
-    grid = discretize(psi, resolutions) if resolutions is not None else None
-    return PvcResult(_fingerprint(C), psi, cp, slab_count, grid)
+    return PvcResult(_fingerprint(C), psi, cp, slab_count)
 
 
-def pvc3_analytic(C: AnalyticCopula, resolutions=None) -> PvcResult:
+def pvc3_analytic(C: AnalyticCopula) -> PvcResult:
     """Same as :func:`pvc3`, under its former name for closed-form input."""
-    return pvc3(C, resolutions=resolutions)
+    return pvc3(C)
 
 
 # -- d-dimensional ladder -------------------------------------------------------
 
 
-def pvc_dvine(C: GridCopula, order=None, resolutions=None) -> PvcResult:
+def pvc_dvine(C: GridCopula, order=None) -> PvcResult:
     """Partial vine copula along the consecutive-pair tree sequence.
 
     ``order`` optionally permutes the variables before running the ladder
@@ -147,8 +145,7 @@ def pvc_dvine(C: GridCopula, order=None, resolutions=None) -> PvcResult:
     if perm != list(range(d)):
         inv = np.argsort(perm).tolist()
         psi = psi.permute(inv)
-    grid = discretize(psi, resolutions) if resolutions is not None else None
-    return PvcResult(_fingerprint(C), psi, cp, len(psi.breaks[-1]) - 1, grid)
+    return PvcResult(_fingerprint(C), psi, cp, len(psi.breaks[-1]) - 1)
 
 
 def _build_block(work, blocks, i, span):
@@ -234,47 +231,31 @@ def _build_block(work, blocks, i, span):
 # -- summary report -------------------------------------------------------------
 
 
-def pvc_distance_report(C, eps: float = 1e-6) -> dict:
-    """Distances between a copula and its partial vine approximation.
+def pvc_distance_report(C, result: PvcResult, eps: float = 1e-6) -> dict:
+    """Distances between a copula and its image ``result`` under
+    :func:`pvc3` or :func:`pvc_dvine`.
 
-    For grid input everything is computed on the exact operator image; for
-    analytic input with a closed family the uniform distance uses the exact
-    evaluators and the remaining diagnostics a documented discretization.
+    For grid input everything is computed on the exact operator image (the
+    kernel distance and simplifiedness gap for dimension 3 only); for
+    analytic input the uniform distance uses the exact evaluators and the
+    remaining diagnostics a documented discretization.
     """
-    if isinstance(C, GridCopula) and C.dim == 3:
-        res = pvc3(C)
-        rep_di = d_inf(C, res.psi)
-        rep_d1 = d1(C, res.psi, eps=eps)
-        _, delta = is_simplified(C)
-        return {
-            "d_inf": rep_di.to_dict(),
-            "d1": rep_d1.to_dict(),
-            "delta": delta,
-            "slab_count": res.slab_count,
-            "fingerprint": res.fingerprint,
-        }
+    if result.fingerprint != _fingerprint(C):
+        raise BadOperand("the result is not the operator image of this copula")
+    psi = result.psi
     if isinstance(C, AnalyticCopula):
-        res = pvc3(C)
-        rep_di = d_inf(C, res.psi, scan_m=256)
-        disc_res = [64, 64, max(4, res.slab_count)]
-        dC = discretize(C, disc_res)
-        dP = discretize(res.psi, disc_res)
-        rep_d1 = d1(dC, dP, eps=eps)
-        _, delta = is_simplified(discretize(C, [32, 32, max(4, res.slab_count)]))
-        return {
-            "d_inf": rep_di.to_dict(),
-            "d1": rep_d1.to_dict(),
+        disc_res = [64, 64, max(4, result.slab_count)]
+        rep = {
+            "d_inf": d_inf(C, psi, scan_m=256).to_dict(),
+            "d1": d1(discretize(C, disc_res), discretize(psi, disc_res), eps=eps).to_dict(),
             "d1_note": f"kernel metric on discretization {disc_res}",
-            "delta": delta,
-            "slab_count": res.slab_count,
-            "fingerprint": res.fingerprint,
+            "delta": is_simplified(discretize(C, [32, 32, max(4, result.slab_count)]))[1],
         }
-    if isinstance(C, GridCopula):
-        res = pvc_dvine(C)
-        rep_di = d_inf(C, res.psi)
-        return {
-            "d_inf": rep_di.to_dict(),
-            "slab_count": res.slab_count,
-            "fingerprint": res.fingerprint,
-        }
-    raise DimensionMismatch("unsupported operand for the distance report")
+    elif isinstance(C, GridCopula):
+        rep = {"d_inf": d_inf(C, psi).to_dict()}
+        if C.dim == 3:
+            rep["d1"] = d1(C, psi, eps=eps).to_dict()
+            rep["delta"] = is_simplified(C)[1]
+    else:
+        raise DimensionMismatch("unsupported operand for the distance report")
+    return {**rep, "slab_count": result.slab_count, "fingerprint": result.fingerprint}

@@ -7,9 +7,11 @@ import jsonschema
 import numpy as np
 import pytest
 
-from copulakit import GridCopula, empirical_copula, kernel_cdf, load_sample
+from copulakit import GridCopula, d_inf, empirical_copula, kernel_cdf, load_sample, save_sample
+from copulakit import cli as cli_mod
+from copulakit import pvc as pvc_mod
 from copulakit import verify as verify_mod
-from copulakit.cli import _FAMILY_NAMES, _build_parser, main, parse_operand
+from copulakit.cli import FAMILIES, _build_parser, main, parse_operand
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/copulakit/schemas/report.schema.json")
@@ -48,6 +50,18 @@ class TestMake:
         assert run(["make", "pi", "--res", "2", "--dim", "3", "--out", str(out)]) == 0
         g = GridCopula.from_json(out.read_text())
         assert g.resolutions == [2, 2, 2]
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_every_family_round_trips(self, tmp_path, name):
+        # the file make writes, a grid or a descriptor, reads back as the
+        # operand the name builds
+        out = tmp_path / "op.json"
+        args = ["--m", "2", "--k", "3"] if name == "efgm-seq" else []
+        assert run(["make", name, *args, "--out", str(out)]) == 0
+        direct = parse_operand("efgm-seq:m=2,k=3" if args else name)
+        back = parse_operand(str(out))
+        axes = [np.linspace(0, 1, 7)] * direct.dim
+        assert np.array_equal(back.cdf_on_lattice(axes), direct.cdf_on_lattice(axes))
 
 
 class TestMetricCommand:
@@ -155,11 +169,24 @@ class TestMalformedInput:
             path.write_text(json.dumps({"dim": 2, "masses": grid["masses"]}))
         elif kind == "not-json":
             path.write_text("not json {")
-        operand = {"non-integer-param": "cube:dim=x",
+        operand = {"non-integer-param": "m:dim=x",
                    "unknown-family": "nosuchfamily",
                    "shuffle-d9": "shuffle-d9",
                    "shuffle-d12": "shuffle-d12"}.get(kind, str(path))
         assert run(["metric", "--name", "tv", "--a", operand, "--b", "cube"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["metric", "--name", "tv", "--a", "cube:foo=1", "--b", "cube"],
+        ["metric", "--name", "tv", "--a", "cube:dim=3", "--b", "cube"],
+        ["make", "efgm", "--m", "3"],
+        ["make", "efgm-seq", "--m", "3"],
+        ["make", "product-extend", "--base", "efgm"],
+        ["pvc", "--in", "cube", "--res", "4x4"],
+    ], ids=["unknown-param", "dim-of-cube", "make-efgm-m", "make-efgm-seq-no-k",
+            "product-extend-analytic-base", "pvc-res-axes"])
+    def test_parameter_the_family_does_not_take_is_usage_error(self, capsys, args):
+        assert run(args) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("args", [
@@ -215,6 +242,22 @@ class TestOperandKinds:
                               (str(csv), "empirical --in s.csv")):
             assert run(["sample", "--in", operand, "--n", "4"]) == 2
             assert hint in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["tv", "kl"])
+    def test_measure_metrics_need_grids(self, tmp_path, capsys, name):
+        csv = tmp_path / "s.csv"
+        assert run(["sample", "--in", "cube", "--n", "30", "--out", str(csv)]) == 0
+        for operand in (str(csv), "efgm"):
+            assert run(["metric", "--name", name, "--a", operand, "--b", "cube"]) == 3
+            err = capsys.readouterr().err
+            assert "empirical --in s.csv" in err and "make <family> --res N" in err
+
+    def test_six_dimensional_sample(self, tmp_path, capsys):
+        csv = tmp_path / "s6.csv"
+        save_sample(csv, np.random.default_rng(6).random((10, 6)))
+        assert run(["metric", "--name", "dinf", "--a", str(csv),
+                    "--b", "pi-analytic:dim=6"]) == 0
+        assert json.loads(capsys.readouterr().out)["exactness"] == "exact"
 
     def test_empirical_operand(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
@@ -274,15 +317,21 @@ class TestPipelines:
     def test_make_help_lists_every_family(self, capsys):
         assert run(["make", "--help"]) == 0
         # the help wraps the list at hyphens, so compare without whitespace
-        assert _FAMILY_NAMES in "".join(capsys.readouterr().out.split())
-        listed = _FAMILY_NAMES.split("|")
-        assert sorted(listed) == sorted([
+        listing = "|".join(":".join([name, ",".join(reads)]) if reads else name
+                           for name, (_, reads) in FAMILIES.items())
+        assert listing in "".join(capsys.readouterr().out.split())
+        assert sorted(FAMILIES) == sorted([
             "pi", "pi-analytic", "m", "w", "cube", "rcube", "bstar", "bstarstar", "efgm",
-            "efgm-seq", "shuffle-d1..d4", "example54", "product-extend", "empirical"])
-        specs = {"efgm-seq": "efgm-seq:m=1,k=1", "shuffle-d1..d4": "shuffle-d4"}
-        for name in listed:
-            if name != "empirical":  # takes its ranks from a descriptor file
-                parse_operand(specs.get(name, name))
+            "efgm-seq", "shuffle-d1", "shuffle-d2", "shuffle-d3", "shuffle-d4", "example54",
+            "product-extend"])
+
+    def test_readme_lists_every_family_and_its_parameters(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = {line.split("|")[1].strip(" `"): line.split("|")[2]
+                for line in readme.splitlines() if line.startswith("| `")}
+        for name, (_, reads) in FAMILIES.items():
+            assert all(f"`{param}`" in rows[name] for param in reads), name
+            assert reads or rows[name].strip() == "none", name
 
     def test_simplified_and_jfun(self, capsys):
         assert run(["simplified", "--in", "cube"]) == 0
@@ -299,6 +348,48 @@ class TestPipelines:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("m,")
         assert len(lines) == 4
+
+
+class TestPvcCommand:
+    def test_res_expands_to_every_axis(self, tmp_path):
+        out = tmp_path / "psi.json"
+        assert run(["pvc", "--in", "cube", "--res", "4", "--out", str(out)]) == 0
+        assert GridCopula.from_json(out.read_text()).resolutions == [4, 4, 4]
+
+    @pytest.mark.parametrize("order", [[], ["--order", "0,2,1"]], ids=["identity", "0,2,1"])
+    def test_dvine_report_describes_the_image_written(self, tmp_path, order):
+        C = verify_mod.random_copula_grid(np.random.default_rng(3), [3, 3, 3])
+        src, out, rep = tmp_path / "c.json", tmp_path / "psi.json", tmp_path / "r.json"
+        src.write_text(C.to_json())
+        assert run(["pvc", "--in", str(src), "--dvine", *order, "--out", str(out),
+                    "--report", str(rep)]) == 0
+        value = json.loads(rep.read_text())["d_inf"]["value"]
+        assert value == d_inf(C, GridCopula.from_json(out.read_text())).value
+        if not order:
+            # the ladder's image, not the one pvc3 makes (at 0.0195171)
+            assert value == pytest.approx(0.0182215, abs=1e-7)
+
+    @pytest.mark.parametrize("args", [
+        ["--in", "cube"],
+        ["--in", "cube", "--dvine"],
+        ["--in", "product-extend:base=cube,dim=4", "--dvine"],
+    ], ids=["pvc3", "dvine-3d", "dvine-4d"])
+    def test_report_runs_the_operator_once(self, tmp_path, monkeypatch, args):
+        real = {name: getattr(pvc_mod, name) for name in ("pvc3", "pvc_dvine")}
+        calls = []
+
+        def counted(name):
+            def call(*a, **kw):
+                calls.append(name)
+                return real[name](*a, **kw)
+            return call
+
+        for module in (cli_mod, pvc_mod):
+            for name in real:
+                monkeypatch.setattr(module, name, counted(name))
+        assert run(["pvc", *args, "--report", str(tmp_path / "r.json"),
+                    "--out", str(tmp_path / "psi.json")]) == 0
+        assert len(calls) == 1
 
 
 class TestVerifyCommand:

@@ -60,6 +60,13 @@ class TestEmpiricalEvaluation:
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
         assert_allclose(lat.ravel(), emp.cdf_many(grid), atol=1e-13)
 
+    def test_lattice_in_six_dimensions(self):
+        # 10 points on 11 nodes per axis against the 10^6-cell dense view
+        emp = empirical_copula(np.random.default_rng(4).random((10, 6)))
+        axes = [np.linspace(0, 1, 11)] * 6
+        assert_allclose(emp.cdf_on_lattice(axes), emp.to_grid().cdf_on_lattice(axes),
+                        atol=1e-15)
+
     def test_lattice_is_exact_on_large_lattices(self, cube):
         # 64 points on 113 nodes per axis: every lattice value is the d-linear
         # cdf, so the distance to the same copula refined is rounding only

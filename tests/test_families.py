@@ -77,8 +77,9 @@ class TestShuffles:
 
     def test_kernel_is_point_mass_indicator(self):
         sh = shuffle_d(1)
-        # the first segment maps (0, 1/4) descending onto (1/4, 1/2)
-        x = sh.transport(np.array([0.3]))[0]
+        # the first segment maps (0, 1/4) descending onto (1/4, 1/2): v = 0.3
+        # sits above x = 0.2
+        x = 0.2
         assert sh.kernel([0.3], [x + 1e-9])[0] == 1.0
         assert sh.kernel([0.3], [x - 1e-9])[0] == 0.0
 

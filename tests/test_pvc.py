@@ -29,7 +29,7 @@ from copulakit import (
     pvc_dvine,
     sample,
 )
-from copulakit.errors import ClosedFormUnavailable, CopulaError, DimensionMismatch
+from copulakit.errors import BadOperand, ClosedFormUnavailable, CopulaError, DimensionMismatch
 from conftest import f3pi_member
 
 
@@ -265,19 +265,31 @@ class TestDvine:
 
 class TestDistanceReport:
     def test_cube_report(self, cube):
-        rep = pvc_distance_report(cube)
+        rep = pvc_distance_report(cube, pvc3(cube))
         assert rep["d_inf"]["value"] == 0.125
         assert rep["d1"]["value"] == pytest.approx(1 / 16, abs=1e-9)
         assert rep["delta"] == pytest.approx(0.125, abs=1e-9)
         assert rep["slab_count"] == 2
 
     def test_composite_report(self):
-        rep = pvc_distance_report(example54_copula())
+        ex = example54_copula()
+        rep = pvc_distance_report(ex, pvc3(ex))
         assert rep["d_inf"]["value"] >= 3 / 16 - 1e-9
         assert rep["slab_count"] == 4
 
     def test_independence_report_zeros(self, pi2):
-        rep = pvc_distance_report(pi2)
+        rep = pvc_distance_report(pi2, pvc3(pi2))
         assert rep["d_inf"]["value"] <= 1e-12
         assert rep["d1"]["value"] <= 1e-12
         assert rep["delta"] <= 1e-12
+
+    def test_ladder_image_is_reported(self, random_grid):
+        g = random_grid((3, 3, 3))
+        res = pvc_dvine(g)
+        rep = pvc_distance_report(g, res)
+        assert rep["d_inf"]["value"] == d_inf(g, res.psi).value
+        assert rep["slab_count"] == res.slab_count
+
+    def test_image_of_another_copula_is_rejected(self, cube, rcube):
+        with pytest.raises(BadOperand):
+            pvc_distance_report(cube, pvc3(rcube))
