@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -28,11 +29,11 @@ from . import verify as verify_mod
 from .analytic import comonotone, countermonotone, independence_analytic
 from .conditioning import (
     BilinearSurface,
-    conditional_copula,
     is_simplified,
     j_functional,
     kernel_cdf,
     partial_copula,
+    slab_family,
 )
 from .empirical import EmpiricalCopula, empirical_copula, load_sample, sample, save_sample
 from .errors import BadOperand, ClosedFormUnavailable, CopulaError, UnknownCase
@@ -191,6 +192,13 @@ def _numbers(text: str, convert, sep: str = ","):
         raise BadOperand(f"malformed number list {text!r}: {exc}") from exc
 
 
+def _index(value: int, n: int, flag: str) -> int:
+    """An index argument, which must lie in ``0 .. n - 1``."""
+    if not 0 <= value < n:
+        raise BadOperand(f"{flag} {value} out of range 0..{n - 1}")
+    return value
+
+
 def _resolutions(text, dim: int):
     """Cell counts of a resolution such as ``8`` (every axis) or ``8x8x4``."""
     res = _numbers(str(text), int, "x")
@@ -237,8 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=sorted(_METRICS))
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--axis", type=int, default=None)
-    p.add_argument("--eps", type=float, default=1e-8)
+    p.add_argument("--axis", type=int, default=None, help="d1, d2 and dinfk only")
+    p.add_argument("--eps", type=float, default=None,
+                   help="requested error (default 1e-8); not for tv and kl")
 
     p = sub.add_parser("kernel", help="Markov kernel value K(t, [0,u])")
     p.add_argument("--in", dest="operand", required=True)
@@ -264,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pvc", help="partial vine operator")
     p.add_argument("--in", dest="operand", required=True)
     p.add_argument("--dvine", action="store_true")
-    p.add_argument("--order", default=None, help="axis permutation, e.g. 0,2,1")
+    p.add_argument("--order", default=None, help="axis permutation for --dvine, e.g. 0,2,1")
     p.add_argument("--res", default=None, help="discretize the image, e.g. 8 or 8x8x4")
     p.add_argument("--report", default=None)
     p.add_argument("--eps", type=float, default=1e-8)
@@ -333,27 +342,29 @@ def _dispatch(args) -> int:
 
     if cmd == "metric":
         fn = _METRICS[args.name]
+        kwargs = {k: v for k, v in (("axis", args.axis), ("eps", args.eps)) if v is not None}
+        unread = [k for k in kwargs if k not in inspect.signature(fn).parameters]
+        if unread:
+            raise BadOperand(f"metric {args.name} does not read --{', --'.join(unread)}")
         a = parse_operand(args.a)
         b = parse_operand(args.b)
-        kwargs = {}
-        if args.name in ("d1", "d2", "dinfk") and args.axis is not None:
-            kwargs["axis"] = args.axis
-        if args.name in ("d1", "d2", "dinfk", "dinf"):
-            kwargs["eps"] = args.eps
+        if "axis" in kwargs:
+            _index(args.axis, a.dim, "--axis")
         rep = fn(a, b, **kwargs)
         _emit(rep.to_dict(), args.out)
         return 0
 
     if cmd == "kernel":
         C = parse_operand(args.operand)
-        cond = tuple(_numbers(args.cond_axes, int)) if args.cond_axes else None
+        cond = (tuple(_index(a, C.dim, "--cond-axes") for a in _numbers(args.cond_axes, int))
+                if args.cond_axes else None)
         val = kernel_cdf(C, _numbers(args.t, float), _numbers(args.u, float), cond_axes=cond)
         _emit({"value": val, "error": 0.0}, args.out)
         return 0
 
     if cmd == "conditional":
-        C = parse_operand(args.operand)
-        _emit(_surface_payload(conditional_copula(C, args.slab)), args.out)
+        surfaces = slab_family(parse_operand(args.operand)).bilinear_surfaces()
+        _emit(_surface_payload(surfaces[_index(args.slab, len(surfaces), "--slab")]), args.out)
         return 0
 
     if cmd == "partial":
@@ -373,6 +384,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "pvc":
+        if args.order is not None and not args.dvine:
+            raise BadOperand("--order permutes the ladder's variables; it needs --dvine")
         C = parse_operand(args.operand)
         if args.dvine:
             order = tuple(_numbers(args.order, int)) if args.order else None

@@ -5,7 +5,10 @@ constant across conditioning cells and multilinear within the remaining
 coordinates, so every quantity here (conditional margins, conditional
 copulas obtained by Sklar inversion, the partial copula, the
 simplifiedness gap and the integrated conditional-difference functional)
-is computed from finite node data without sampling.
+is computed from finite node data without sampling.  Kernel values,
+conditional margins and the disintegration check read one node tensor,
+:meth:`GridCopula.kernel_nodes`; the conditional copulas of the slab
+family keep their own normalisation (by the fiber's cdf at its top node).
 
 One type, :class:`ConditionalFamily`, holds the conditional decomposition
 of a three-dimensional copula with respect to its last coordinate, whether
@@ -35,6 +38,7 @@ from .grid import (
     _corner_matrix,
     _interp_matrix,
     box_mass,
+    cell_index,
     cum_nodes,
     multilinear_interp,
     uniform_breaks,
@@ -185,24 +189,17 @@ def _normalize_cond_axes(C, cond_axes):
     return axes
 
 
-def _cell_index(b, ti) -> int:
-    """Index of the cell of breakpoints ``b`` that holds ``ti``."""
-    return int(np.clip(np.searchsorted(b, ti, side="right") - 1, 0, len(b) - 2))
-
-
-def _conditioning_cell(C: GridCopula, t, cond_axes):
+def _kernel_at(C: GridCopula, t, cond_axes) -> np.ndarray:
+    """Kernel node tensor of the conditioning cell holding ``t``; ZeroMassSlab
+    if that cell carries no mass."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if len(t) != len(cond_axes):
         raise DimensionMismatch("one conditioning value per conditioning axis")
-    return tuple(_cell_index(C.breaks[a], ti) for a, ti in zip(cond_axes, t))
-
-
-def _fiber(C: GridCopula, cond_axes, cell):
-    """Mass tensor over the free axes for one conditioning cell."""
-    index = [slice(None)] * C.dim
-    for a, i in zip(cond_axes, cell):
-        index[a] = i
-    return C.masses[tuple(index)]
+    cell = tuple(int(cell_index(C.breaks[a], ti)) for a, ti in zip(cond_axes, t))
+    K = C.kernel_nodes(cond_axes, cell)
+    if K.flat[-1] <= 0.0:
+        raise ZeroMassSlab(f"conditioning cell {cell} has zero mass")
+    return K
 
 
 def kernel_cdf(C, t, u, cond_axes=None) -> float:
@@ -229,34 +226,23 @@ def kernel_cdf(C, t, u, cond_axes=None) -> float:
         if C.dim != 3:
             raise DimensionMismatch("the kernel of an empirical copula needs three dimensions")
         fam = slab_family(C)
-        k = _cell_index(fam.t_breaks, t[0])
+        k = cell_index(fam.t_breaks, t[0])
         x, y = fam.margins1[k](u[:1]), fam.margins2[k](u[1:])
         return float(fam.surfaces[k].eval_lattice(x, y)[0, 0])
-    cell = _conditioning_cell(C, t, cond_axes)
-    fiber = _fiber(C, cond_axes, cell)
-    w = float(fiber.sum())
-    if w <= 0.0:
-        raise ZeroMassSlab(f"conditioning cell {cell} has zero mass")
-    val = multilinear_interp(cum_nodes(fiber), [C.breaks[a] for a in free], u[None, :])[0]
-    return float(val / w)
+    K = _kernel_at(C, t, cond_axes)
+    return float(multilinear_interp(K, [C.breaks[a] for a in free], u[None, :])[0])
 
 
 def conditional_margin(C: GridCopula, j: int, t, cond_axes=None) -> PiecewiseLinearCdf:
     """Conditional univariate margin of coordinate ``j`` given the
-    conditioning cell containing ``t``."""
+    conditioning cell containing ``t``: the kernel's column along ``j`` with
+    the other free coordinates at 1."""
     cond_axes = _normalize_cond_axes(C, cond_axes)
     if j in cond_axes or not 0 <= j < C.dim:
         raise BadAxis(f"axis {j} is not a free coordinate")
-    cell = _conditioning_cell(C, t, cond_axes)
-    fiber = _fiber(C, cond_axes, cell)
-    w = float(fiber.sum())
-    if w <= 0.0:
-        raise ZeroMassSlab(f"conditioning cell {cell} has zero mass")
+    K = _kernel_at(C, t, cond_axes)
     free = [a for a in range(C.dim) if a not in cond_axes]
-    other = tuple(k for k, a in enumerate(free) if a != j)
-    line = fiber.sum(axis=other) if other else fiber
-    vals = np.concatenate([[0.0], np.cumsum(line)])
-    vals /= vals[-1]
+    vals = K[tuple(slice(None) if a == j else -1 for a in free)]
     vals[-1] = 1.0
     return PiecewiseLinearCdf(C.breaks[j], vals)
 
@@ -405,10 +391,8 @@ def j_functional(C, D, tol: float = 1e-8):
     cache: dict = {}
     for lo, hi in zip(t[:-1], t[1:]):
         mid = (lo + hi) / 2
-        kc = int(np.searchsorted(fam_c.t_breaks, mid, side="right") - 1)
-        kd = int(np.searchsorted(fam_d.t_breaks, mid, side="right") - 1)
-        sc = surf_c[kc]
-        sd = surf_d[kd]
+        sc = surf_c[cell_index(fam_c.t_breaks, mid)]
+        sd = surf_d[cell_index(fam_d.t_breaks, mid)]
         key = (sc.key(), sd.key())
         if key not in cache:
             cache[key] = surface_l1_distance(sc, sd)
@@ -430,11 +414,8 @@ def disintegration_residual(C: GridCopula, lower, upper) -> float:
         width = min(upper[cond], bt[k + 1]) - max(lower[cond], bt[k])
         if width <= 0:
             continue
-        fiber = C.masses[..., k]
-        w = float(fiber.sum())
-        if w <= 0:
-            continue
-        corners = signs @ multilinear_interp(cum_nodes(fiber), C.breaks[:-1], pts)
-        lhs += width * corners / w
+        # a slab without mass has the zero kernel and adds nothing
+        K = C.kernel_nodes((cond,), (k,))
+        lhs += width * (signs @ multilinear_interp(K, C.breaks[:-1], pts))
     rhs = box_mass(C, lower, upper)
     return abs(lhs - rhs)

@@ -17,7 +17,7 @@ import numpy as np
 from .analytic import AnalyticCopula
 from .conditioning import ConditionalFamily, PiecewiseLinearCdf, preimage_union
 from .errors import BadIndex, InvalidShuffle, NonCopulaInput
-from .grid import GridCopula, new_grid, uniform_breaks
+from .grid import GridCopula, cell_index, new_grid, uniform_breaks
 
 _PARTITION_TOL = 1e-12
 
@@ -113,11 +113,12 @@ def shuffle_of_w(spec: ShuffleSpec, name: str = "shuffle") -> AnalyticCopula:
 
     tgt_lo = np.array([s.tgt_lo for s in segs])
     order = np.argsort(tgt_lo)
+    tgt_breaks = np.append(tgt_lo[order], 1.0)
 
     def transport(v):
         """x with (x, T(x)) on the support and T(x) = v."""
         v = np.asarray(v, dtype=float)
-        pos = np.clip(np.searchsorted(tgt_lo[order], v, side="right") - 1, 0, len(segs) - 1)
+        pos = cell_index(tgt_breaks, v)
         x = np.empty_like(v)
         for rank, seg_idx in enumerate(order):
             s = segs[seg_idx]
@@ -277,7 +278,7 @@ def slab_mixture(family: ConditionalFamily, u_breaks, name) -> AnalyticCopula:
         return total
 
     def kern(v, u):
-        slab = np.clip(np.searchsorted(t, v, side="right") - 1, 0, len(slabs) - 1)
+        slab = cell_index(t, v)
         out = np.empty(len(v))
         for k in np.unique(slab):
             _, _, m1, m2, surface = slabs[k]

@@ -51,10 +51,16 @@ def _as_breaks(b) -> np.ndarray:
     return b
 
 
+def cell_index(breaks: np.ndarray, x):
+    """Index of the cell of ``breaks`` holding each ``x`` (closed on the left;
+    the last cell holds 1, and points outside go to the nearest end cell):
+    the number of inner breakpoints at or below ``x``."""
+    return np.searchsorted(breaks[1:-1], x, side="right")
+
+
 def _locate(breaks: np.ndarray, x: np.ndarray):
     """Cell index and in-cell fraction for points of [0, 1]."""
-    idx = np.searchsorted(breaks, x, side="right") - 1
-    idx = np.clip(idx, 0, len(breaks) - 2)
+    idx = cell_index(breaks, x)
     width = breaks[idx + 1] - breaks[idx]
     frac = np.clip((x - breaks[idx]) / width, 0.0, 1.0)
     return idx, frac
@@ -191,6 +197,18 @@ class GridCopula:
             c.setflags(write=False)
             self._cum = c
         return self._cum
+
+    def kernel_nodes(self, cond_axes, cell) -> np.ndarray:
+        """Markov kernel nodes over the free axes (ascending) for the cell index
+        ``cell`` of ``cond_axes``: the fiber's cdf nodes over its mass, or the
+        fiber's zero cdf nodes if it has no mass."""
+        index = [slice(None)] * self.dim
+        for a, i in zip(cond_axes, cell):
+            index[a] = i
+        fiber = self.masses[tuple(index)]
+        w = float(fiber.sum())
+        cum = cum_nodes(fiber)
+        return cum / w if w > 0 else cum
 
     # -- evaluation ------------------------------------------------------
 
@@ -363,7 +381,7 @@ def _refine_matrix(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     if not np.all(np.isin(old, new)):
         raise DimensionMismatch("new breakpoints must contain the old ones")
     T = np.zeros((len(new) - 1, len(old) - 1))
-    src = np.searchsorted(old, new[:-1], side="right") - 1
+    src = cell_index(old, new[:-1])
     T[np.arange(len(new) - 1), src] = np.diff(new) / np.diff(old)[src]
     return T
 

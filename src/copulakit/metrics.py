@@ -24,7 +24,7 @@ from .errors import (
     KernelUnavailable,
     SupportViolation,
 )
-from .grid import GridCopula, common_refinement, cum_nodes, uniform_breaks
+from .grid import GridCopula, cell_index, common_refinement, multilinear_interp, uniform_breaks
 from .quadrature import (
     adaptive_gl,
     integrate_abs_multilinear,
@@ -156,28 +156,17 @@ def _move_axis_last(c: GridCopula, axis: int) -> GridCopula:
     return c.permute(order) if order != list(range(c.dim)) else c
 
 
-def _slab_kernels(c: GridCopula):
-    """Kernel node tensors per last-axis slab: list of (width, K_nodes)."""
-    out = []
-    widths = np.diff(c.breaks[-1])
-    for k in range(c.shape[-1]):
-        fiber = c.masses[..., k]
-        w = float(fiber.sum())
-        cum = cum_nodes(fiber)
-        K = cum / w if w > 0 else cum
-        out.append((float(widths[k]), K))
-    return out
-
-
 def _kernel_pair_grid(c1, c2, axis):
+    """Free-axis breakpoints and, per conditioning slab of the common
+    refinement, its width and the difference of the kernel node tensors."""
     if c1.dim != c2.dim:
         raise DimensionMismatch("operands differ in dimension")
     axis = c1.dim - 1 if axis is None else int(axis)
     r1, r2 = common_refinement(_move_axis_last(c1, axis), _move_axis_last(c2, axis))
-    ks1 = _slab_kernels(r1)
-    ks2 = _slab_kernels(r2)
-    free = r1.breaks[:-1]
-    return free, [(w, K1 - K2) for (w, K1), (_, K2) in zip(ks1, ks2)]
+    last = (r1.dim - 1,)
+    diffs = [(float(w), r1.kernel_nodes(last, (k,)) - r2.kernel_nodes(last, (k,)))
+             for k, w in enumerate(np.diff(r1.breaks[-1]))]
+    return r1.breaks[:-1], diffs
 
 
 def _as_kernel_operand(op):
@@ -274,16 +263,11 @@ def _kernel_eval(op, v, U):
 
 
 def _grid_kernel_eval(c: GridCopula, v, U):
-    from .grid import multilinear_interp
-
     out = np.empty(len(v))
-    ks = _slab_kernels(c)
-    edges = c.breaks[-1]
-    slab = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, len(edges) - 2)
+    slab = cell_index(c.breaks[-1], v)
     for k in np.unique(slab):
         sel = slab == k
-        _, K = ks[int(k)]
-        out[sel] = multilinear_interp(K, c.breaks[:-1], U[sel])
+        out[sel] = multilinear_interp(c.kernel_nodes((c.dim - 1,), (k,)), c.breaks[:-1], U[sel])
     return out
 
 

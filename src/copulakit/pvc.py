@@ -13,13 +13,16 @@ reassemble with the previous blocks' conditional margins.
 For a checkerboard input every step is closed under nonuniform
 checkerboards, so the returned operator image is exact (no quadrature):
 its density is piecewise constant on a mesh assembled from preimages of
-the partial-copula nodes under the conditional margins.
+the partial-copula nodes under the conditional margins.  One routine,
+``_reassemble``, does that for ``pvc3`` (cells are the last-axis slabs) and
+for each ladder block (cells are the cells of the middle-block mesh).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from .errors import (
     ZeroMassSlab,
 )
 from .families import discretize, slab_mixture
-from .grid import DEFAULT_CELL_LIMIT, GridCopula
+from .grid import DEFAULT_CELL_LIMIT, GridCopula, cell_index
 from .metrics import d1, d_inf
 
 
@@ -90,25 +93,41 @@ def pvc3(C) -> PvcResult:
     if isinstance(C, EmpiricalCopula):
         # every slab's conditional copula is the same surface: the operator fixes C
         return PvcResult(_fingerprint(C), C, fam.surfaces[0], slab_count)
-    cp = fam.partial_copula()
     if isinstance(C, AnalyticCopula):
+        cp = fam.partial_copula()
         image = replace(fam, surfaces=[cp] * slab_count)
         psi = slab_mixture(image, C.kernel_u_breaks, f"pvc({C.name})")
     else:
-        xs = preimage_union(fam.margins1, cp.xs)
-        ys = preimage_union(fam.margins2, cp.ys)
-        ts = fam.t_breaks
-        n_cells = (len(xs) - 1) * (len(ys) - 1) * (len(ts) - 1)
-        if n_cells > DEFAULT_CELL_LIMIT:
-            raise ResolutionOverflow(f"operator image needs {n_cells} cells")
-        masses = np.empty((len(xs) - 1, len(ys) - 1, len(ts) - 1))
-        for k, w in enumerate(fam.weights):
-            imgx = fam.margins1[k](xs)
-            imgy = fam.margins2[k](ys)
-            P = cp.eval_lattice(imgx, imgy)
-            masses[:, :, k] = w * np.diff(np.diff(P, axis=0), axis=1)
-        psi = GridCopula((xs, ys, ts), masses)
+        # slab widths are positive, so every slab is live
+        cp, xs, ys, masses = _reassemble(fam.weights, fam.surfaces, fam.margins1, fam.margins2)
+        psi = GridCopula((xs, ys, fam.t_breaks), np.moveaxis(masses, 1, 2))
     return PvcResult(_fingerprint(C), psi, cp, slab_count)
+
+
+def _reassemble(weights, surfaces, margins1, margins2):
+    """Operator image from the conditioning cells of mass ``weights``, given
+    the conditional copula and margins of each live cell in C order: the
+    partial copula P (the weighted surface average), the preimage meshes of
+    its nodes under all margins, and masses w ΔΔP(F1, F2) per live cell, of
+    shape (x cells, *weights.shape, y cells)."""
+    cells = _live_cells(weights)
+    cp = average_surfaces([weights[c] for c in cells], surfaces)
+    xs = preimage_union(margins1, cp.xs)
+    ys = preimage_union(margins2, cp.ys)
+    shape = (len(xs) - 1,) + weights.shape + (len(ys) - 1,)
+    if int(np.prod(shape)) > DEFAULT_CELL_LIMIT:
+        raise ResolutionOverflow(f"operator image needs {int(np.prod(shape))} cells")
+    masses = np.zeros(shape)
+    for cell, f1, f2 in zip(cells, margins1, margins2):
+        P = cp.eval_lattice(f1(xs), f2(ys))
+        masses[(slice(None), *cell, slice(None))] = weights[cell] * np.diff(
+            np.diff(P, axis=0), axis=1)
+    return cp, xs, ys, masses
+
+
+def _live_cells(weights) -> list:
+    """Index tuples of the cells of positive weight, in C order."""
+    return [cell for cell in np.ndindex(*weights.shape) if weights[cell] > 0]
 
 
 def pvc3_analytic(C: AnalyticCopula) -> PvcResult:
@@ -150,82 +169,37 @@ def pvc_dvine(C: GridCopula, order=None) -> PvcResult:
 
 def _build_block(work, blocks, i, span):
     """One ladder step: the (span+1)-variable block (i .. i+span)."""
-    J = tuple(range(i, i + span + 1))
-    GJ = work.margin(J)
+    GJ = work.margin(range(i, i + span + 1))
     b_left = blocks[(i, i + span - 1)]
     b_right = blocks[(i + 1, i + span)]
-    n_mid = span - 1
-    mesh = []
-    for m in range(n_mid):
-        pts = np.union1d(GJ.breaks[m + 1], b_left.breaks[m + 1])
-        pts = np.union1d(pts, b_right.breaks[m])
-        if span >= 3:
-            pts = np.union1d(pts, blocks[(i + 1, i + span - 1)].breaks[m])
-        mesh.append(pts)
-    if span == 2:
-        weights = np.diff(mesh[0]).reshape(-1)
-        cells_shape = (len(mesh[0]) - 1,)
-    else:
-        measure = blocks[(i + 1, i + span - 1)].refine_to(mesh)
-        weights = measure.masses
-        cells_shape = weights.shape
+    # the middle variables' mesh; beyond tree 2 the middle block is their measure
+    middle = blocks.get((i + 1, i + span - 1))
+    sources = [GJ.breaks[1:-1], b_left.breaks[1:], b_right.breaks[:-1]]
+    sources += [middle.breaks] if middle is not None else []
+    mesh = [reduce(np.union1d, bs) for bs in zip(*sources)]
+    weights = np.diff(mesh[0]) if middle is None else middle.refine_to(mesh).masses
 
-    # conditional pair copulas of the source, cached per source cell
+    # per live mesh cell: the source's conditional pair copula, cached per
+    # source cell, and the previous blocks' conditional margins
     mids = [(b[:-1] + b[1:]) / 2.0 for b in mesh]
-    src_idx = [
-        np.clip(np.searchsorted(GJ.breaks[m + 1], mids[m], side="right") - 1,
-                0, len(GJ.breaks[m + 1]) - 2)
-        for m in range(n_mid)
-    ]
+    src_idx = [cell_index(b, mid) for b, mid in zip(GJ.breaks[1:-1], mids)]
     cache = {}
-    surfaces = np.empty(cells_shape, dtype=object)
-    for cell in np.ndindex(*cells_shape):
-        key = tuple(src_idx[m][cell[m]] for m in range(n_mid))
+    surfaces, f_left, f_right = [], [], []
+    for cell in _live_cells(weights):
+        key = tuple(idx[c] for idx, c in zip(src_idx, cell))
         if key not in cache:
             fiber = GJ.masses[(slice(None), *key, slice(None))]
-            cache[key] = (
-                _surface_from_joint(GJ.breaks[0], GJ.breaks[-1], fiber)[0]
-                if fiber.sum() > 0
-                else None
-            )
-        surf = cache[key]
-        if surf is None and weights[cell] > 0:
-            raise ZeroMassSlab(
-                f"tree {span}: measure charges cell {cell} where the source "
-                "copula has no mass"
-            )
-        surfaces[cell] = surf
-
-    w_flat = weights.reshape(-1)
-    s_flat = surfaces.reshape(-1)
-    live = w_flat > 0
-    cp = average_surfaces(w_flat[live], [s for s, m in zip(s_flat, live) if m])
-
-    # conditional margins of the previous blocks per mesh cell
-    f_left = np.empty(cells_shape, dtype=object)
-    f_right = np.empty(cells_shape, dtype=object)
-    for cell in np.ndindex(*cells_shape):
-        if weights[cell] <= 0:
-            continue
-        t = [mids[m][cell[m]] for m in range(n_mid)]
-        f_left[cell] = conditional_margin(b_left, 0, t,
-                                          cond_axes=tuple(range(1, span)))
-        f_right[cell] = conditional_margin(b_right, span - 1, t,
-                                           cond_axes=tuple(range(0, span - 1)))
-
-    live_cells = [c for c in np.ndindex(*cells_shape) if weights[c] > 0]
-    xs = preimage_union([f_left[c] for c in live_cells], cp.xs)
-    ys = preimage_union([f_right[c] for c in live_cells], cp.ys)
-    shape = (len(xs) - 1,) + cells_shape + (len(ys) - 1,)
-    if int(np.prod(shape)) > DEFAULT_CELL_LIMIT:
-        raise ResolutionOverflow(f"tree {span} block needs {np.prod(shape)} cells")
-    masses = np.zeros(shape)
-    for cell in live_cells:
-        P = cp.eval_lattice(f_left[cell](xs), f_right[cell](ys))
-        box = np.diff(np.diff(P, axis=0), axis=1)
-        masses[(slice(None), *cell, slice(None))] = weights[cell] * box
-    block = GridCopula([xs] + mesh + [ys], masses)
-    return block, cp
+            if fiber.sum() <= 0:
+                raise ZeroMassSlab(f"tree {span}: measure charges cell {cell} where "
+                                   "the source copula has no mass")
+            cache[key] = _surface_from_joint(GJ.breaks[0], GJ.breaks[-1], fiber)[0]
+        surfaces.append(cache[key])
+        t = [mid[c] for mid, c in zip(mids, cell)]
+        f_left.append(conditional_margin(b_left, 0, t, cond_axes=tuple(range(1, span))))
+        f_right.append(conditional_margin(b_right, span - 1, t,
+                                          cond_axes=tuple(range(0, span - 1))))
+    cp, xs, ys, masses = _reassemble(weights, surfaces, f_left, f_right)
+    return GridCopula([xs] + mesh + [ys], masses), cp
 
 
 # -- summary report -------------------------------------------------------------

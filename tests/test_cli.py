@@ -204,6 +204,36 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("args", [
+        ["pvc", "--in", "cube", "--order", "0,2,1"],
+        ["metric", "--name", "dinf", "--a", "cube", "--b", "cube", "--axis", "0"],
+        ["metric", "--name", "tv", "--a", "cube", "--b", "cube", "--axis", "0"],
+        ["metric", "--name", "kl", "--a", "cube", "--b", "cube", "--axis", "0"],
+        ["metric", "--name", "tv", "--a", "cube", "--b", "cube", "--eps", "5"],
+        ["metric", "--name", "kl", "--a", "cube", "--b", "cube", "--eps", "5"],
+    ], ids=["pvc-order", "dinf-axis", "tv-axis", "kl-axis", "tv-eps", "kl-eps"])
+    def test_option_the_mode_ignores_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out.json"
+        assert run(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["metric", "--name", "d1", "--a", "cube", "--b", "cube", "--axis", "7"],
+        ["metric", "--name", "dinfk", "--a", "cube", "--b", "cube", "--axis", "-1"],
+        ["kernel", "--in", "cube", "--t", "0.5", "--u", "0.5,0.5", "--cond-axes", "5"],
+        ["conditional", "--in", "cube", "--slab", "9"],
+    ], ids=["metric-axis", "metric-negative-axis", "kernel-cond-axes", "conditional-slab"])
+    def test_out_of_range_index_is_usage_error(self, capsys, args):
+        assert run(args) == 2
+        assert "out of range" in capsys.readouterr().err
+
+    def test_in_range_options_are_read(self, capsys):
+        assert run(["metric", "--name", "d1", "--a", "cube", "--b", "pi:res=2",
+                    "--axis", "0", "--eps", "1e-9"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 1 / 16
+        assert run(["conditional", "--in", "cube", "--slab", "1"]) == 0
+
+    @pytest.mark.parametrize("args", [
         ["empirical", "--in", "{missing}.csv"],
         ["metric", "--name", "tv", "--a", "{missing}.json", "--b", "cube"],
         ["metric", "--name", "tv", "--a", "cube", "--b", "missing.json"],

@@ -7,6 +7,8 @@ from copulakit import (
     bstar,
     conditional_copula,
     conditional_margin,
+    d1,
+    d_inf_kernel,
     discretize,
     disintegration_residual,
     efgm_quadratic,
@@ -245,6 +247,40 @@ class TestJFunctional:
         a, _ = j_functional(pi2, cube)
         b, _ = j_functional(cube, pi2)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestZeroMassSlab:
+    """A validated grid may hold a last-axis slab narrower than the margin
+    tolerance that carries no mass: conditioning on it raises, the kernel
+    metrics read its kernel as 0 and the disintegration check skips it."""
+
+    @pytest.fixture
+    def thin(self):
+        indep = np.full((2, 2), 0.125)
+        diag = np.array([[0.25, 0.0], [0.0, 0.25]])
+        masses = np.stack([indep, np.zeros((2, 2)), diag], axis=-1)
+        return GridCopula([[0, 0.5, 1], [0, 0.5, 1], [0, 0.5, 0.5 + 1e-13, 1]], masses)
+
+    def test_conditioning_on_it_raises(self, thin):
+        t = 0.5 + 5e-14
+        with pytest.raises(ZeroMassSlab):
+            kernel_cdf(thin, t, [0.5, 0.5])
+        with pytest.raises(ZeroMassSlab):
+            conditional_margin(thin, 0, t)
+        assert kernel_cdf(thin, 0.9, [0.5, 0.5]) == 0.5
+
+    def test_kernel_metrics_read_zero(self, thin):
+        # the thin slab adds its width times |0 - uv| = 1/4 at (1/2, 1/2)
+        pi = independence(3, [2, 2, 2])
+        assert d_inf_kernel(thin, pi).value == pytest.approx(
+            (0.5 - 1e-13) * 0.25 + 1e-13 * 0.25, abs=1e-16)
+        assert d1(thin, thin).value == 0.0
+
+    def test_disintegration_skips_it(self, thin):
+        # what is left is the last slab's width deficit times its kernel, 1/2
+        width = 1.0 - (0.5 + 1e-13)
+        assert disintegration_residual(thin, [0, 0, 0], [0.5, 0.5, 1.0]) == pytest.approx(
+            (0.5 - width) * 0.5, abs=1e-18)
 
 
 class TestDisintegrationResidual:

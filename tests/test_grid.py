@@ -28,6 +28,7 @@ from copulakit.errors import (
     TotalMassViolation,
     WeightError,
 )
+from copulakit.grid import cell_index
 from conftest import checkerboard_cdf_oracle
 
 
@@ -96,6 +97,26 @@ class TestCdf:
         v = u.copy()
         v[axis] = min(1.0, v[axis] + bump)
         assert cube.cdf(v) >= cube.cdf(u) - 1e-12
+
+
+class TestCellsAndKernelNodes:
+    def test_cell_index_closes_cells_on_the_left_and_clips(self):
+        b = np.array([0.0, 0.25, 0.5, 1.0])
+        xs = [-0.1, 0.0, 0.2, 0.25, 0.7, 1.0, 1.3]
+        assert cell_index(b, xs).tolist() == [0, 0, 0, 1, 2, 2, 2]
+        assert cell_index(b, 0.5) == 2
+
+    def test_kernel_nodes_are_fiber_cdf_over_mass(self, cube):
+        K = cube.kernel_nodes((2,), (0,))
+        assert K.shape == (3, 3)
+        assert K.tolist() == [[0, 0, 0], [0, 0.5, 0.5], [0, 0.5, 1.0]]
+        # conditioning on the first two axes leaves the third free
+        assert cube.kernel_nodes((0, 1), (1, 0)).tolist() == [0.0, 0.0, 1.0]
+
+    def test_massless_fiber_gives_zero_nodes(self):
+        g = GridCopula([uniform_breaks(2), [0.0, 0.5, 0.5 + 1e-13, 1.0]],
+                       [[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        assert not g.kernel_nodes((1,), (1,)).any()
 
 
 class TestBoxMass:

@@ -8,6 +8,7 @@ from copulakit import (
     EfgmSpec,
     EmpiricalCopula,
     GridCopula,
+    conditional_margin,
     cube_copula,
     common_refinement,
     convex_combine,
@@ -20,6 +21,7 @@ from copulakit import (
     independence,
     is_simplified,
     j_functional,
+    kernel_cdf,
     new_grid,
     partial_copula,
     product_extend,
@@ -30,6 +32,7 @@ from copulakit import (
     sample,
 )
 from copulakit.errors import BadOperand, ClosedFormUnavailable, CopulaError, DimensionMismatch
+from copulakit.verify import convergence_lab
 from conftest import f3pi_member
 
 
@@ -140,6 +143,16 @@ def test_pvc3_invariants_on_nonuniform_grids(C):
         assert cellwise_gap(psi.margin(axes), C.margin(axes)) <= 1e-12
     assert d_inf(pvc3(psi).psi, psi).value <= 1e-12
     assert is_simplified(psi)[0]
+    # the ladder that conditions on the last coordinate is pvc3
+    assert cellwise_gap(pvc_dvine(C, order=(0, 2, 1)).psi, psi) <= 1e-15
+    # a conditional margin is the kernel with the other free coordinate at 1
+    for t in (C.breaks[2][:-1] + C.breaks[2][1:]) / 2:
+        for x in np.union1d(C.breaks[0], [0.3, 0.7]):
+            assert conditional_margin(C, 0, t)(x) == pytest.approx(
+                kernel_cdf(C, t, [x, 1.0]), abs=1e-15)
+        for y in np.union1d(C.breaks[1], [0.3, 0.7]):
+            assert conditional_margin(C, 1, t)(y) == pytest.approx(
+                kernel_cdf(C, t, [1.0, y]), abs=1e-15)
 
 
 @pytest.mark.parametrize("call", [
@@ -154,6 +167,16 @@ def test_closed_form_operands_answer_or_raise_copula_error(call):
         call()
     except CopulaError:
         pass
+
+
+def test_images_converge_in_d1_along_a_seeded_sequence():
+    # C_n = (1 - 1/n) C + D/n on random 3^3 grids: the images approach psi(C)
+    rows = convergence_lab("d1-continuity")
+    assert [r["n"] for r in rows] == [2, 4, 8, 16, 32]
+    psi = [r["d1_psi"] for r in rows]
+    assert all(v > 0 for v in psi)
+    assert all(a > b for a, b in zip(psi, psi[1:]))
+    assert all(r["d1_psi"] <= 1.1 * r["d1_input"] for r in rows)
 
 
 class TestWorstCaseCharacterization:

@@ -1,6 +1,7 @@
 """Source-level guards: operands are told apart by type, not by probing for
-attributes, no module imports a name it never uses, and every function the
-package defines is used by the package or the benchmark."""
+attributes, no module imports a name it never uses, every function the
+package defines is used by the package or the benchmark, and cells are
+located and kernel nodes built in one place each."""
 
 import ast
 from pathlib import Path
@@ -68,6 +69,36 @@ def unreferenced_functions(modules, readers) -> list:
             for name, line in _defined_functions(_tree(p)) if name not in refs]
 
 
+def stray_calls(path, name, allowed) -> list:
+    """Calls of ``name`` in a module outside the ``allowed`` scopes; a scope
+    is a file name, or ``file:function`` for one top-level function."""
+    stray = []
+    for top in _tree(path).body:
+        scope = path.name
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{path.name}:{top.name}"
+        if path.name in allowed or scope in allowed:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else (
+                    func.id if isinstance(func, ast.Name) else None)
+                if called == name:
+                    stray.append(f"{scope}:{node.lineno}")
+    return stray
+
+
+# cell lookup goes through grid.cell_index (the empirical copula counts ranks
+# with its own searchsorted), and kernel node tensors through
+# GridCopula.kernel_nodes, except for the conditional copulas of the slab
+# family, which keep their own normalisation
+ONE_WAY = {
+    "searchsorted": {"grid.py", "empirical.py"},
+    "cum_nodes": {"grid.py", "conditioning.py:_surface_from_joint"},
+}
+
+
 def test_package_has_modules():
     assert len(MODULES) >= 10
 
@@ -102,6 +133,22 @@ def test_guards_catch_offenders(tmp_path):
         test_no_capability_probes(bad)
     with pytest.raises(AssertionError):
         test_no_unused_imports(bad)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_WAY))
+def test_one_cell_locator_and_one_kernel_builder(name):
+    assert [c for p in MODULES for c in stray_calls(p, name, ONE_WAY[name])] == []
+
+
+def test_one_way_guard_catches_offenders(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import numpy as np\n\n\ndef f(b, x):\n"
+                   "    return np.searchsorted(b, x) + cum_nodes(x)\n\n\n"
+                   "def g(m):\n    return cum_nodes(m)\n\n\n"
+                   "K = cum_nodes([1.0])\n")
+    assert stray_calls(bad, "searchsorted", ONE_WAY["searchsorted"]) == ["bad.py:f:5"]
+    assert stray_calls(bad, "cum_nodes", {"bad.py:g"}) == ["bad.py:f:5", "bad.py:12"]
+    assert stray_calls(bad, "cum_nodes", {"bad.py"}) == []
 
 
 def test_every_function_is_used_outside_tests():
