@@ -33,7 +33,8 @@ class AnalyticCopula:
         Conditioning values at which the kernel may be nonsmooth in ``v``
         (quadrature subdivides there).
     kernel_u_breaks : sequence of array-like, optional
-        Per remaining coordinate, points of nonsmoothness in ``u``.
+        Per remaining coordinate, points of nonsmoothness in ``u``; stored
+        as one array per free axis, each holding 0 and 1.
     multilinear : bool
         True only if the cdf is globally multilinear (e.g. the independence
         copula), which lets the sup-metric use exact node maxima.
@@ -54,14 +55,11 @@ class AnalyticCopula:
             np.array([0.0, 1.0]) if kernel_v_breaks is None
             else np.asarray(kernel_v_breaks, dtype=float)
         )
-        self.kernel_u_breaks = kernel_u_breaks
+        self.kernel_u_breaks = tuple(np.union1d([0.0, 1.0], np.asarray(b, dtype=float))
+                                     for b in kernel_u_breaks or [[]] * (self.dim - 1))
         self._multilinear = bool(multilinear)
         self.family = family
         self.name = name
-
-    @property
-    def has_kernel(self) -> bool:
-        return self._kernel_fn is not None
 
     def cdf(self, u) -> float:
         return float(self.cdf_many(np.asarray(u, dtype=float)[None, :])[0])
@@ -98,9 +96,7 @@ class AnalyticCopula:
         if self._kernel_fn is None:
             raise KernelUnavailable(f"{self.name or 'copula'} has no kernel evaluator")
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            u = np.broadcast_to(u[None, :], (len(v), self.dim - 1))
+        u = np.broadcast_to(np.asarray(u, dtype=float), (len(v), self.dim - 1))
         return np.asarray(self._kernel_fn(v, u), dtype=float)
 
     def multilinear_breaks(self):

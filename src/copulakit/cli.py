@@ -276,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default=None, help="axis permutation for --dvine, e.g. 0,2,1")
     p.add_argument("--res", default=None, help="discretize the image, e.g. 8 or 8x8x4")
     p.add_argument("--report", default=None)
-    p.add_argument("--eps", type=float, default=1e-8)
 
     p = sub.add_parser("sample", help="draw a sample from a grid copula")
     p.add_argument("--in", dest="operand", required=True)
@@ -394,7 +393,7 @@ def _dispatch(args) -> int:
             result = pvc3(C)
         psi = _discretized(result.psi, args.res) if args.res is not None else result.psi
         if args.report:
-            _emit(pvc_distance_report(C, result, eps=args.eps), args.report)
+            _emit(pvc_distance_report(C, result), args.report)
         if isinstance(psi, GridCopula):
             _write(psi.to_json() + "\n", args.out)
         else:

@@ -251,9 +251,13 @@ def conditional_margin(C: GridCopula, j: int, t, cond_axes=None) -> PiecewiseLin
 
 
 def _surface_from_joint(bx, by, joint):
-    """Conditional copula surface and margins from one conditioning fiber."""
+    """Conditional copula surface and margins from one conditioning fiber;
+    ZeroMassSlab if the fiber carries no mass."""
     cum = cum_nodes(joint)
     w = cum[-1, -1]
+    if w <= 0:
+        raise ZeroMassSlab("a conditioning fiber has zero mass: its conditional copula "
+                           "is undefined")
     K = cum / w
     K[-1, -1] = 1.0
     f1 = K[:, -1].copy()

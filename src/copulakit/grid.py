@@ -210,6 +210,30 @@ class GridCopula:
         cum = cum_nodes(fiber)
         return cum / w if w > 0 else cum
 
+    def kernel(self, v, u) -> np.ndarray:
+        """Markov kernel ``K(v, [0, u])`` w.r.t. the last coordinate: the
+        kernel nodes of the slab holding each ``v`` (zero on a slab without
+        mass), interpolated at the matching row of ``u`` (one row serves all)."""
+        v = np.atleast_1d(np.asarray(v, dtype=float))
+        u = np.broadcast_to(np.asarray(u, dtype=float), (len(v), self.dim - 1))
+        out = np.empty(len(v))
+        slab = cell_index(self.breaks[-1], v)
+        for k in np.unique(slab):
+            sel = slab == k
+            out[sel] = multilinear_interp(self.kernel_nodes((self.dim - 1,), (k,)),
+                                          self.breaks[:-1], u[sel])
+        return out
+
+    @property
+    def kernel_v_breaks(self) -> np.ndarray:
+        """Conditioning values where the kernel jumps: the last axis's breaks."""
+        return self.breaks[-1]
+
+    @property
+    def kernel_u_breaks(self) -> tuple:
+        """Per free axis, the breaks between which the kernel is multilinear."""
+        return self.breaks[:-1]
+
     # -- evaluation ------------------------------------------------------
 
     def cdf(self, u) -> float:

@@ -4,8 +4,9 @@ Six notions are implemented: the uniform (sup) metric on cdfs, three
 integrated Markov-kernel metrics (L1, L2 and sup-of-L1), total variation
 and Kullback-Leibler divergence, plus a per-slice Kolmogorov profile of the
 conditional distributions.  Grid-grid evaluations are exact or carry a
-certified bracket; analytic operands fall back to scans and adaptive
-quadrature with honest error reporting.
+certified bracket; other pairs fall back to scans and adaptive quadrature
+with honest error reporting, reading each operand's own Markov kernel
+``op.kernel`` with both operands' kernel breaks in the mesh.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticCopula
 from .empirical import EmpiricalCopula
 from .errors import (
     ChainViolation,
@@ -24,7 +24,7 @@ from .errors import (
     KernelUnavailable,
     SupportViolation,
 )
-from .grid import GridCopula, cell_index, common_refinement, multilinear_interp, uniform_breaks
+from .grid import GridCopula, common_refinement, uniform_breaks
 from .quadrature import (
     adaptive_gl,
     integrate_abs_multilinear,
@@ -84,19 +84,8 @@ def _report(name, t0, value, exactness, error, n_evals, eps=0.0) -> MetricReport
 # -- uniform metric -------------------------------------------------------------
 
 
-def _u_breaks(op, j: int) -> np.ndarray:
-    """Points where the kernel of ``op`` may be nonsmooth in free coordinate ``j``."""
-    kb = op.kernel_u_breaks if isinstance(op, AnalyticCopula) else None
-    extra = kb[j] if kb is not None and j < len(kb) else []
-    return np.union1d([0.0, 1.0], np.asarray(extra, dtype=float))
-
-
-def _v_breaks(op) -> np.ndarray:
-    """Conditioning values where the kernel of ``op`` may be nonsmooth."""
-    return op.kernel_v_breaks if isinstance(op, AnalyticCopula) else np.array([0.0, 1.0])
-
-
 def _lattice_axes(c1, c2, scan_m: int):
+    """Scan nodes per axis: uniform plus both operands' multilinear and kernel breaks."""
     axes = []
     for j in range(c1.dim):
         pts = uniform_breaks(scan_m)
@@ -104,7 +93,8 @@ def _lattice_axes(c1, c2, scan_m: int):
             mb = op.multilinear_breaks()
             if mb is not None:
                 pts = np.union1d(pts, mb[j])
-            pts = np.union1d(pts, _u_breaks(op, j))
+            if not isinstance(op, EmpiricalCopula) and j < op.dim - 1:
+                pts = np.union1d(pts, op.kernel_u_breaks[j])
         axes.append(pts)
     return axes
 
@@ -169,12 +159,21 @@ def _kernel_pair_grid(c1, c2, axis):
     return r1.breaks[:-1], diffs
 
 
-def _as_kernel_operand(op):
-    if isinstance(op, GridCopula):
-        return op
-    if isinstance(op, AnalyticCopula) and op.has_kernel:
-        return op
-    raise KernelUnavailable(f"{op!r} provides no Markov kernel")
+def _check_kernel_operands(c1, c2, axis):
+    """Operands whose kernels, conditioning on the last axis, the metrics read."""
+    if c1.dim != c2.dim:
+        raise DimensionMismatch("operands differ in dimension")
+    if axis not in (None, c1.dim - 1):
+        raise DimensionMismatch("kernels outside a grid pair condition on the last axis")
+    for op in (c1, c2):
+        if isinstance(op, EmpiricalCopula):
+            raise KernelUnavailable(f"{op!r} provides no Markov kernel")
+
+
+def _free_points(c1, c2) -> np.ndarray:
+    """Rows of the scan lattice over the free axes, shape (m, dim - 1)."""
+    grids = np.meshgrid(*_lattice_axes(c1, c2, _SCAN_M)[: c1.dim - 1], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def d1(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
@@ -183,8 +182,8 @@ def d1(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
     On grid pairs with one or two free axes (dimension 2 or 3) every slab
     integral is in closed form and the report is exact; with three or more
     free axes the slab integrals are bisected towards a certified bracket
-    of total width ``eps``.  Analytic operands are estimated by adaptive
-    Gauss-Legendre quadrature.
+    of total width ``eps``.  Other grid and analytic pairs are estimated by
+    adaptive Gauss-Legendre quadrature on both operands' kernel breaks.
     """
     t0 = time.perf_counter()
     if isinstance(c1, GridCopula) and isinstance(c2, GridCopula):
@@ -231,18 +230,16 @@ def d_inf_kernel(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
         # per cell the sum of |multilinear| terms is convex along each axis,
         # so the maximum over the cell sits at a node
         return _report("d_inf_kernel", t0, float(acc.max()), EXACT, 0.0, acc.size)
-    k1, k2 = _as_kernel_operand(c1), _as_kernel_operand(c2)
-    vb = np.union1d(_v_breaks(k1), _v_breaks(k2))
-    axes_u = _lattice_axes(c1, c2, _SCAN_M)[: c1.dim - 1]
-    grids = np.meshgrid(*axes_u, indexing="ij")
-    U = np.stack([g.ravel() for g in grids], axis=-1)
+    _check_kernel_operands(c1, c2, axis)
+    vb = np.union1d(c1.kernel_v_breaks, c2.kernel_v_breaks)
+    U = _free_points(c1, c2)
     x8, w8 = leg01(8)
 
     def integral(lo, hi):
         acc = np.zeros(len(U))
         for xq, wq in zip(x8, w8):
             v = np.full(len(U), lo + (hi - lo) * xq)
-            acc += (hi - lo) * wq * np.abs(_kernel_eval(k1, v, U) - _kernel_eval(k2, v, U))
+            acc += (hi - lo) * wq * np.abs(c1.kernel(v, U) - c2.kernel(v, U))
         return acc
 
     coarse = np.zeros(len(U))
@@ -256,35 +253,15 @@ def d_inf_kernel(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
     return _report("d_inf_kernel", t0, float(fine.max()), ESTIMATED, err, n_evals, eps)
 
 
-def _kernel_eval(op, v, U):
-    if isinstance(op, GridCopula):
-        return _grid_kernel_eval(op, v, U)
-    return op.kernel(v, U)
-
-
-def _grid_kernel_eval(c: GridCopula, v, U):
-    out = np.empty(len(v))
-    slab = cell_index(c.breaks[-1], v)
-    for k in np.unique(slab):
-        sel = slab == k
-        out[sel] = multilinear_interp(c.kernel_nodes((c.dim - 1,), (k,)), c.breaks[:-1], U[sel])
-    return out
-
-
 def _kernel_integral_analytic(c1, c2, power: int, eps: float, axis):
-    if axis not in (None, c1.dim - 1):
-        raise DimensionMismatch("analytic kernels condition on the last axis")
-    k1, k2 = _as_kernel_operand(c1), _as_kernel_operand(c2)
+    _check_kernel_operands(c1, c2, axis)
 
     def f(pts):
-        diff = _kernel_eval(k1, pts[:, -1], pts[:, :-1]) - _kernel_eval(
-            k2, pts[:, -1], pts[:, :-1]
-        )
-        return np.abs(diff) ** power
+        v, u = pts[:, -1], pts[:, :-1]
+        return np.abs(c1.kernel(v, u) - c2.kernel(v, u)) ** power
 
-    d = c1.dim
-    axes = [np.union1d(_u_breaks(k1, j), _u_breaks(k2, j)) for j in range(d - 1)]
-    axes.append(np.union1d(_v_breaks(k1), _v_breaks(k2)))
+    axes = [np.union1d(a, b) for a, b in zip(c1.kernel_u_breaks, c2.kernel_u_breaks)]
+    axes.append(np.union1d(c1.kernel_v_breaks, c2.kernel_v_breaks))
     return adaptive_gl(f, axes, order=8, tol=eps)
 
 
@@ -333,14 +310,12 @@ def wcc_profile(c1, c2, v_grid):
     A per-slice diagnostic, not a metric; it does not decide weak conditional
     convergence from finitely many slices.
     """
-    k1, k2 = _as_kernel_operand(c1), _as_kernel_operand(c2)
-    axes_u = _lattice_axes(c1, c2, _SCAN_M)[: c1.dim - 1]
-    grids = np.meshgrid(*axes_u, indexing="ij")
-    U = np.stack([g.ravel() for g in grids], axis=-1)
+    _check_kernel_operands(c1, c2, None)
+    U = _free_points(c1, c2)
     out = []
     for v in np.atleast_1d(np.asarray(v_grid, dtype=float)):
         vv = np.full(len(U), v)
-        dist = float(np.max(np.abs(_kernel_eval(k1, vv, U) - _kernel_eval(k2, vv, U))))
+        dist = float(np.max(np.abs(c1.kernel(vv, U) - c2.kernel(vv, U))))
         out.append((float(v), dist))
     return out
 

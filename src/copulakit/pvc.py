@@ -41,7 +41,6 @@ from .errors import (
     ClosedFormUnavailable,
     DimensionMismatch,
     ResolutionOverflow,
-    ZeroMassSlab,
 )
 from .families import discretize, slab_mixture
 from .grid import DEFAULT_CELL_LIMIT, GridCopula, cell_index
@@ -189,9 +188,6 @@ def _build_block(work, blocks, i, span):
         key = tuple(idx[c] for idx, c in zip(src_idx, cell))
         if key not in cache:
             fiber = GJ.masses[(slice(None), *key, slice(None))]
-            if fiber.sum() <= 0:
-                raise ZeroMassSlab(f"tree {span}: measure charges cell {cell} where "
-                                   "the source copula has no mass")
             cache[key] = _surface_from_joint(GJ.breaks[0], GJ.breaks[-1], fiber)[0]
         surfaces.append(cache[key])
         t = [mid[c] for mid, c in zip(mids, cell)]
@@ -205,7 +201,7 @@ def _build_block(work, blocks, i, span):
 # -- summary report -------------------------------------------------------------
 
 
-def pvc_distance_report(C, result: PvcResult, eps: float = 1e-6) -> dict:
+def pvc_distance_report(C, result: PvcResult) -> dict:
     """Distances between a copula and its image ``result`` under
     :func:`pvc3` or :func:`pvc_dvine`.
 
@@ -221,14 +217,14 @@ def pvc_distance_report(C, result: PvcResult, eps: float = 1e-6) -> dict:
         disc_res = [64, 64, max(4, result.slab_count)]
         rep = {
             "d_inf": d_inf(C, psi, scan_m=256).to_dict(),
-            "d1": d1(discretize(C, disc_res), discretize(psi, disc_res), eps=eps).to_dict(),
+            "d1": d1(discretize(C, disc_res), discretize(psi, disc_res)).to_dict(),
             "d1_note": f"kernel metric on discretization {disc_res}",
             "delta": is_simplified(discretize(C, [32, 32, max(4, result.slab_count)]))[1],
         }
     elif isinstance(C, GridCopula):
         rep = {"d_inf": d_inf(C, psi).to_dict()}
         if C.dim == 3:
-            rep["d1"] = d1(C, psi, eps=eps).to_dict()
+            rep["d1"] = d1(C, psi).to_dict()
             rep["delta"] = is_simplified(C)[1]
     else:
         raise DimensionMismatch("unsupported operand for the distance report")

@@ -115,7 +115,7 @@ OPTIONS = {
     "partial": {"--in", "--out"},
     "simplified": {"--in", "--tol", "--out"},
     "jfun": {"--a", "--b", "--out"},
-    "pvc": {"--in", "--dvine", "--order", "--res", "--report", "--eps", "--out"},
+    "pvc": {"--in", "--dvine", "--order", "--res", "--report", "--out"},
     "sample": {"--in", "--n", "--seed", "--out"},
     "empirical": {"--in", "--jitter", "--out"},
     "verify": {"case", "--out"},
@@ -136,14 +136,15 @@ class TestOptions:
             for name, parser in sub.choices.items()
         }
         assert accepted == OPTIONS
-        assert sum(len(v) for v in OPTIONS.values()) == 58
+        assert sum(len(v) for v in OPTIONS.values()) == 57
 
     @pytest.mark.parametrize("args", [
         ["verify", "cube-worst-case", "--seed", "5"],
         ["make", "cube", "--eps", "1"],
         ["jfun", "--a", "cube", "--b", "cube", "--eps", "1e-3"],
         ["nonopt", "--n", "24", "--format", "csv"],
-    ], ids=["verify-seed", "make-eps", "jfun-eps", "nonopt-format"])
+        ["pvc", "--in", "cube", "--report", "r.json", "--eps", "1e-12"],
+    ], ids=["verify-seed", "make-eps", "jfun-eps", "nonopt-format", "pvc-eps"])
     def test_option_a_subcommand_does_not_read_is_usage_error(self, capsys, args):
         assert run(args) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -226,6 +227,13 @@ class TestMalformedInput:
     def test_out_of_range_index_is_usage_error(self, capsys, args):
         assert run(args) == 2
         assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["d1", "d2", "dinfk"])
+    def test_axis_an_analytic_kernel_cannot_take_is_numerical_error(self, capsys, name):
+        # outside a grid pair the kernels condition on the last axis only
+        assert run(["metric", "--name", name, "--a", "efgm", "--b", "pi-analytic",
+                    "--axis", "0"]) == 3
+        assert "last axis" in capsys.readouterr().err
 
     def test_in_range_options_are_read(self, capsys):
         assert run(["metric", "--name", "d1", "--a", "cube", "--b", "pi:res=2",

@@ -19,6 +19,7 @@ from copulakit import (
     j_functional,
     kernel_cdf,
     partial_copula,
+    pvc3,
     sample,
     slab_family,
 )
@@ -251,8 +252,9 @@ class TestJFunctional:
 
 class TestZeroMassSlab:
     """A validated grid may hold a last-axis slab narrower than the margin
-    tolerance that carries no mass: conditioning on it raises, the kernel
-    metrics read its kernel as 0 and the disintegration check skips it."""
+    tolerance that carries no mass: conditioning on it raises, its
+    conditional copula is undefined, the kernel metrics read its kernel as 0
+    and the disintegration check skips it."""
 
     @pytest.fixture
     def thin(self):
@@ -268,6 +270,16 @@ class TestZeroMassSlab:
         with pytest.raises(ZeroMassSlab):
             conditional_margin(thin, 0, t)
         assert kernel_cdf(thin, 0.9, [0.5, 0.5]) == 0.5
+
+    def test_its_conditional_copula_raises(self, thin):
+        with pytest.raises(ZeroMassSlab):
+            slab_family(thin)
+        with pytest.raises(ZeroMassSlab):
+            is_simplified(thin)
+        with pytest.raises(ZeroMassSlab):
+            j_functional(thin, independence(3, [2, 2, 2]))
+        with pytest.raises(ZeroMassSlab):
+            pvc3(thin)
 
     def test_kernel_metrics_read_zero(self, thin):
         # the thin slab adds its width times |0 - uv| = 1/4 at (1/2, 1/2)

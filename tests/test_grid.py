@@ -118,6 +118,20 @@ class TestCellsAndKernelNodes:
                        [[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]])
         assert not g.kernel_nodes((1,), (1,)).any()
 
+    def test_kernel_interpolates_each_slab_and_broadcasts_u(self, cube):
+        v = np.array([0.25, 0.75, 0.75])
+        u = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.25]])
+        assert cube.kernel(v, u).tolist() == [0.5, 0.0, 0.25]
+        # one row of u serves every v
+        assert cube.kernel(v, [0.5, 0.5]).tolist() == [0.5, 0.0, 0.0]
+        assert cube.kernel_v_breaks.tolist() == [0.0, 0.5, 1.0]
+        assert [b.tolist() for b in cube.kernel_u_breaks] == [[0.0, 0.5, 1.0]] * 2
+
+    def test_massless_slab_reads_zero_kernel(self):
+        g = GridCopula([uniform_breaks(2), [0.0, 0.5, 0.5 + 1e-13, 1.0]],
+                       [[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        assert g.kernel([0.5 + 5e-14, 0.9], [[1.0], [0.75]]).tolist() == [0.0, 0.5]
+
 
 class TestBoxMass:
     def test_cube_octant(self, cube):

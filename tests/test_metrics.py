@@ -222,6 +222,23 @@ class TestWccProfile:
         assert prof[0.25] == 0.25
 
 
+class TestMixedKernelOperands:
+    """A grid against a closed form: both operands' breaks enter the
+    quadrature mesh, so d2 and the sup kernel distance match the exact grid
+    pair and d1 lies inside its reported error."""
+
+    @pytest.mark.parametrize("seed, res", [(0, [3, 3, 3]), (1, [2, 4, 3]), (2, [4, 4, 4])])
+    def test_grid_against_analytic_independence(self, seed, res):
+        g = random_copula_grid(np.random.default_rng(seed), res)
+        pi, pi_grid = independence_analytic(3), independence(3, [1, 1, 1])
+        for metric in (d2, d_inf_kernel):
+            rep = metric(g, pi)
+            assert abs(rep.value - metric(g, pi_grid).value) <= 1e-15
+            assert rep.target_met
+        rep = d1(g, pi)
+        assert abs(rep.value - d1(g, pi_grid).value) <= rep.error
+
+
 class TestChain:
     def test_cube_pi_chain(self, cube, pi2):
         rep = metric_chain_check(cube, pi2)

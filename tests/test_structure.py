@@ -92,10 +92,12 @@ def stray_calls(path, name, allowed) -> list:
 # cell lookup goes through grid.cell_index (the empirical copula counts ranks
 # with its own searchsorted), and kernel node tensors through
 # GridCopula.kernel_nodes, except for the conditional copulas of the slab
-# family, which keep their own normalisation
+# family, which keep their own normalisation; the metrics read kernel nodes
+# only on the exact grid-pair path and otherwise call each operand's kernel
 ONE_WAY = {
     "searchsorted": {"grid.py", "empirical.py"},
     "cum_nodes": {"grid.py", "conditioning.py:_surface_from_joint"},
+    "kernel_nodes": {"grid.py", "conditioning.py", "metrics.py:_kernel_pair_grid"},
 }
 
 
