@@ -303,20 +303,26 @@ def slab_family(C) -> ConditionalFamily:
 def _empirical_family(C: EmpiricalCopula) -> ConditionalFamily:
     """Each slab of a rank-form empirical copula holds one point, so its
     conditional copula is independence on the collapsed image grid and its
-    conditional margins are ramps across that point's cells (each rank
-    occurs once per axis, so both axes share the n ramps)."""
+    conditional margins are ramps across that point's cells."""
     square = BilinearSurface([0.0, 1.0], [0.0, 1.0], [[0.0, 0.0], [0.0, 1.0]])
-    ramps = [_ramp(C.n, r) for r in range(1, C.n + 1)]
-    ranks = C.ranks[np.argsort(C.ranks[:, 2])] - 1
-    return ConditionalFamily(uniform_breaks(C.n), [ramps[r] for r in ranks[:, 0]],
-                             [ramps[r] for r in ranks[:, 1]], [square] * C.n)
+    ranks = C.ranks[np.argsort(C.ranks[:, 2])]
+    return ConditionalFamily(uniform_breaks(C.n), _Ramps(C.n, ranks[:, 0]),
+                             _Ramps(C.n, ranks[:, 1]), [square] * C.n)
 
 
-def _ramp(n: int, r: int) -> PiecewiseLinearCdf:
-    """Cdf of the uniform law on the ``r``-th of ``n`` equal cells."""
-    keep = [True, r > 1, True, r < n]
-    return PiecewiseLinearCdf(np.array([0.0, (r - 1) / n, r / n, 1.0])[keep],
-                              np.array([0.0, 0.0, 1.0, 1.0])[keep])
+class _Ramps:
+    """Conditional margins of a rank-form empirical copula along one axis: per
+    slab, the uniform law on the cell of its point's rank ``r`` of ``n``,
+    built when read (:func:`is_simplified` reads none)."""
+
+    def __init__(self, n: int, ranks: np.ndarray):
+        self.n, self.ranks = n, ranks
+
+    def __getitem__(self, k) -> PiecewiseLinearCdf:
+        r, n = int(self.ranks[k]), self.n
+        keep = [True, r > 1, True, r < n]
+        return PiecewiseLinearCdf(np.array([0.0, (r - 1) / n, r / n, 1.0])[keep],
+                                  np.array([0.0, 0.0, 1.0, 1.0])[keep])
 
 
 def conditional_copula(C, slab_index: int) -> BilinearSurface:

@@ -3,10 +3,11 @@
 Six notions are implemented: the uniform (sup) metric on cdfs, three
 integrated Markov-kernel metrics (L1, L2 and sup-of-L1), total variation
 and Kullback-Leibler divergence, plus a per-slice Kolmogorov profile of the
-conditional distributions.  Grid-grid evaluations are exact or carry a
-certified bracket; other pairs fall back to scans and adaptive quadrature
-with honest error reporting, reading each operand's own Markov kernel
-``op.kernel`` with both operands' kernel breaks in the mesh.
+conditional distributions.  Grid pairs are exact or carry a certified
+bracket, and the kernel metrics read a multilinear closed form as a grid;
+other pairs fall back to scans and adaptive quadrature with honest error
+reporting, reading each operand's own Markov kernel ``op.kernel`` with
+both operands' kernel breaks in the mesh.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import AnalyticCopula
 from .empirical import EmpiricalCopula
 from .errors import (
     ChainViolation,
@@ -146,6 +148,23 @@ def _move_axis_last(c: GridCopula, axis: int) -> GridCopula:
     return c.permute(order) if order != list(range(c.dim)) else c
 
 
+def _grid_pair(c1, c2):
+    """Both operands as grids, a multilinear closed form read as the grid on
+    its multilinear breaks; None unless each is one or the other."""
+    grids = []
+    for op in (c1, c2):
+        if isinstance(op, AnalyticCopula) and op.multilinear_breaks() is not None:
+            breaks = op.multilinear_breaks()
+            masses = op.cdf_on_lattice(breaks)
+            for ax in range(op.dim):
+                masses = np.diff(masses, axis=ax)
+            op = GridCopula(breaks, masses)
+        if not isinstance(op, GridCopula):
+            return None
+        grids.append(op)
+    return grids
+
+
 def _kernel_pair_grid(c1, c2, axis):
     """Free-axis breakpoints and, per conditioning slab of the common
     refinement, its width and the difference of the kernel node tensors."""
@@ -186,8 +205,9 @@ def d1(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
     adaptive Gauss-Legendre quadrature on both operands' kernel breaks.
     """
     t0 = time.perf_counter()
-    if isinstance(c1, GridCopula) and isinstance(c2, GridCopula):
-        free, diffs = _kernel_pair_grid(c1, c2, axis)
+    pair = _grid_pair(c1, c2)
+    if pair is not None:
+        free, diffs = _kernel_pair_grid(*pair, axis)
         total, err, cells = 0.0, 0.0, 0
         for w, dK in diffs:
             if w <= 0:
@@ -205,8 +225,9 @@ def d1(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
 def d2(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
     """Integrated squared kernel distance."""
     t0 = time.perf_counter()
-    if isinstance(c1, GridCopula) and isinstance(c2, GridCopula):
-        free, diffs = _kernel_pair_grid(c1, c2, axis)
+    pair = _grid_pair(c1, c2)
+    if pair is not None:
+        free, diffs = _kernel_pair_grid(*pair, axis)
         total = sum(w * integrate_square_multilinear(dK, free) for w, dK in diffs)
         return _report("d2", t0, total, EXACT, 0.0, sum(dK.size for _, dK in diffs))
     val, err, ne = _kernel_integral_analytic(c1, c2, power=2, eps=eps, axis=axis)
@@ -222,8 +243,9 @@ def d_inf_kernel(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
     the same rule on the whole piece.
     """
     t0 = time.perf_counter()
-    if isinstance(c1, GridCopula) and isinstance(c2, GridCopula):
-        free, diffs = _kernel_pair_grid(c1, c2, axis)
+    pair = _grid_pair(c1, c2)
+    if pair is not None:
+        free, diffs = _kernel_pair_grid(*pair, axis)
         acc = np.zeros(diffs[0][1].shape)
         for w, dK in diffs:
             acc += w * np.abs(dK)

@@ -216,6 +216,7 @@ class TestIsSimplified:
         assert np.array_equal(rank.t_breaks, dense.t_breaks)
         nodes = dense.t_breaks
         for margins in ("margins1", "margins2"):
+            assert len(list(getattr(rank, margins))) == len(getattr(dense, margins)) == 12
             for f, g in zip(getattr(rank, margins), getattr(dense, margins)):
                 assert_allclose(f(nodes), g(nodes), atol=1e-15)
 

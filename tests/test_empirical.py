@@ -10,8 +10,8 @@ from copulakit import (
     sample,
     save_sample,
 )
-from copulakit.errors import DimensionMismatch, TiesDetected
-from copulakit.verify import empirical_sup_scan
+from copulakit.errors import BadOperand, DimensionMismatch, TiesDetected
+from copulakit.verify import empirical_sup_scan, random_copula_grid
 
 
 class TestEmpiricalConstruction:
@@ -106,6 +106,51 @@ class TestEmpiricalEvaluation:
         assert exact.exactness == "exact"
         assert mx_cube <= exact.value + 1e-12
         assert exact.value <= mx_cube + gap + 1e-12
+
+
+def _scan_oracle(emp, targets, m):
+    """Node maxima of |step subcopula - target| from the full (m+1)^3 step
+    lattice and one target lattice per x-slab."""
+    nodes = np.arange(m + 1) / m
+    step = emp.step_cdf_on_lattice([nodes] * 3)
+    maxima = [0.0] * len(targets)
+    for k in range(m + 1):
+        for t_i, target in enumerate(targets):
+            T = target.cdf_on_lattice([nodes[k : k + 1], nodes, nodes])[0]
+            maxima[t_i] = max(maxima[t_i], float(np.max(np.abs(step[k] - T))))
+    return maxima
+
+
+class TestSupScan:
+    @pytest.mark.parametrize("n, m, seed", [
+        (120, 40, 0), (120, 24, 1), (400, 40, 2),  # m divides n
+        (120, 37, 3), (97, 25, 4), (53, 40, 5), (7, 11, 6),  # it does not
+    ])
+    def test_maxima_equal_brute_force_oracle_bit_for_bit(self, cube, pi2, n, m, seed):
+        rng = np.random.default_rng(seed)
+        source = random_copula_grid(rng, [2, 3, 4])
+        emp = empirical_copula(sample(source, n, seed=seed))
+        nonuniform = random_copula_grid(rng, rng.integers(1, 6, size=3))
+        for targets in ([cube], [pi2, nonuniform], [nonuniform, source, cube]):
+            scan = empirical_sup_scan(emp, targets, m=m)
+            assert [mx for mx, _ in scan] == _scan_oracle(emp, targets, m)
+            gap = 3 / m + (0.0 if n % m == 0 else 3 / n)
+            assert all(g == gap for _, g in scan)
+
+    def test_rejects_operands_that_are_not_three_dimensional(self, cube):
+        rng = np.random.default_rng(1)
+        for pts in (rng.random((40, 4)), rng.random((40, 2))):
+            with pytest.raises(DimensionMismatch):
+                empirical_sup_scan(empirical_copula(pts), [cube], m=8)
+        emp = empirical_copula(rng.random((40, 3)))
+        with pytest.raises(DimensionMismatch):
+            empirical_sup_scan(emp, [cube, cube.margin((0, 1))], m=8)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_rejects_an_empty_lattice(self, cube, m):
+        emp = empirical_copula(np.random.default_rng(2).random((40, 3)))
+        with pytest.raises(BadOperand, match="m >= 1"):
+            empirical_sup_scan(emp, [cube], m=m)
 
 
 class TestSampling:

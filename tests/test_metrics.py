@@ -223,20 +223,19 @@ class TestWccProfile:
 
 
 class TestMixedKernelOperands:
-    """A grid against a closed form: both operands' breaks enter the
-    quadrature mesh, so d2 and the sup kernel distance match the exact grid
-    pair and d1 lies inside its reported error."""
+    """A grid against a multilinear closed form: the closed form is read as
+    the grid on its multilinear breaks, so every kernel metric is exact and
+    equals the one against the one-cell grid, in either order."""
 
     @pytest.mark.parametrize("seed, res", [(0, [3, 3, 3]), (1, [2, 4, 3]), (2, [4, 4, 4])])
     def test_grid_against_analytic_independence(self, seed, res):
         g = random_copula_grid(np.random.default_rng(seed), res)
         pi, pi_grid = independence_analytic(3), independence(3, [1, 1, 1])
-        for metric in (d2, d_inf_kernel):
-            rep = metric(g, pi)
-            assert abs(rep.value - metric(g, pi_grid).value) <= 1e-15
-            assert rep.target_met
-        rep = d1(g, pi)
-        assert abs(rep.value - d1(g, pi_grid).value) <= rep.error
+        for metric in (d1, d2, d_inf_kernel):
+            exact = metric(g, pi_grid)
+            for rep in (metric(g, pi), metric(pi, g)):
+                assert rep.exactness == "exact" and rep.error == 0.0 and rep.target_met
+                assert rep.value == exact.value
 
 
 class TestChain:
