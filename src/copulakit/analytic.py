@@ -45,6 +45,9 @@ class AnalyticCopula:
         work from it.
     """
 
+    # bound on |cdf_slabs - cdf| at the lattice nodes
+    lattice_gap = 0.0
+
     def __init__(self, dim, cdf_fn, kernel_fn=None, kernel_v_breaks=None,
                  kernel_u_breaks=None, multilinear=False,
                  family=None, name=""):
@@ -71,25 +74,20 @@ class AnalyticCopula:
         return np.asarray(self._cdf_fn(points), dtype=float)
 
     def cdf_on_lattice(self, axes) -> np.ndarray:
-        """Cdf on a product lattice (streamed along the first axis to keep
-        temporaries small)."""
+        """Cdf on a product lattice."""
+        return np.stack(list(self.cdf_slabs(axes)))
+
+    def cdf_slabs(self, axes):
+        """Cdf on the lattice of ``axes[1:]``, one node of ``axes[0]`` at a
+        time, evaluated in blocks of nodes of about 2**14 points."""
         if len(axes) != self.dim:
             raise DimensionMismatch("one node array per axis required")
-        axes = [np.asarray(a, dtype=float) for a in axes]
-        shape = tuple(len(a) for a in axes)
-        rest = int(np.prod(shape[1:])) if self.dim > 1 else 1
-        out = np.empty(shape)
-        block = max(1, int(2_000_000 // max(rest, 1)))
-        tail = np.meshgrid(*axes[1:], indexing="ij") if self.dim > 1 else []
-        tail = [g.ravel() for g in tail]
-        for s in range(0, shape[0], block):
-            xs = axes[0][s : s + block]
-            pts = np.empty((len(xs) * rest, self.dim))
-            pts[:, 0] = np.repeat(xs, rest)
-            for j, g in enumerate(tail):
-                pts[:, j + 1] = np.tile(g, len(xs))
-            out[s : s + block] = self.cdf_many(pts).reshape((len(xs),) + shape[1:])
-        return out
+        tail = np.stack(np.meshgrid(*axes[1:], indexing="ij"), -1).reshape(-1, self.dim - 1)
+        step = max(1, 2**14 // len(tail))
+        for s in range(0, len(axes[0]), step):
+            xs = np.asarray(axes[0][s : s + step], dtype=float)
+            pts = np.column_stack([np.repeat(xs, len(tail)), np.tile(tail, (len(xs), 1))])
+            yield from self.cdf_many(pts).reshape(len(xs), *(len(a) for a in axes[1:]))
 
     def kernel(self, v, u) -> np.ndarray:
         """Markov kernel ``K(v, [0, u])`` w.r.t. the last coordinate."""

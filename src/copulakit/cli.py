@@ -203,8 +203,8 @@ def _resolutions(text, dim: int):
     """Cell counts of a resolution such as ``8`` (every axis) or ``8x8x4``."""
     res = _numbers(str(text), int, "x")
     res = res * dim if len(res) == 1 else res
-    if len(res) != dim:
-        raise BadOperand(f"resolution {text!r} does not fit dimension {dim}")
+    if len(res) != dim or min(res) < 1:
+        raise BadOperand(f"resolution {text!r} needs at least one cell per axis of {dim}")
     return res
 
 
@@ -357,7 +357,10 @@ def _dispatch(args) -> int:
         C = parse_operand(args.operand)
         cond = (tuple(_index(a, C.dim, "--cond-axes") for a in _numbers(args.cond_axes, int))
                 if args.cond_axes else None)
-        val = kernel_cdf(C, _numbers(args.t, float), _numbers(args.u, float), cond_axes=cond)
+        t, u = _numbers(args.t, float), _numbers(args.u, float)
+        if not all(0.0 <= x <= 1.0 for x in t + u):
+            raise BadOperand(f"--t {args.t!r} and --u {args.u!r} must list numbers in [0, 1]")
+        val = kernel_cdf(C, t, u, cond_axes=cond)
         _emit({"value": val, "error": 0.0}, args.out)
         return 0
 
@@ -403,12 +406,10 @@ def _dispatch(args) -> int:
 
     if cmd == "sample":
         C = parse_operand(args.operand)
-        if isinstance(C, EmpiricalCopula):
-            raise BadOperand(f"sample needs a grid operand, got {C!r}; "
-                             "empirical --in s.csv writes one for n <= 64")
         if not isinstance(C, GridCopula):
-            raise BadOperand(f"sample needs a grid operand, got {C!r}; "
-                             "discretize it with make <family> --res N")
+            raise BadOperand(f"sample needs a grid operand, got {C!r}; " + (
+                "empirical --in s.csv writes one for n <= 64" if isinstance(C, EmpiricalCopula)
+                else "discretize it with make <family> --res N"))
         pts = sample(C, args.n, args.seed)
         if args.out:
             save_sample(args.out, pts)

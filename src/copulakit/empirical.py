@@ -15,8 +15,8 @@ import csv
 
 import numpy as np
 
-from .errors import DimensionMismatch, TiesDetected
-from .grid import GridCopula, box_mass, uniform_breaks
+from .errors import BadOperand, DimensionMismatch, TiesDetected
+from .grid import GridCopula, uniform_breaks
 
 # sample points per block of the cdf evaluations
 _CHUNK = 256
@@ -63,6 +63,7 @@ def save_sample(path, points: np.ndarray):
 
 
 def load_sample(path) -> np.ndarray:
+    """Points of a CSV sample under its header line ``x1,...,xd``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -70,7 +71,13 @@ def load_sample(path) -> np.ndarray:
     pts = np.asarray(rows, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != len(header):
         raise DimensionMismatch("malformed sample file")
-    return pts
+    if not np.all(np.isfinite(pts)):
+        raise BadOperand("sample coordinates must be finite numbers")
+    try:
+        np.asarray(header, dtype=float)
+    except ValueError:
+        return pts
+    raise BadOperand(f"first line {','.join(header)!r} is data, not the header x1,...,xd")
 
 
 class EmpiricalCopula:
@@ -127,25 +134,13 @@ class EmpiricalCopula:
                                       optimize=True)
         return total / self.n
 
-    def step_cdf_on_lattice(self, axes) -> np.ndarray:
-        """Step subcopula ``#(ranks/n <= nodes)/n`` on a lattice; differs from
-        the d-linear cdf by at most ``dim/n`` anywhere and by 0 at lattice
-        points of the rank grid."""
-        sizes = [len(a) + 1 for a in axes]
-        hist = np.zeros(sizes)
-        idx = tuple(
-            np.searchsorted(np.asarray(axes[j], dtype=float), self.ranks[:, j] / self.n,
-                            side="left")
-            for j in range(self.dim)
-        )
-        np.add.at(hist, idx, 1.0)
-        for ax in range(self.dim):
-            hist = np.cumsum(hist, axis=ax)
-        core = hist[tuple(slice(0, s - 1) for s in sizes)]
-        return core / self.n
-
-    def box_mass(self, lower, upper) -> float:
-        return box_mass(self, lower, upper)
+    def cdf_slabs(self, axes):
+        """Cdf on the lattice of ``axes[1:]``, one node of ``axes[0]`` at a
+        time: d-linear for n <= 64, else the step counts, which are within
+        :attr:`lattice_gap` of it."""
+        if self.multilinear_breaks() is None:
+            return step_cdf_slabs(self.ranks / self.n, axes)
+        return (self.cdf_on_lattice([[x], *axes[1:]])[0] for x in axes[0])
 
     # -- structure ------------------------------------------------------------
 
@@ -156,8 +151,8 @@ class EmpiricalCopula:
 
     @property
     def lattice_gap(self) -> float:
-        """Uniform bound between the step subcopula and the d-linear cdf."""
-        return self.dim / self.n
+        """Bound on |cdf_slabs - cdf| at the nodes: dim/n for the step counts."""
+        return 0.0 if self.multilinear_breaks() is not None else self.dim / self.n
 
     def to_grid(self) -> GridCopula:
         """Dense checkerboard view (resolution n per axis; small n only)."""
@@ -191,3 +186,31 @@ def empirical_copula(points, tie_break: str = "error") -> EmpiricalCopula:
         order = np.argsort(col, kind="stable")
         ranks[order, j] = np.arange(1, n + 1)
     return EmpiricalCopula(ranks)
+
+
+def step_cdf_slabs(points, axes):
+    """Step cdf ``#(points <= node) / n`` of n points in d >= 2 dimensions
+    on the lattice of ``axes[1:]``, one node of ``axes[0]`` at a time, from
+    one count table over ``axes[1:]``.  Slab k adds the points that reach
+    node k on axis 0: in last-axis order, the running sum of their (d-2)-D
+    indicators over the middle axes goes to each point's band of last-axis
+    rows (up to the next point's); in 2-D the running sum is a count."""
+    n, d = points.shape
+    # first node index at or above each coordinate
+    idx = [np.searchsorted(np.asarray(a, dtype=float), col, side="left")
+           for a, col in zip(axes, points.T, strict=True)]
+    sizes = [len(a) for a in axes]
+    order = np.lexsort((idx[-1], idx[0]))
+    starts = np.concatenate(([0], np.cumsum(np.bincount(idx[0], minlength=sizes[0] + 1))))
+    # the band axis leads, so a band of rows is one contiguous block
+    counts = np.zeros([sizes[-1], *sizes[1:-1]])
+    for k in range(sizes[0]):
+        new = order[starts[k] : starts[k + 1]]
+        ind = np.ones(len(new), dtype=bool)
+        for j in range(1, d - 1):
+            below = idx[j][new][:, None] <= np.arange(sizes[j])
+            ind = ind[..., None] & below.reshape((len(new),) + (1,) * (j - 1) + (sizes[j],))
+        rows = idx[-1][new]
+        for lo, hi, row in zip(rows, np.append(rows[1:], sizes[-1]), np.cumsum(ind, axis=0)):
+            counts[lo:hi] += row
+        yield np.moveaxis(counts, 0, -1) / n

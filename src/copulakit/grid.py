@@ -77,6 +77,13 @@ def _interp_matrix(breaks: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return W
 
 
+def _contract(nodes: np.ndarray, matrices) -> np.ndarray:
+    """Apply one matrix per axis to a tensor, axis 0 first."""
+    for j, W in enumerate(matrices):
+        nodes = np.moveaxis(np.tensordot(W, nodes, axes=(1, j)), 0, j)
+    return nodes
+
+
 def cum_nodes(masses: np.ndarray) -> np.ndarray:
     """Zero-padded cumulative tensor of cell masses: the cdf at every node."""
     c = masses
@@ -131,6 +138,8 @@ class GridCopula:
     """
 
     __slots__ = ("breaks", "masses", "_cum")
+    # bound on |cdf_slabs - cdf| at the lattice nodes
+    lattice_gap = 0.0
 
     def __init__(self, breaks, masses, validate: bool = True):
         self.breaks = tuple(_as_breaks(b) for b in breaks)
@@ -255,15 +264,14 @@ class GridCopula:
         """Copula values on the product lattice ``axes[0] x ... x axes[d-1]``."""
         if len(axes) != self.dim:
             raise DimensionMismatch("one node array per axis required")
-        v = self.cum
-        for j, xs in enumerate(axes):
-            W = _interp_matrix(self.breaks[j], xs)
-            v = np.moveaxis(np.tensordot(W, v, axes=(1, j)), 0, j)
-        return v
+        return _contract(self.cum, [_interp_matrix(b, xs) for b, xs in zip(self.breaks, axes)])
 
-    def box_mass(self, lower, upper) -> float:
-        """Mass of the box [lower, upper] by inclusion-exclusion of the cdf."""
-        return box_mass(self, lower, upper)
+    def cdf_slabs(self, axes):
+        """Copula values on the lattice of ``axes[1:]``, one node of ``axes[0]``
+        at a time; each axis's interpolation matrix is built once per scan."""
+        W0, *rest = (_interp_matrix(b, xs) for b, xs in zip(self.breaks, axes, strict=True))
+        for row in W0:
+            yield _contract(self.cum, [row[None, :], *rest])[0]
 
     # -- algebra ----------------------------------------------------------
 
@@ -298,10 +306,8 @@ class GridCopula:
     def refine_to(self, new_breaks) -> "GridCopula":
         """Re-express on finer breakpoints (must contain the current ones);
         the cdf is unchanged everywhere."""
-        masses = self.masses
-        for ax in range(self.dim):
-            T = _refine_matrix(self.breaks[ax], _as_breaks(new_breaks[ax]))
-            masses = np.moveaxis(np.tensordot(T, masses, axes=(1, ax)), 0, ax)
+        masses = _contract(self.masses, [_refine_matrix(b, _as_breaks(nb))
+                                         for b, nb in zip(self.breaks, new_breaks)])
         return GridCopula(new_breaks, np.ascontiguousarray(masses), validate=False)
 
     def multilinear_breaks(self):

@@ -24,8 +24,10 @@ from .errors import (
     ClosedFormUnavailable,
     DimensionMismatch,
     KernelUnavailable,
+    ResolutionOverflow,
     SupportViolation,
 )
+from .families import discretize
 from .grid import GridCopula, common_refinement, uniform_breaks
 from .quadrature import (
     adaptive_gl,
@@ -38,10 +40,11 @@ EXACT = "exact"
 CERTIFIED = "certified"
 ESTIMATED = "estimated"
 
-# largest merged lattice d_inf evaluates exactly, and the per-axis node
-# count of the scan lattices
+# largest merged lattice d_inf evaluates exactly, the per-axis node count of
+# the scan lattices, and the largest slab a streamed scan holds per operand
 _NODE_BUDGET = 2_000_000
 _SCAN_M = 128
+_SLAB_BUDGET = 2**23
 
 
 @dataclass(frozen=True)
@@ -101,12 +104,21 @@ def _lattice_axes(c1, c2, scan_m: int):
     return axes
 
 
-def _eval_lattice(op, axes):
-    """Lattice cdf values plus a certified evaluation gap (0 except for the
-    step shortcut of large empirical copulas)."""
-    if isinstance(op, EmpiricalCopula) and op.multilinear_breaks() is None:
-        return op.step_cdf_on_lattice(axes), op.lattice_gap
-    return op.cdf_on_lattice(axes), 0.0
+def slab_sup_distances(op, others, axes) -> list:
+    """``max |op - other|`` on the lattice ``axes`` for each of ``others``,
+    every operand's slabs drawn in step, so one slab per operand is alive."""
+    slab = int(np.prod([len(a) for a in axes[1:]]))
+    if slab > _SLAB_BUDGET:
+        raise ResolutionOverflow(f"a scan slab needs {slab} nodes > {_SLAB_BUDGET}")
+    streams = [other.cdf_slabs(axes) for other in others]
+    maxima = [0.0] * len(others)
+    diff = None  # one buffer: fresh slab-sized temporaries cost page faults
+    for S in op.cdf_slabs(axes):
+        diff = np.empty_like(S) if diff is None else diff
+        for i, stream in enumerate(streams):
+            np.subtract(S, next(stream), out=diff)
+            maxima[i] = max(maxima[i], float(diff.max()), -float(diff.min()))
+    return maxima
 
 
 def d_inf(c1, c2, eps: float = 1e-8, scan_m: int = _SCAN_M) -> MetricReport:
@@ -115,8 +127,9 @@ def d_inf(c1, c2, eps: float = 1e-8, scan_m: int = _SCAN_M) -> MetricReport:
     Exact whenever both operands are multilinear between known breakpoints
     and the merged lattice fits the node budget (the difference is then
     multilinear per cell, so the node maximum is the true maximum).
-    Otherwise the merged scan lattice gives a lower bound and the
-    per-coordinate Lipschitz bounds a certified upper bound.
+    Otherwise both operands are streamed slab by slab over the merged scan
+    lattice, which gives a lower bound, and the per-coordinate Lipschitz
+    bounds plus each operand's ``lattice_gap`` a certified upper bound.
     """
     t0 = time.perf_counter()
     if c1.dim != c2.dim:
@@ -130,12 +143,10 @@ def d_inf(c1, c2, eps: float = 1e-8, scan_m: int = _SCAN_M) -> MetricReport:
             value = float(np.max(np.abs(c1.cdf_on_lattice(axes) - c2.cdf_on_lattice(axes))))
             return _report("d_inf", t0, value, EXACT, 0.0, count)
     axes = _lattice_axes(c1, c2, scan_m)
-    v1, g1 = _eval_lattice(c1, axes)
-    v2, g2 = _eval_lattice(c2, axes)
-    value = float(np.max(np.abs(v1 - v2)))
+    (value,) = slab_sup_distances(c1, [c2], axes)
     # every copula is 1-Lipschitz per coordinate, so the difference moves by
     # at most twice the distance to the nearest node, half a cell per axis
-    width = sum(float(np.max(np.diff(a))) for a in axes) + g1 + g2
+    width = sum(float(np.max(np.diff(a))) for a in axes) + c1.lattice_gap + c2.lattice_gap
     n_evals = 2 * int(np.prod([len(a) for a in axes]))
     return _report("d_inf", t0, value, CERTIFIED, width, n_evals, eps)
 
@@ -154,11 +165,8 @@ def _grid_pair(c1, c2):
     grids = []
     for op in (c1, c2):
         if isinstance(op, AnalyticCopula) and op.multilinear_breaks() is not None:
-            breaks = op.multilinear_breaks()
-            masses = op.cdf_on_lattice(breaks)
-            for ax in range(op.dim):
-                masses = np.diff(masses, axis=ax)
-            op = GridCopula(breaks, masses)
+            # multilinear throughout: one cell per axis holds it exactly
+            op = discretize(op, [1] * op.dim)
         if not isinstance(op, GridCopula):
             return None
         grids.append(op)

@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .grid import _interp_matrix
+from .grid import _contract, _interp_matrix
 
 
 @lru_cache(maxsize=None)
@@ -241,19 +241,12 @@ def _bisect_abs(corners, vols, d, tol, max_rounds):
 
 def integrate_square_multilinear(values: np.ndarray, axes) -> float:
     """Exact integral of ``g**2`` for mesh-multilinear ``g`` (2-point GL)."""
-    d = values.ndim
     x, w = leg01(2)
-    vals = values
-    for j in range(d):
-        a = np.asarray(axes[j], dtype=float)
-        pts = (a[:-1, None] + np.diff(a)[:, None] * x[None, :]).ravel()
-        W = _interp_matrix(a, pts)
-        vals = np.moveaxis(np.tensordot(W, vals, axes=(1, j)), 0, j)
-    sq = vals**2
-    for j in range(d):
-        a = np.asarray(axes[j], dtype=float)
-        wj = (np.diff(a)[:, None] * w[None, :]).ravel()
-        sq = np.tensordot(wj, sq, axes=(0, 0))
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    sq = _contract(values, [_interp_matrix(a, (a[:-1, None] + np.diff(a)[:, None] * x).ravel())
+                            for a in axes]) ** 2
+    for a in axes:
+        sq = np.tensordot((np.diff(a)[:, None] * w).ravel(), sq, axes=(0, 0))
     return float(sq)
 
 

@@ -37,7 +37,7 @@ from .grid import (
     new_grid,
     product_extend,
 )
-from .metrics import d1, d_inf, metric_chain_check, wcc_profile
+from .metrics import d1, d_inf, metric_chain_check, slab_sup_distances, wcc_profile
 from .pvc import pvc3, pvc_dvine
 
 
@@ -74,56 +74,26 @@ def _case(case_id, description, expected, tolerance, computed, passed, t0):
 
 
 def empirical_sup_scan(emp: EmpiricalCopula, targets, m: int = 500):
-    """Sup of |empirical - target| over the aligned m-lattice, streamed in
-    x-slabs so memory stays at O(m^2).
-
-    Slab k adds its new points to one table of exact step counts: in z
-    order, the running sum of their y indicators goes to each point's band
-    of z rows (up to the next point's), with no 2-D cumsum.
-
-    Returns one (node_max, certified_upper_gap) pair per target; when m
-    divides n the lattice values of the empirical copula are exact, and the
-    gap is the two-sided Lipschitz slack ``3/m`` plus an alignment slack of
-    ``3/n`` otherwise.
-    """
-    if emp.dim != 3 or any(t.dim != 3 for t in targets):
-        raise DimensionMismatch("the sup scan needs three-dimensional operands")
+    """Sup of |empirical - target| over the m-lattice, streaming every
+    operand's slabs in step.  One (node_max, certified_upper_gap) pair per
+    target: the Lipschitz slack ``d/m``, plus ``d/n`` when m does not
+    divide n (the step counts are exact on the rank grid only)."""
+    if any(t.dim != emp.dim for t in targets):
+        raise DimensionMismatch("every target needs the dimension of the sample")
     if m < 1:
         raise BadOperand(f"the scan lattice needs m >= 1, got {m}")
-    n = emp.n
-    nodes = np.arange(m + 1) / m
-    # first lattice index k with r/n <= k/m
-    ix, iy, iz = ((emp.ranks[:, j] * m + n - 1) // n for j in range(3))
-    order = np.lexsort((iz, ix))
-    iy, iz = iy[order], iz[order]
-    starts = np.concatenate(([0], np.cumsum(np.bincount(ix, minlength=m + 1))))
-    # (z, y) order: the target's slab transposes to a contiguous view
-    counts = np.zeros((m + 1, m + 1))
-    S, diff = np.empty_like(counts), np.empty_like(counts)
-    maxima = [0.0] * len(targets)
-    for k in range(m + 1):
-        rows = iz[starts[k] : starts[k + 1]]
-        running = np.cumsum(iy[starts[k] : starts[k + 1], None] <= np.arange(m + 1), axis=0)
-        for lo, hi, row in zip(rows, np.append(rows[1:], m + 1), running):
-            counts[lo:hi] += row
-        np.divide(counts, n, out=S)
-        for t_i, target in enumerate(targets):
-            T = target.cdf_on_lattice([nodes[k : k + 1], nodes, nodes])[0]
-            np.abs(np.subtract(S, T.T, out=diff), out=diff)
-            maxima[t_i] = max(maxima[t_i], float(diff.max()))
-    gap = 3.0 / m + (0.0 if n % m == 0 else 3.0 / n)
+    axes = [np.arange(m + 1) / m] * emp.dim
+    maxima = slab_sup_distances(emp, targets, axes)
+    gap = emp.dim / m + (0.0 if emp.n % m == 0 else emp.dim / emp.n)
     return [(mx, gap) for mx in maxima]
 
 
 def _sup_distances(emp: EmpiricalCopula, targets, scan_m: int):
     """(value, certified gap) of the uniform distance from ``emp`` to each
-    target: exact for small samples, else the sup scan (on the ``scan_m``
-    lattice when it divides n, on 499 nodes per axis otherwise)."""
+    target: exact for small samples, else the ``scan_m`` sup scan."""
     if emp.multilinear_breaks() is not None:
-        reports = [d_inf(emp, t) for t in targets]
-        return [(rep.value, rep.error) for rep in reports]
-    m = scan_m if emp.n % scan_m == 0 else 499
-    return empirical_sup_scan(emp, targets, m=m)
+        return [(rep.value, rep.error) for rep in (d_inf(emp, t) for t in targets)]
+    return empirical_sup_scan(emp, targets, m=scan_m)
 
 
 def random_copula_grid(rng, resolutions) -> GridCopula:

@@ -205,6 +205,42 @@ class TestMalformedInput:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("args", [
+        ["make", "cube", "--res", "0"],
+        ["make", "cube", "--res", "-2"],
+        ["make", "cube", "--res", "4x0x4"],
+        ["pvc", "--in", "cube", "--res", "0"],
+        ["metric", "--name", "d1", "--a", "cube", "--b", "pi:res=0"],
+    ], ids=["make-zero", "make-negative", "make-zero-axis", "pvc-zero", "pi-res-zero"])
+    def test_resolution_below_one_cell_is_usage_error(self, capsys, args):
+        assert run(args) == 2
+        assert "at least one cell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t, u", [
+        ("1.5", "0.5,0.5"), ("-0.1", "0.5,0.5"), ("nan", "0.5,0.5"), ("inf", "0.5,0.5"),
+        ("0.5", "1.5,0.5"), ("0.5", "0.5,nan"),
+    ])
+    def test_kernel_argument_outside_the_unit_interval_is_usage_error(self, capsys, t, u):
+        assert run(["kernel", "--in", "cube", "--t", t, "--u", u]) == 2
+        assert "[0, 1]" in capsys.readouterr().err
+
+    def test_kernel_arguments_on_the_unit_interval_ends_are_read(self, capsys):
+        assert run(["kernel", "--in", "cube", "--t", "1", "--u", "1,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+    @pytest.mark.parametrize("text, message", [
+        ("x1,x2,x3\n0.1,0.2,0.3\n0.4,nan,0.6\n0.7,0.8,0.9\n", "finite"),
+        ("x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,inf\n0.7,0.8,0.9\n", "finite"),
+        ("0.1,0.2,0.3\n0.4,0.5,0.6\n0.7,0.8,0.9\n", "header"),
+    ], ids=["nan", "inf", "headerless"])
+    def test_malformed_sample_is_usage_error(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "s.csv"
+        csv.write_text(text)
+        for args in (["empirical", "--in", str(csv)],
+                     ["metric", "--name", "dinf", "--a", str(csv), "--b", "cube"]):
+            assert run(args) == 2
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
         ["pvc", "--in", "cube", "--order", "0,2,1"],
         ["metric", "--name", "dinf", "--a", "cube", "--b", "cube", "--axis", "0"],
         ["metric", "--name", "tv", "--a", "cube", "--b", "cube", "--axis", "0"],

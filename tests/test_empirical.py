@@ -3,15 +3,37 @@ import pytest
 from numpy.testing import assert_allclose
 
 from copulakit import (
+    bstar,
     box_mass,
+    d_inf,
+    efgm_quadratic,
     empirical_copula,
     is_simplified,
     load_sample,
+    product_extend,
     sample,
     save_sample,
 )
-from copulakit.errors import BadOperand, DimensionMismatch, TiesDetected
+from copulakit.empirical import step_cdf_slabs
+from copulakit.errors import BadOperand, DimensionMismatch, ResolutionOverflow, TiesDetected
 from copulakit.verify import empirical_sup_scan, random_copula_grid
+
+
+def _dominated_fraction(points, axes):
+    """Brute-force step cdf: the share of points at or below each node."""
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    below = np.all(points[:, None, :] <= nodes.reshape(-1, len(axes))[None], axis=2)
+    return below.sum(axis=0).reshape(nodes.shape[:-1]) / len(points)
+
+
+def _nonuniform_axes(rng, n, d):
+    """Sorted random nodes per axis, some on the rank grid, so that ranks hit
+    nodes exactly; the first axis starts above 0, the last ends below 1."""
+    axes = []
+    for j in range(d):
+        pts = np.union1d(rng.random(rng.integers(3, 9)), rng.integers(1, n + 1, 3) / n)
+        axes.append(pts[1:] if j == 0 else pts[:-1] if j == d - 1 else pts)
+    return axes
 
 
 class TestEmpiricalConstruction:
@@ -81,7 +103,7 @@ class TestEmpiricalEvaluation:
     def test_step_lattice_at_aligned_nodes(self, cube):
         emp = empirical_copula(sample(cube, 40, seed=7))
         axes = [np.arange(5) / 4.0] * 3  # quarters align with the 40-grid
-        step = emp.step_cdf_on_lattice(axes)
+        step = np.stack(list(step_cdf_slabs(emp.ranks / emp.n, axes)))
         exact = emp.cdf_on_lattice(axes)
         assert_allclose(step, exact, atol=1e-13)
 
@@ -109,16 +131,75 @@ class TestEmpiricalEvaluation:
 
 
 def _scan_oracle(emp, targets, m):
-    """Node maxima of |step subcopula - target| from the full (m+1)^3 step
-    lattice and one target lattice per x-slab."""
+    """Node maxima of |empirical - target|: the brute-force step cdf for
+    n > 64, the d-linear cdf per slab below, against one target lattice per
+    slab."""
     nodes = np.arange(m + 1) / m
-    step = emp.step_cdf_on_lattice([nodes] * 3)
+    axes = [nodes] * emp.dim
+    step = _dominated_fraction(emp.ranks / emp.n, axes)
     maxima = [0.0] * len(targets)
     for k in range(m + 1):
+        slab = [nodes[k : k + 1], *axes[1:]]
+        E = step[k] if emp.n > 64 else emp.cdf_on_lattice(slab)[0]
         for t_i, target in enumerate(targets):
-            T = target.cdf_on_lattice([nodes[k : k + 1], nodes, nodes])[0]
-            maxima[t_i] = max(maxima[t_i], float(np.max(np.abs(step[k] - T))))
+            T = target.cdf_on_lattice(slab)[0]
+            maxima[t_i] = max(maxima[t_i], float(np.max(np.abs(E - T))))
     return maxima
+
+
+class TestStepSlabs:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n, seed", [(1, 0), (17, 1), (200, 2)])
+    def test_stream_equals_brute_force_counts_bit_for_bit(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        emp = empirical_copula(rng.random((n, d)))
+        axes = _nonuniform_axes(rng, n, d)
+        stream = np.stack(list(step_cdf_slabs(emp.ranks / emp.n, axes)))
+        assert np.array_equal(stream, _dominated_fraction(emp.ranks / emp.n, axes))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rank_form_slabs_are_the_step_counts(self, d):
+        emp = empirical_copula(np.random.default_rng(d).random((70, d)))
+        axes = [np.linspace(0.0, 1.0, 6)] * d
+        slabs = np.stack(list(emp.cdf_slabs(axes)))
+        assert np.array_equal(slabs, _dominated_fraction(emp.ranks / emp.n, axes))
+        assert emp.lattice_gap == d / 70
+
+    def test_small_samples_stream_their_d_linear_cdf(self, cube):
+        emp = empirical_copula(sample(cube, 30, seed=4))
+        axes = [np.linspace(0.0, 1.0, 7)] * 3
+        assert_allclose(np.stack(list(emp.cdf_slabs(axes))), emp.cdf_on_lattice(axes),
+                        atol=1e-15)
+        assert emp.lattice_gap == 0.0
+
+
+class TestRankFormDInf:
+    # value and error of the whole-lattice evaluation this scan replaced
+    @pytest.mark.parametrize("source, target, n, seed, value, error", [
+        ("cube", "cube", 300, 5, 0.05539143880208336, 0.0334375),
+        ("cube", "efgm", 300, 5, 0.11370253026485444, 0.0334375),
+        ("bstar", "bstar", 200, 7, 0.031269531249999996, 0.025625000000000002),
+    ])
+    def test_pinned_to_the_whole_lattice_values(self, cube, source, target, n, seed,
+                                                value, error):
+        families = {"cube": cube, "bstar": bstar(), "efgm": efgm_quadratic(3)}
+        emp = empirical_copula(sample(families[source], n, seed=seed))
+        rep = d_inf(emp, families[target])
+        assert (rep.value, rep.error, rep.exactness) == (value, error, "certified")
+
+    @pytest.mark.parametrize("target", ["grid", "analytic"])
+    def test_four_dimensions_against_a_whole_lattice_oracle(self, cube, target):
+        rng = np.random.default_rng(11)
+        emp = empirical_copula(rng.random((100, 4)))
+        # every break of both targets is on the 8-lattice
+        other = product_extend(cube, 4) if target == "grid" else efgm_quadratic(4)
+        axes = [np.arange(9) / 8] * 4
+        oracle = np.max(np.abs(_dominated_fraction(emp.ranks / emp.n, axes)
+                               - other.cdf_on_lattice(axes)))
+        rep = d_inf(emp, other, scan_m=8)
+        assert rep.value == pytest.approx(oracle, rel=0, abs=1e-15)
+        assert rep.error == 4 / 8 + 4 / 100
+        assert rep.n_evaluations == 2 * 9**4
 
 
 class TestSupScan:
@@ -137,14 +218,26 @@ class TestSupScan:
             gap = 3 / m + (0.0 if n % m == 0 else 3 / n)
             assert all(g == gap for _, g in scan)
 
-    def test_rejects_operands_that_are_not_three_dimensional(self, cube):
+    def test_accepts_any_dimension_and_rejects_a_target_of_another(self, cube):
         rng = np.random.default_rng(1)
-        for pts in (rng.random((40, 4)), rng.random((40, 2))):
-            with pytest.raises(DimensionMismatch):
-                empirical_sup_scan(empirical_copula(pts), [cube], m=8)
+        for pts, target in ((rng.random((90, 4)), product_extend(cube, 4)),
+                            (rng.random((90, 2)), bstar())):
+            emp = empirical_copula(pts)
+            ((mx, gap),) = empirical_sup_scan(emp, [target], m=8)
+            assert mx == _scan_oracle(emp, [target], 8)[0]
+            assert gap == emp.dim / 8 + emp.dim / 90  # 8 does not divide 90
         emp = empirical_copula(rng.random((40, 3)))
         with pytest.raises(DimensionMismatch):
             empirical_sup_scan(emp, [cube, cube.margin((0, 1))], m=8)
+
+    def test_a_slab_over_the_budget_overflows_before_any_work(self):
+        # 301^3 nodes per slab of a 4-D scan, 129^5 per slab of a 6-D d_inf
+        emp = empirical_copula(np.random.default_rng(3).random((100, 4)))
+        with pytest.raises(ResolutionOverflow, match="slab"):
+            empirical_sup_scan(emp, [efgm_quadratic(4)], m=300)
+        emp6 = empirical_copula(np.random.default_rng(3).random((100, 6)))
+        with pytest.raises(ResolutionOverflow, match="slab"):
+            d_inf(emp6, efgm_quadratic(6))
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_rejects_an_empty_lattice(self, cube, m):

@@ -89,13 +89,14 @@ def stray_calls(path, name, allowed) -> list:
     return stray
 
 
-# cell lookup goes through grid.cell_index (the empirical copula counts ranks
-# with its own searchsorted), and kernel node tensors through
+# cell lookup goes through grid.cell_index (the empirical copula's step
+# counts locate ranks with their own searchsorted, in the one slab scan),
+# and kernel node tensors through
 # GridCopula.kernel_nodes, except for the conditional copulas of the slab
 # family, which keep their own normalisation; the metrics read kernel nodes
 # only on the exact grid-pair path and otherwise call each operand's kernel
 ONE_WAY = {
-    "searchsorted": {"grid.py", "empirical.py"},
+    "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
     "cum_nodes": {"grid.py", "conditioning.py:_surface_from_joint"},
     "kernel_nodes": {"grid.py", "conditioning.py", "metrics.py:_kernel_pair_grid"},
 }
@@ -151,6 +152,14 @@ def test_one_way_guard_catches_offenders(tmp_path):
     assert stray_calls(bad, "searchsorted", ONE_WAY["searchsorted"]) == ["bad.py:f:5"]
     assert stray_calls(bad, "cum_nodes", {"bad.py:g"}) == ["bad.py:f:5", "bad.py:12"]
     assert stray_calls(bad, "cum_nodes", {"bad.py"}) == []
+    # a second rank-to-node counter next to the scan
+    emp = tmp_path / "empirical.py"
+    emp.write_text("import numpy as np\n\n\ndef step_cdf_slabs(a, x):\n"
+                   "    return np.searchsorted(a, x)\n\n\n"
+                   "class EmpiricalCopula:\n    def counts(self, a, x):\n"
+                   "        return np.searchsorted(a, x)\n")
+    assert stray_calls(emp, "searchsorted", ONE_WAY["searchsorted"]) == [
+        "empirical.py:EmpiricalCopula:10"]
 
 
 def test_every_function_is_used_outside_tests():
