@@ -360,6 +360,9 @@ def _dispatch(args) -> int:
         t, u = _numbers(args.t, float), _numbers(args.u, float)
         if not all(0.0 <= x <= 1.0 for x in t + u):
             raise BadOperand(f"--t {args.t!r} and --u {args.u!r} must list numbers in [0, 1]")
+        if len(t) != (len(cond) if cond else 1) or len(t) + len(u) != C.dim:
+            raise BadOperand(f"--t needs one value per conditioning axis and --u one per "
+                             f"free axis, {C.dim} in all")
         val = kernel_cdf(C, t, u, cond_axes=cond)
         _emit({"value": val, "error": 0.0}, args.out)
         return 0

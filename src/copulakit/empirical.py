@@ -137,7 +137,7 @@ class EmpiricalCopula:
     def cdf_slabs(self, axes):
         """Cdf on the lattice of ``axes[1:]``, one node of ``axes[0]`` at a
         time: d-linear for n <= 64, else the step counts, which are within
-        :attr:`lattice_gap` of it."""
+        :meth:`lattice_gap` of it."""
         if self.multilinear_breaks() is None:
             return step_cdf_slabs(self.ranks / self.n, axes)
         return (self.cdf_on_lattice([[x], *axes[1:]])[0] for x in axes[0])
@@ -149,10 +149,12 @@ class EmpiricalCopula:
             return tuple(uniform_breaks(self.n) for _ in range(self.dim))
         return None
 
-    @property
-    def lattice_gap(self) -> float:
-        """Bound on |cdf_slabs - cdf| at the nodes: dim/n for the step counts."""
-        return 0.0 if self.multilinear_breaks() is not None else self.dim / self.n
+    def lattice_gap(self, axes) -> float:
+        """Bound on |cdf_slabs(axes) - cdf| at the nodes: 0 for the d-linear
+        cdf and for step counts on the rank grid {k/n}, else dim/n."""
+        n = self.n
+        on_grid = all(np.array_equal(np.round(np.multiply(a, n)) / n, a) for a in axes)
+        return 0.0 if on_grid or self.multilinear_breaks() is not None else self.dim / n
 
     def to_grid(self) -> GridCopula:
         """Dense checkerboard view (resolution n per axis; small n only)."""

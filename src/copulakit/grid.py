@@ -138,8 +138,6 @@ class GridCopula:
     """
 
     __slots__ = ("breaks", "masses", "_cum")
-    # bound on |cdf_slabs - cdf| at the lattice nodes
-    lattice_gap = 0.0
 
     def __init__(self, breaks, masses, validate: bool = True):
         self.breaks = tuple(_as_breaks(b) for b in breaks)
@@ -272,6 +270,10 @@ class GridCopula:
         W0, *rest = (_interp_matrix(b, xs) for b, xs in zip(self.breaks, axes, strict=True))
         for row in W0:
             yield _contract(self.cum, [row[None, :], *rest])[0]
+
+    def lattice_gap(self, axes) -> float:
+        """Bound on |cdf_slabs(axes) - cdf| at the nodes: none."""
+        return 0.0
 
     # -- algebra ----------------------------------------------------------
 
@@ -452,10 +454,7 @@ def convex_combine(weights, copulas) -> GridCopula:
     acc = copulas[0]
     for c in copulas[1:]:
         acc, _ = common_refinement(acc, c)
-    refined = []
-    for c in copulas:
-        r, _ = common_refinement(c, acc)
-        refined.append(r.masses)
+    refined = [common_refinement(c, acc)[0].masses for c in copulas]
     masses = sum(w * m for w, m in zip(weights, refined))
     return GridCopula(acc.breaks, masses, validate=False)
 

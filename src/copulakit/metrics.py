@@ -20,6 +20,7 @@ import numpy as np
 from .analytic import AnalyticCopula
 from .empirical import EmpiricalCopula
 from .errors import (
+    BadOperand,
     ChainViolation,
     ClosedFormUnavailable,
     DimensionMismatch,
@@ -89,12 +90,12 @@ def _report(name, t0, value, exactness, error, n_evals, eps=0.0) -> MetricReport
 # -- uniform metric -------------------------------------------------------------
 
 
-def _lattice_axes(c1, c2, scan_m: int):
-    """Scan nodes per axis: uniform plus both operands' multilinear and kernel breaks."""
+def _lattice_axes(ops, scan_m: int):
+    """Scan nodes per axis: uniform plus every operand's multilinear and kernel breaks."""
     axes = []
-    for j in range(c1.dim):
+    for j in range(ops[0].dim):
         pts = uniform_breaks(scan_m)
-        for op in (c1, c2):
+        for op in ops:
             mb = op.multilinear_breaks()
             if mb is not None:
                 pts = np.union1d(pts, mb[j])
@@ -121,34 +122,49 @@ def slab_sup_distances(op, others, axes) -> list:
     return maxima
 
 
+def d_inf_many(op, targets, eps: float = 1e-8, scan_m: int = _SCAN_M) -> list:
+    """:func:`d_inf` to each of ``targets``; scanned ones share a lattice and one op stream."""
+    t0 = time.perf_counter()
+    if any(t.dim != op.dim for t in targets):
+        raise DimensionMismatch("operands differ in dimension")
+    if scan_m < 1:
+        raise BadOperand(f"the scan lattice needs scan_m >= 1, got {scan_m}")
+    reports = [None] * len(targets)
+    for i, t in enumerate(targets):
+        b1, b2 = op.multilinear_breaks(), t.multilinear_breaks()
+        axes = [np.union1d(a, b) for a, b in zip(b1, b2)] if b1 and b2 else []
+        count = int(np.prod([len(a) for a in axes]))
+        if axes and count <= _NODE_BUDGET:
+            value = float(np.max(np.abs(op.cdf_on_lattice(axes) - t.cdf_on_lattice(axes))))
+            reports[i] = _report("d_inf", t0, value, EXACT, 0.0, count)
+    scanned = [t for t, rep in zip(targets, reports) if rep is None]
+    if not scanned:
+        return reports
+    axes = _lattice_axes([op, *scanned], scan_m)
+    maxima = iter(slab_sup_distances(op, scanned, axes))
+    # every copula is 1-Lipschitz per coordinate, so the difference moves by
+    # at most twice the distance to the nearest node, half a cell per axis
+    width = sum(float(np.max(np.diff(a))) for a in axes) + op.lattice_gap(axes)
+    n_evals = 2 * int(np.prod([len(a) for a in axes]))
+    return [rep or _report("d_inf", t0, next(maxima), CERTIFIED,
+                           width + t.lattice_gap(axes), n_evals, eps)
+            for t, rep in zip(targets, reports)]
+
+
 def d_inf(c1, c2, eps: float = 1e-8, scan_m: int = _SCAN_M) -> MetricReport:
     """Uniform distance ``max |C1 - C2|``.
 
     Exact whenever both operands are multilinear between known breakpoints
     and the merged lattice fits the node budget (the difference is then
     multilinear per cell, so the node maximum is the true maximum).
-    Otherwise both operands are streamed slab by slab over the merged scan
-    lattice, which gives a lower bound, and the per-coordinate Lipschitz
-    bounds plus each operand's ``lattice_gap`` a certified upper bound.
+    Otherwise both stream slab by slab over a scan lattice (``scan_m``
+    uniform nodes per axis plus both operands' breaks), whose node maximum
+    is a lower bound, certified within the Lipschitz width (the largest
+    lattice step, summed over the axes) plus each operand's
+    ``lattice_gap(axes)``: ``d/n`` for a rank-form empirical copula with a
+    node off its rank grid ``{k/n}``, where its step counts are exact.
     """
-    t0 = time.perf_counter()
-    if c1.dim != c2.dim:
-        raise DimensionMismatch("operands differ in dimension")
-    b1 = c1.multilinear_breaks()
-    b2 = c2.multilinear_breaks()
-    if b1 is not None and b2 is not None:
-        axes = [np.union1d(a, b) for a, b in zip(b1, b2)]
-        count = int(np.prod([len(a) for a in axes]))
-        if count <= _NODE_BUDGET:
-            value = float(np.max(np.abs(c1.cdf_on_lattice(axes) - c2.cdf_on_lattice(axes))))
-            return _report("d_inf", t0, value, EXACT, 0.0, count)
-    axes = _lattice_axes(c1, c2, scan_m)
-    (value,) = slab_sup_distances(c1, [c2], axes)
-    # every copula is 1-Lipschitz per coordinate, so the difference moves by
-    # at most twice the distance to the nearest node, half a cell per axis
-    width = sum(float(np.max(np.diff(a))) for a in axes) + c1.lattice_gap + c2.lattice_gap
-    n_evals = 2 * int(np.prod([len(a) for a in axes]))
-    return _report("d_inf", t0, value, CERTIFIED, width, n_evals, eps)
+    return d_inf_many(c1, [c2], eps, scan_m)[0]
 
 
 # -- kernel metrics --------------------------------------------------------------
@@ -199,7 +215,7 @@ def _check_kernel_operands(c1, c2, axis):
 
 def _free_points(c1, c2) -> np.ndarray:
     """Rows of the scan lattice over the free axes, shape (m, dim - 1)."""
-    grids = np.meshgrid(*_lattice_axes(c1, c2, _SCAN_M)[: c1.dim - 1], indexing="ij")
+    grids = np.meshgrid(*_lattice_axes([c1, c2], _SCAN_M)[: c1.dim - 1], indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 

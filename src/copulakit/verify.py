@@ -16,8 +16,8 @@ import numpy as np
 
 from .analytic import independence_analytic
 from .conditioning import disintegration_residual, is_simplified, j_functional, kernel_cdf
-from .empirical import EmpiricalCopula, empirical_copula, sample
-from .errors import BadMode, BadOperand, ChainViolation, DimensionMismatch, UnknownCase
+from .empirical import empirical_copula, sample
+from .errors import BadMode, ChainViolation, UnknownCase
 from .families import (
     bstar,
     bstarstar,
@@ -37,7 +37,7 @@ from .grid import (
     new_grid,
     product_extend,
 )
-from .metrics import d1, d_inf, metric_chain_check, slab_sup_distances, wcc_profile
+from .metrics import d1, d_inf, d_inf_many, metric_chain_check, wcc_profile
 from .pvc import pvc3, pvc_dvine
 
 
@@ -70,32 +70,6 @@ def _case(case_id, description, expected, tolerance, computed, passed, t0):
                             bool(passed), time.perf_counter() - t0)
 
 
-# -- scan helpers ---------------------------------------------------------------
-
-
-def empirical_sup_scan(emp: EmpiricalCopula, targets, m: int = 500):
-    """Sup of |empirical - target| over the m-lattice, streaming every
-    operand's slabs in step.  One (node_max, certified_upper_gap) pair per
-    target: the Lipschitz slack ``d/m``, plus ``d/n`` when m does not
-    divide n (the step counts are exact on the rank grid only)."""
-    if any(t.dim != emp.dim for t in targets):
-        raise DimensionMismatch("every target needs the dimension of the sample")
-    if m < 1:
-        raise BadOperand(f"the scan lattice needs m >= 1, got {m}")
-    axes = [np.arange(m + 1) / m] * emp.dim
-    maxima = slab_sup_distances(emp, targets, axes)
-    gap = emp.dim / m + (0.0 if emp.n % m == 0 else emp.dim / emp.n)
-    return [(mx, gap) for mx in maxima]
-
-
-def _sup_distances(emp: EmpiricalCopula, targets, scan_m: int):
-    """(value, certified gap) of the uniform distance from ``emp`` to each
-    target: exact for small samples, else the ``scan_m`` sup scan."""
-    if emp.multilinear_breaks() is not None:
-        return [(rep.value, rep.error) for rep in (d_inf(emp, t) for t in targets)]
-    return empirical_sup_scan(emp, targets, m=scan_m)
-
-
 def random_copula_grid(rng, resolutions) -> GridCopula:
     """Random checkerboard copula via iterative proportional fitting of a
     positive random tensor to uniform margins."""
@@ -119,7 +93,7 @@ def random_copula_grid(rng, resolutions) -> GridCopula:
 def family_battery():
     """Named grid copulas exercising every construction."""
     cube = cube_copula()
-    battery = {
+    return {
         "pi_1": independence(3, [1, 1, 1]),
         "pi_4": independence(3, [4, 4, 4]),
         "cube": cube,
@@ -132,7 +106,6 @@ def family_battery():
         "composite_d": discretize(example54_copula(), [8, 8, 4]),
         "shuffle_d1_x": product_extend(discretize(shuffle_d(1), [8, 8]), 3),
     }
-    return battery
 
 
 # -- experiments ----------------------------------------------------------------
@@ -151,13 +124,13 @@ def discontinuity_experiment(n_list, seed: int = 20_000, scan_m: int = 500):
     rows = []
     for i, n in enumerate(n_list):
         emp = empirical_copula(sample(cube, int(n), seed + i))
-        (d_cube, gap_c), (d_pi, gap_p) = _sup_distances(emp, [cube, pi], scan_m)
+        d_cube, d_pi = d_inf_many(emp, [cube, pi], scan_m=scan_m)
         rows.append({
             "n": int(n),
-            "d_emp_cube": d_cube,
-            "d_emp_cube_upper": d_cube + gap_c,
-            "d_psi_emp_psi_cube": d_pi,
-            "d_psi_gap": gap_p,
+            "d_emp_cube": d_cube.value,
+            "d_emp_cube_upper": d_cube.value + d_cube.error,
+            "d_psi_emp_psi_cube": d_pi.value,
+            "d_psi_gap": d_pi.error,
         })
     return rows
 
@@ -169,15 +142,15 @@ def nonopt_experiment(n: int = 10_000, seed: int = 40_000, scan_m: int = 500):
     pts = sample(cube, int(n), seed)
     emp = empirical_copula(pts)
     flag, delta = is_simplified(emp)
-    ((d_cube, gap),) = _sup_distances(emp, [cube], scan_m)
+    rep = d_inf(emp, cube, scan_m=scan_m)
     return {
         "n": int(n),
         "delta": delta,
         "simplified": bool(flag),
-        "d_cube": d_cube,
-        "d_cube_upper": d_cube + gap,
+        "d_cube": rep.value,
+        "d_cube_upper": rep.value + rep.error,
         "d_psi": 0.125,
-        "beats_operator": bool(d_cube + gap < 0.125),
+        "beats_operator": bool(rep.value + rep.error < 0.125),
     }
 
 
@@ -195,9 +168,7 @@ def nowheredense_experiment(seed: int = 60_000):
         "product_diag": product_extend(diag, 3),
         "pi": independence(3, [2, 2, 2]),
     }
-    rows = {}
-    for name, D in battery.items():
-        rows[name] = j_functional(D, cube)
+    rows = {name: j_functional(D, cube) for name, D in battery.items()}
     return {"delta_cube": delta, "j_values": {k: v[0] for k, v in rows.items()},
             "j_errors": {k: v[1] for k, v in rows.items()},
             "bound": delta / 2.0}
@@ -302,7 +273,9 @@ def case_composite_worst_case() -> VerificationCase:
         "composite shuffle construction: value 3/8 at the witness, operator image 3/16",
         "C(.5,.5,1) = 0.375; image value 0.1875; gap >= 3/16",
         "1e-12 / 1e-9 analytic, 2e-2 discretized [64,64,4]",
-        {"c": c_val, "psi": p_val, "c_disc": c_d, "psi_disc": p_d},
+        {"c": c_val, "psi": p_val, "c_disc": c_d, "psi_disc": p_d,
+         # the gap's share of the d_inf diameter 2/3 of the 3-copulas
+         "diameter_share": (c_val - p_val) / (2 / 3)},
         passed, t0,
     )
 

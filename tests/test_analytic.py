@@ -7,10 +7,12 @@ from numpy.testing import assert_allclose
 from copulakit import (
     comonotone,
     countermonotone,
+    efgm_quadratic,
     example54_copula,
     independence_analytic,
     shuffle_d,
 )
+from copulakit.analytic import AnalyticCopula
 from copulakit.errors import DimensionMismatch, KernelUnavailable
 
 FAMILIES = {
@@ -66,8 +68,6 @@ class TestProtocol:
             independence_analytic(3).cdf_many(np.zeros((4, 2)))
 
     def test_kernel_unavailable(self):
-        from copulakit.analytic import AnalyticCopula
-
         bare = AnalyticCopula(2, lambda p: p.prod(axis=1))
         with pytest.raises(KernelUnavailable):
             bare.kernel([0.5], [0.5])
@@ -78,6 +78,20 @@ class TestProtocol:
         lat = cop.cdf_on_lattice(axes)
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
         assert_allclose(lat.ravel(), cop.cdf_many(pts), atol=0)
+
+    @pytest.mark.parametrize("nodes, calls_per_slab", [(25, 1), (41, 2), (60, 4)])
+    def test_an_oversized_slab_streams_in_row_blocks(self, nodes, calls_per_slab):
+        # 25^3 points fit one call, 41^3 and 60^3 exceed 2**16; the values
+        # equal one evaluation of the whole slab bit for bit
+        efgm = efgm_quadratic(4)
+        sizes = []
+        counted = AnalyticCopula(4, lambda p: sizes.append(len(p)) or efgm.cdf_many(p))
+        axes = [np.array([0.3, 0.9]), *[np.linspace(0, 1, nodes)] * 3]
+        tail = np.stack(np.meshgrid(*axes[1:], indexing="ij"), -1).reshape(-1, 3)
+        for x, slab in zip(axes[0], counted.cdf_slabs(axes)):
+            whole = efgm.cdf_many(np.column_stack([np.full(len(tail), x), tail]))
+            assert np.array_equal(slab.ravel(), whole)
+        assert len(sizes) == 2 * calls_per_slab and max(sizes) <= 2**16
 
     @given(st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=50, deadline=None)

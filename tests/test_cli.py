@@ -223,6 +223,16 @@ class TestMalformedInput:
         assert run(["kernel", "--in", "cube", "--t", t, "--u", u]) == 2
         assert "[0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t, u, cond", [
+        ("0.5", "0.5", None), ("", "0.5,0.5", None), ("0.5,0.5", "0.5,0.5", None),
+        ("0.5", "0.5,0.5,0.5", None), ("0.5", "0.5", "0,1"), ("0.5,0.5", "0.5,0.5", "0,1"),
+    ], ids=["one-u", "no-t", "two-t", "three-u", "cond-one-t", "cond-two-u"])
+    def test_kernel_argument_count_is_usage_error(self, capsys, t, u, cond):
+        # one --t per conditioning axis, one --u per free axis
+        args = ["kernel", "--in", "cube", "--t", t, "--u", u]
+        assert run(args + (["--cond-axes", cond] if cond else [])) == 2
+        assert "one per free axis" in capsys.readouterr().err
+
     def test_kernel_arguments_on_the_unit_interval_ends_are_read(self, capsys):
         assert run(["kernel", "--in", "cube", "--t", "1", "--u", "1,0"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 0.0
@@ -474,6 +484,12 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, SCHEMA)
         assert payload[0]["passed"] is True
+
+    def test_composite_gap_is_reported_as_a_share_of_the_diameter(self, tmp_path, capsys):
+        # the gap 3/16 over the d_inf diameter 2/3 of the 3-copulas
+        out = tmp_path / "case.json"
+        assert run(["verify", "composite-worst-case", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())[0]["computed"]["diameter_share"] == 9 / 32
 
     def test_unknown_case_is_numerical_error(self, capsys):
         assert run(["verify", "no-such-case"]) == 3

@@ -16,7 +16,8 @@ from copulakit import (
 )
 from copulakit.empirical import step_cdf_slabs
 from copulakit.errors import BadOperand, DimensionMismatch, ResolutionOverflow, TiesDetected
-from copulakit.verify import empirical_sup_scan, random_copula_grid
+from copulakit.metrics import _lattice_axes, d_inf_many
+from copulakit.verify import random_copula_grid
 
 
 def _dominated_fraction(points, axes):
@@ -108,38 +109,36 @@ class TestEmpiricalEvaluation:
         assert_allclose(step, exact, atol=1e-13)
 
     def test_scan_matches_exact_small_n(self, cube, pi2):
-        emp = empirical_copula(sample(cube, 50, seed=8))
-        (mx_cube, gap), (mx_pi, _) = empirical_sup_scan(emp, [cube, pi2], m=250)
-        from copulakit import d_inf
-
-        exact = d_inf(emp, cube)
-        assert exact.value <= mx_cube + gap + 1e-12
-        # unaligned lattice: the step shortcut may overshoot by at most 3/n
-        assert mx_cube <= exact.value + 3 / emp.n + 1e-12
+        # above 64 points the scan reads step counts; the dense grid view,
+        # 101^3 merged nodes, is exact
+        emp = empirical_copula(sample(cube, 100, seed=8))
+        scan, _ = d_inf_many(emp, [cube, pi2], scan_m=250)
+        exact = d_inf(emp.to_grid(), cube)
+        assert (scan.exactness, exact.exactness) == ("certified", "exact")
+        assert exact.value <= scan.value + scan.error + 1e-12
+        # unaligned lattice: the step counts may overshoot by at most 3/n
+        assert scan.value <= exact.value + 3 / emp.n + 1e-12
 
     def test_scan_aligned_node_values_are_exact(self, cube, pi2):
-        emp = empirical_copula(sample(cube, 64, seed=9))
-        (mx_cube, gap), _ = empirical_sup_scan(emp, [cube, pi2], m=32)
-        from copulakit import d_inf
-
-        # 32 divides 64: node values are exact, so the node max is a
-        # certified lower bound and nodemax + gap an upper bound
-        exact = d_inf(emp, cube)
+        emp = empirical_copula(sample(cube, 120, seed=9))
+        scan, _ = d_inf_many(emp, [cube, pi2], scan_m=40)
+        # 40 divides 120: node values are exact, so the node max is a
+        # certified lower bound and nodemax + the Lipschitz width an upper one
+        exact = d_inf(emp.to_grid(), cube)
         assert exact.exactness == "exact"
-        assert mx_cube <= exact.value + 1e-12
-        assert exact.value <= mx_cube + gap + 1e-12
+        assert scan.error == pytest.approx(3 / 40, rel=0, abs=1e-15)
+        assert scan.value <= exact.value + 1e-12
+        assert exact.value <= scan.value + scan.error + 1e-12
 
 
-def _scan_oracle(emp, targets, m):
-    """Node maxima of |empirical - target|: the brute-force step cdf for
-    n > 64, the d-linear cdf per slab below, against one target lattice per
-    slab."""
-    nodes = np.arange(m + 1) / m
-    axes = [nodes] * emp.dim
+def _scan_oracle(emp, targets, axes):
+    """Node maxima of |empirical - target| on the lattice ``axes``: the
+    brute-force step cdf for n > 64, the d-linear cdf per slab below,
+    against one target lattice per slab."""
     step = _dominated_fraction(emp.ranks / emp.n, axes)
     maxima = [0.0] * len(targets)
-    for k in range(m + 1):
-        slab = [nodes[k : k + 1], *axes[1:]]
+    for k in range(len(axes[0])):
+        slab = [axes[0][k : k + 1], *axes[1:]]
         E = step[k] if emp.n > 64 else emp.cdf_on_lattice(slab)[0]
         for t_i, target in enumerate(targets):
             T = target.cdf_on_lattice(slab)[0]
@@ -163,14 +162,16 @@ class TestStepSlabs:
         axes = [np.linspace(0.0, 1.0, 6)] * d
         slabs = np.stack(list(emp.cdf_slabs(axes)))
         assert np.array_equal(slabs, _dominated_fraction(emp.ranks / emp.n, axes))
-        assert emp.lattice_gap == d / 70
+        # the step counts are exact on the rank grid {k/70} only
+        assert emp.lattice_gap([np.arange(11) / 10] * d) == 0.0
+        assert emp.lattice_gap([np.arange(11) / 10] * (d - 1) + [np.arange(4) / 3]) == d / 70
 
     def test_small_samples_stream_their_d_linear_cdf(self, cube):
         emp = empirical_copula(sample(cube, 30, seed=4))
         axes = [np.linspace(0.0, 1.0, 7)] * 3
         assert_allclose(np.stack(list(emp.cdf_slabs(axes))), emp.cdf_on_lattice(axes),
                         atol=1e-15)
-        assert emp.lattice_gap == 0.0
+        assert emp.lattice_gap(axes) == 0.0
 
 
 class TestRankFormDInf:
@@ -187,6 +188,13 @@ class TestRankFormDInf:
         rep = d_inf(emp, families[target])
         assert (rep.value, rep.error, rep.exactness) == (value, error, "certified")
 
+    def test_no_rank_gap_when_every_node_is_on_the_rank_grid(self, cube):
+        # 128 divides 256, and the cube's breaks lie on the 256-grid as well,
+        # so the step counts are exact and only the Lipschitz width remains
+        rep = d_inf(empirical_copula(sample(cube, 256, seed=1)), cube)
+        assert rep.exactness == "certified"
+        assert 0.0 <= rep.error - 3 / 128 <= np.spacing(3 / 128)
+
     @pytest.mark.parametrize("target", ["grid", "analytic"])
     def test_four_dimensions_against_a_whole_lattice_oracle(self, cube, target):
         rng = np.random.default_rng(11)
@@ -202,6 +210,19 @@ class TestRankFormDInf:
         assert rep.n_evaluations == 2 * 9**4
 
 
+def _width(axes):
+    """Lipschitz width of a scan lattice: the largest step, summed over axes."""
+    return sum(float(np.max(np.diff(a))) for a in axes)
+
+
+def _on_rank_grid(axes, n):
+    return all(np.allclose(a * n, np.round(a * n), rtol=0, atol=1e-9) for a in axes)
+
+
+def _fields(rep):
+    return rep.value, rep.exactness, rep.error, rep.n_evaluations
+
+
 class TestSupScan:
     @pytest.mark.parametrize("n, m, seed", [
         (120, 40, 0), (120, 24, 1), (400, 40, 2),  # m divides n
@@ -212,29 +233,64 @@ class TestSupScan:
         source = random_copula_grid(rng, [2, 3, 4])
         emp = empirical_copula(sample(source, n, seed=seed))
         nonuniform = random_copula_grid(rng, rng.integers(1, 6, size=3))
-        for targets in ([cube], [pi2, nonuniform], [nonuniform, source, cube]):
-            scan = empirical_sup_scan(emp, targets, m=m)
-            assert [mx for mx, _ in scan] == _scan_oracle(emp, targets, m)
-            gap = 3 / m + (0.0 if n % m == 0 else 3 / n)
-            assert all(g == gap for _, g in scan)
+        # a closed form is never exact, so every list but the first scans;
+        # at n <= 64 the grid targets take the exact branch
+        efgm = efgm_quadratic(3)
+        for targets in ([cube], [pi2, nonuniform, efgm], [nonuniform, source, cube, efgm]):
+            reports = d_inf_many(emp, targets, scan_m=m)
+            scanned = [t for t in targets if n > 64 or t is efgm]
+            for t, rep in zip(targets, reports):
+                if t not in scanned:
+                    assert _fields(rep) == _fields(d_inf(emp, t)) and rep.exactness == "exact"
+            if not scanned:
+                continue
+            axes = _lattice_axes([emp, *scanned], m)
+            # the step counts are exact on the rank grid only
+            gap = 0.0 if n <= 64 or _on_rank_grid(axes, n) else 3 / n
+            scans = [rep for t, rep in zip(targets, reports) if t in scanned]
+            assert [rep.value for rep in scans] == _scan_oracle(emp, scanned, axes)
+            assert all(rep.error == _width(axes) + gap for rep in scans)
+
+    def test_the_rank_gap_follows_the_lattice(self, cube):
+        # 40 divides 120 and the cube's breaks lie on the 120-grid: no gap;
+        # 37 does not divide 120: the gap is d/n
+        emp = empirical_copula(sample(cube, 120, seed=0))
+        (aligned,) = d_inf_many(emp, [cube], scan_m=40)
+        (unaligned,) = d_inf_many(emp, [cube], scan_m=37)
+        assert aligned.error == _width(_lattice_axes([emp, cube], 40))
+        assert unaligned.error == _width(_lattice_axes([emp, cube], 37)) + 3 / 120
+
+    def test_one_stream_of_the_operand_serves_every_target(self, cube, pi2, monkeypatch):
+        emp = empirical_copula(sample(cube, 200, seed=4))
+        calls = []
+        stream = type(emp).cdf_slabs
+        monkeypatch.setattr(type(emp), "cdf_slabs",
+                            lambda self, axes: calls.append(axes) or stream(self, axes))
+        both = d_inf_many(emp, [cube, pi2], scan_m=20)
+        assert len(calls) == 1
+        # cube and pi2 share their breaks, so the shared lattice is each one's own
+        monkeypatch.undo()
+        assert [_fields(rep) for rep in both] == [_fields(d_inf(emp, t, scan_m=20))
+                                                  for t in (cube, pi2)]
 
     def test_accepts_any_dimension_and_rejects_a_target_of_another(self, cube):
         rng = np.random.default_rng(1)
         for pts, target in ((rng.random((90, 4)), product_extend(cube, 4)),
                             (rng.random((90, 2)), bstar())):
             emp = empirical_copula(pts)
-            ((mx, gap),) = empirical_sup_scan(emp, [target], m=8)
-            assert mx == _scan_oracle(emp, [target], 8)[0]
-            assert gap == emp.dim / 8 + emp.dim / 90  # 8 does not divide 90
+            (rep,) = d_inf_many(emp, [target], scan_m=8)
+            axes = _lattice_axes([emp, target], 8)
+            assert rep.value == _scan_oracle(emp, [target], axes)[0]
+            assert rep.error == _width(axes) + emp.dim / 90  # 8 does not divide 90
         emp = empirical_copula(rng.random((40, 3)))
         with pytest.raises(DimensionMismatch):
-            empirical_sup_scan(emp, [cube, cube.margin((0, 1))], m=8)
+            d_inf_many(emp, [cube, cube.margin((0, 1))], scan_m=8)
 
     def test_a_slab_over_the_budget_overflows_before_any_work(self):
         # 301^3 nodes per slab of a 4-D scan, 129^5 per slab of a 6-D d_inf
         emp = empirical_copula(np.random.default_rng(3).random((100, 4)))
         with pytest.raises(ResolutionOverflow, match="slab"):
-            empirical_sup_scan(emp, [efgm_quadratic(4)], m=300)
+            d_inf_many(emp, [efgm_quadratic(4)], scan_m=300)
         emp6 = empirical_copula(np.random.default_rng(3).random((100, 6)))
         with pytest.raises(ResolutionOverflow, match="slab"):
             d_inf(emp6, efgm_quadratic(6))
@@ -243,7 +299,9 @@ class TestSupScan:
     def test_rejects_an_empty_lattice(self, cube, m):
         emp = empirical_copula(np.random.default_rng(2).random((40, 3)))
         with pytest.raises(BadOperand, match="m >= 1"):
-            empirical_sup_scan(emp, [cube], m=m)
+            d_inf_many(emp, [cube], scan_m=m)
+        with pytest.raises(BadOperand, match="m >= 1"):
+            d_inf(emp, cube, scan_m=m)
 
 
 class TestSampling:

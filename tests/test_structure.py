@@ -94,11 +94,14 @@ def stray_calls(path, name, allowed) -> list:
 # and kernel node tensors through
 # GridCopula.kernel_nodes, except for the conditional copulas of the slab
 # family, which keep their own normalisation; the metrics read kernel nodes
-# only on the exact grid-pair path and otherwise call each operand's kernel
+# only on the exact grid-pair path and otherwise call each operand's kernel;
+# the uniform-distance scan, with its lattice and certificate, runs only in
+# metrics (d_inf)
 ONE_WAY = {
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
     "cum_nodes": {"grid.py", "conditioning.py:_surface_from_joint"},
     "kernel_nodes": {"grid.py", "conditioning.py", "metrics.py:_kernel_pair_grid"},
+    "slab_sup_distances": {"metrics.py"},
 }
 
 
@@ -160,6 +163,14 @@ def test_one_way_guard_catches_offenders(tmp_path):
                    "        return np.searchsorted(a, x)\n")
     assert stray_calls(emp, "searchsorted", ONE_WAY["searchsorted"]) == [
         "empirical.py:EmpiricalCopula:10"]
+    # a second sup scan, with its own lattice and gap, beside d_inf
+    verify = tmp_path / "verify.py"
+    verify.write_text("from .metrics import slab_sup_distances\n\n\n"
+                      "def empirical_sup_scan(emp, targets, m):\n"
+                      "    axes = [[k / m for k in range(m + 1)]] * emp.dim\n"
+                      "    return slab_sup_distances(emp, targets, axes)\n")
+    assert stray_calls(verify, "slab_sup_distances", ONE_WAY["slab_sup_distances"]) == [
+        "verify.py:empirical_sup_scan:6"]
 
 
 def test_every_function_is_used_outside_tests():
