@@ -77,19 +77,22 @@ class AnalyticCopula:
     def cdf_slabs(self, axes):
         """Cdf on the lattice of ``axes[1:]``, one node of ``axes[0]`` at a
         time, evaluated in blocks of nodes of about 2**14 points, and a slab
-        of more than 2**16 points in row blocks (the cdf works row by row)."""
+        of more than 2**16 points in blocks of whole rows of its first axis,
+        each built on its own (the cdf works row by row)."""
         if len(axes) != self.dim:
             raise DimensionMismatch("one node array per axis required")
-        tail = np.stack(np.meshgrid(*axes[1:], indexing="ij"), -1).reshape(-1, self.dim - 1)
-        step = max(1, 2**14 // len(tail))
+        shape = tuple(len(a) for a in axes[1:])
+        size = int(np.prod(shape))
+        step, rows = max(1, 2**14 // size), max(1, 2**16 * shape[0] // size)
         for s in range(0, len(axes[0]), step):
-            xs = np.asarray(axes[0][s : s + step], dtype=float)
+            xs = axes[0][s : s + step]
             vals = []
-            for rows in np.split(tail, range(2**16, len(tail), 2**16)):
+            for r in range(0, shape[0], rows):
                 # pts stays bound until the next block: freed at once, it costs page faults
-                pts = np.column_stack([np.repeat(xs, len(rows)), np.tile(rows, (len(xs), 1))])
-                vals.append(self.cdf_many(pts))
-            yield from np.hstack(vals).reshape(len(xs), *(len(a) for a in axes[1:]))
+                pts = np.stack(np.meshgrid(xs, axes[1][r : r + rows], *axes[2:],
+                                           indexing="ij", copy=False), -1)
+                vals.append(self.cdf_many(pts.reshape(-1, self.dim)).reshape(len(xs), -1))
+            yield from np.hstack(vals).reshape(len(xs), *shape)
 
     def lattice_gap(self, axes) -> float:
         """Bound on |cdf_slabs(axes) - cdf| at the nodes: none."""

@@ -35,8 +35,9 @@ from .errors import (
 )
 from .grid import (
     GridCopula,
+    _axis_map,
+    _contract,
     _corner_matrix,
-    _interp_matrix,
     box_mass,
     cell_index,
     cum_nodes,
@@ -132,9 +133,7 @@ class BilinearSurface:
             raise DegenerateMargins(f"surface margins deviate by {err:.3e}")
 
     def eval_lattice(self, xs2, ys2) -> np.ndarray:
-        wx = _interp_matrix(self.xs, np.asarray(xs2, dtype=float))
-        wy = _interp_matrix(self.ys, np.asarray(ys2, dtype=float))
-        return wx @ self.values @ wy.T
+        return _contract(self.values, [_axis_map(self.xs, xs2), _axis_map(self.ys, ys2)])
 
     def key(self) -> bytes:
         return self.xs.tobytes() + b"|" + self.ys.tobytes() + b"|" + self.values.tobytes()

@@ -66,10 +66,16 @@ def _locate(breaks: np.ndarray, x: np.ndarray):
     return idx, frac
 
 
-def _interp_matrix(breaks: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Node-interpolation matrix W with W @ nodevalues = values at xs."""
+def _axis_map(breaks: np.ndarray, xs):
+    """Map from node values at ``breaks`` to values at ``xs`` for :func:`_contract`:
+    the interpolation matrix W, with W @ nodevalues = values at xs, or, when
+    every in-cell fraction is exactly 0 or 1, the index of the break at each
+    x (x = 1 takes the last break), exact since a row of W whose one nonzero is
+    1.0 evaluates to its node value; two taps stay in W, which BLAS may fuse."""
     xs = np.asarray(xs, dtype=float)
     idx, frac = _locate(breaks, xs)
+    if np.all((frac == 0.0) | (frac == 1.0)):
+        return idx + (frac == 1.0)
     W = np.zeros((len(xs), len(breaks)))
     rows = np.arange(len(xs))
     W[rows, idx] = 1.0 - frac
@@ -77,10 +83,14 @@ def _interp_matrix(breaks: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return W
 
 
-def _contract(nodes: np.ndarray, matrices) -> np.ndarray:
-    """Apply one matrix per axis to a tensor, axis 0 first."""
-    for j, W in enumerate(matrices):
-        nodes = np.moveaxis(np.tensordot(W, nodes, axes=(1, j)), 0, j)
+def _contract(nodes: np.ndarray, maps) -> np.ndarray:
+    """Apply one :func:`_axis_map` per axis to a tensor, axis 0 first: an index
+    by ``np.take`` (skipped when it is the identity), a matrix by ``np.tensordot``."""
+    for j, W in enumerate(maps):
+        if W.ndim == 2:
+            nodes = np.moveaxis(np.tensordot(W, nodes, axes=(1, j)), 0, j)
+        elif len(W) != nodes.shape[j] or np.any(W != np.arange(len(W))):
+            nodes = np.take(nodes, W, axis=j)
     return nodes
 
 
@@ -262,14 +272,14 @@ class GridCopula:
         """Copula values on the product lattice ``axes[0] x ... x axes[d-1]``."""
         if len(axes) != self.dim:
             raise DimensionMismatch("one node array per axis required")
-        return _contract(self.cum, [_interp_matrix(b, xs) for b, xs in zip(self.breaks, axes)])
+        return _contract(self.cum, [_axis_map(b, xs) for b, xs in zip(self.breaks, axes)])
 
     def cdf_slabs(self, axes):
         """Copula values on the lattice of ``axes[1:]``, one node of ``axes[0]``
-        at a time; each axis's interpolation matrix is built once per scan."""
-        W0, *rest = (_interp_matrix(b, xs) for b, xs in zip(self.breaks, axes, strict=True))
-        for row in W0:
-            yield _contract(self.cum, [row[None, :], *rest])[0]
+        at a time; each axis's map is built once per scan."""
+        W0, *rest = (_axis_map(b, xs) for b, xs in zip(self.breaks, axes, strict=True))
+        for i in range(len(W0)):
+            yield _contract(self.cum, [W0[i : i + 1], *rest])[0]
 
     def lattice_gap(self, axes) -> float:
         """Bound on |cdf_slabs(axes) - cdf| at the nodes: none."""
@@ -307,10 +317,20 @@ class GridCopula:
 
     def refine_to(self, new_breaks) -> "GridCopula":
         """Re-express on finer breakpoints (must contain the current ones);
-        the cdf is unchanged everywhere."""
-        masses = _contract(self.masses, [_refine_matrix(b, _as_breaks(nb))
-                                         for b, nb in zip(self.breaks, new_breaks)])
-        return GridCopula(new_breaks, np.ascontiguousarray(masses), validate=False)
+        the cdf is unchanged everywhere.  A changed axis gathers each new cell's
+        source and scales it by the width ratio: the one rounded product that
+        the one-nonzero row of a transfer matrix evaluates to.  With no axis
+        changed this is ``self``, its cached ``cum`` kept."""
+        masses = self.masses
+        for j, (b, nb) in enumerate(zip(self.breaks, new_breaks, strict=True)):
+            if not np.array_equal(b, nb):
+                nb = _as_breaks(nb)
+                if not np.all(np.isin(b, nb)):
+                    raise DimensionMismatch("new breakpoints must contain the old ones")
+                src = cell_index(b, nb[:-1])
+                ratio = (np.diff(nb) / np.diff(b)[src]).reshape((-1,) + (1,) * (self.dim - 1 - j))
+                masses = np.take(masses, src, axis=j) * ratio
+        return self if masses is self.masses else GridCopula(new_breaks, masses, validate=False)
 
     def multilinear_breaks(self):
         """Per-axis breakpoints between which the cdf is multilinear."""
@@ -406,16 +426,6 @@ def _check_index_set(axes, dim: int) -> tuple:
     if axes[0] < 0 or axes[-1] >= dim:
         raise BadIndexSet(f"{axes} out of range for dim {dim}")
     return axes
-
-
-def _refine_matrix(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Mass transfer matrix (new cells x old cells) for constant densities."""
-    if not np.all(np.isin(old, new)):
-        raise DimensionMismatch("new breakpoints must contain the old ones")
-    T = np.zeros((len(new) - 1, len(old) - 1))
-    src = cell_index(old, new[:-1])
-    T[np.arange(len(new) - 1), src] = np.diff(new) / np.diff(old)[src]
-    return T
 
 
 def common_refinement(c1: GridCopula, c2: GridCopula, cell_limit: int = DEFAULT_CELL_LIMIT):

@@ -123,13 +123,14 @@ def slab_sup_distances(op, others, axes) -> list:
 
 
 def d_inf_many(op, targets, eps: float = 1e-8, scan_m: int = _SCAN_M) -> list:
-    """:func:`d_inf` to each of ``targets``; scanned ones share a lattice and one op stream."""
+    """:func:`d_inf` to each of ``targets``; scanned ones of equal lattices share one op stream."""
     t0 = time.perf_counter()
     if any(t.dim != op.dim for t in targets):
         raise DimensionMismatch("operands differ in dimension")
     if scan_m < 1:
         raise BadOperand(f"the scan lattice needs scan_m >= 1, got {scan_m}")
     reports = [None] * len(targets)
+    passes = {}  # scan lattice -> (its axes, the targets scanned on it)
     for i, t in enumerate(targets):
         b1, b2 = op.multilinear_breaks(), t.multilinear_breaks()
         axes = [np.union1d(a, b) for a, b in zip(b1, b2)] if b1 and b2 else []
@@ -137,18 +138,20 @@ def d_inf_many(op, targets, eps: float = 1e-8, scan_m: int = _SCAN_M) -> list:
         if axes and count <= _NODE_BUDGET:
             value = float(np.max(np.abs(op.cdf_on_lattice(axes) - t.cdf_on_lattice(axes))))
             reports[i] = _report("d_inf", t0, value, EXACT, 0.0, count)
-    scanned = [t for t, rep in zip(targets, reports) if rep is None]
-    if not scanned:
-        return reports
-    axes = _lattice_axes([op, *scanned], scan_m)
-    maxima = iter(slab_sup_distances(op, scanned, axes))
-    # every copula is 1-Lipschitz per coordinate, so the difference moves by
-    # at most twice the distance to the nearest node, half a cell per axis
-    width = sum(float(np.max(np.diff(a))) for a in axes) + op.lattice_gap(axes)
-    n_evals = 2 * int(np.prod([len(a) for a in axes]))
-    return [rep or _report("d_inf", t0, next(maxima), CERTIFIED,
-                           width + t.lattice_gap(axes), n_evals, eps)
-            for t, rep in zip(targets, reports)]
+        else:
+            # on its own lattice, a target's certificate ignores the others' breaks
+            scan = _lattice_axes([op, t], scan_m)
+            passes.setdefault(tuple(a.tobytes() for a in scan), (scan, []))[1].append(i)
+    for axes, idx in passes.values():
+        maxima = slab_sup_distances(op, [targets[i] for i in idx], axes)
+        # every copula is 1-Lipschitz per coordinate, so the difference moves by
+        # at most twice the distance to the nearest node, half a cell per axis
+        width = sum(float(np.max(np.diff(a))) for a in axes) + op.lattice_gap(axes)
+        n_evals = 2 * int(np.prod([len(a) for a in axes]))
+        for i, value in zip(idx, maxima):
+            reports[i] = _report("d_inf", t0, value, CERTIFIED,
+                                 width + targets[i].lattice_gap(axes), n_evals, eps)
+    return reports
 
 
 def d_inf(c1, c2, eps: float = 1e-8, scan_m: int = _SCAN_M) -> MetricReport:

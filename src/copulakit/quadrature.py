@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .grid import _contract, _interp_matrix
+from .grid import _axis_map, _contract
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +243,7 @@ def integrate_square_multilinear(values: np.ndarray, axes) -> float:
     """Exact integral of ``g**2`` for mesh-multilinear ``g`` (2-point GL)."""
     x, w = leg01(2)
     axes = [np.asarray(a, dtype=float) for a in axes]
-    sq = _contract(values, [_interp_matrix(a, (a[:-1, None] + np.diff(a)[:, None] * x).ravel())
+    sq = _contract(values, [_axis_map(a, (a[:-1, None] + np.diff(a)[:, None] * x).ravel())
                             for a in axes]) ** 2
     for a in axes:
         sq = np.tensordot((np.diff(a)[:, None] * w).ravel(), sq, axes=(0, 0))

@@ -242,14 +242,13 @@ class TestSupScan:
             for t, rep in zip(targets, reports):
                 if t not in scanned:
                     assert _fields(rep) == _fields(d_inf(emp, t)) and rep.exactness == "exact"
-            if not scanned:
-                continue
-            axes = _lattice_axes([emp, *scanned], m)
-            # the step counts are exact on the rank grid only
-            gap = 0.0 if n <= 64 or _on_rank_grid(axes, n) else 3 / n
-            scans = [rep for t, rep in zip(targets, reports) if t in scanned]
-            assert [rep.value for rep in scans] == _scan_oracle(emp, scanned, axes)
-            assert all(rep.error == _width(axes) + gap for rep in scans)
+                    continue
+                # each target on its own lattice; the step counts are exact on
+                # the rank grid only
+                axes = _lattice_axes([emp, t], m)
+                gap = 0.0 if n <= 64 or _on_rank_grid(axes, n) else 3 / n
+                assert [rep.value] == _scan_oracle(emp, [t], axes)
+                assert rep.error == _width(axes) + gap
 
     def test_the_rank_gap_follows_the_lattice(self, cube):
         # 40 divides 120 and the cube's breaks lie on the 120-grid: no gap;
@@ -272,6 +271,16 @@ class TestSupScan:
         monkeypatch.undo()
         assert [_fields(rep) for rep in both] == [_fields(d_inf(emp, t, scan_m=20))
                                                   for t in (cube, pi2)]
+
+    def test_a_certificate_does_not_grow_with_the_other_targets(self, pi2):
+        # the source's breaks lie off the 400-grid: on a shared lattice they
+        # would add d/n to pi2's certificate too
+        source = random_copula_grid(np.random.default_rng(2), [2, 3, 4])
+        emp = empirical_copula(sample(source, 400, seed=2))
+        both = d_inf_many(emp, [pi2, source], scan_m=40)
+        assert [_fields(rep) for rep in both] == [_fields(d_inf(emp, t, scan_m=40))
+                                                  for t in (pi2, source)]
+        assert both[0].error < both[1].error
 
     def test_accepts_any_dimension_and_rejects_a_target_of_another(self, cube):
         rng = np.random.default_rng(1)

@@ -29,6 +29,7 @@ from copulakit.errors import (
     WeightError,
 )
 from copulakit.grid import cell_index
+from copulakit.verify import random_copula_grid
 from conftest import checkerboard_cdf_oracle
 
 
@@ -265,6 +266,95 @@ class TestCommonRefinement:
         b = independence(3, [89, 89, 89])
         with pytest.raises(ResolutionOverflow):
             common_refinement(a, b, cell_limit=10**6)
+
+
+def _joined(rng, b, lo=1):
+    """``b`` with ``lo`` to 3 random breaks added, one beside a thin cell."""
+    extra = rng.random(rng.integers(lo, 4))
+    return np.union1d(b, np.concatenate([extra, np.nextafter(extra[:1], 1.0)]))
+
+
+def _transfer(old, new):
+    """Dense mass transfer matrix (new cells x old cells)."""
+    src = cell_index(old, new[:-1])
+    T = np.zeros((len(new) - 1, len(old) - 1))
+    T[np.arange(len(new) - 1), src] = np.diff(new) / np.diff(old)[src]
+    return T
+
+
+def _interpolation(b, xs):
+    """Dense node-interpolation matrix W with W @ nodevalues = values at xs."""
+    idx = cell_index(b, xs)
+    frac = np.clip((xs - b[idx]) / (b[idx + 1] - b[idx]), 0.0, 1.0)
+    W = np.zeros((len(xs), len(b)))
+    W[np.arange(len(xs)), idx] = 1.0 - frac
+    W[np.arange(len(xs)), idx + 1] += frac
+    return W
+
+
+def _dense(tensor, matrices):
+    """Contract every axis with its matrix, axis 0 first."""
+    for j, W in enumerate(matrices):
+        tensor = np.moveaxis(np.tensordot(W, tensor, axes=(1, j)), 0, j)
+    return tensor
+
+
+def _nonuniform(rng):
+    """A random checkerboard re-expressed on a random nested break union."""
+    base = random_copula_grid(rng, rng.integers(1, 5, size=rng.integers(2, 5)))
+    breaks = [_joined(rng, b) for b in base.breaks]
+    return GridCopula(breaks, _dense(base.masses, [_transfer(b, nb)
+                                                   for b, nb in zip(base.breaks, breaks)]))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestAxisMaps:
+    """Refinement and lattice evaluation gather the axes a matrix would only
+    copy, bit-identically to the dense matrix products."""
+
+    @given(SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_refine_to_equals_the_transfer_matrix_product(self, seed):
+        rng = np.random.default_rng(seed)
+        C = _nonuniform(rng)
+        new = [_joined(rng, b, lo=0) for b in C.breaks]  # some axes unchanged
+        dense = _dense(C.masses, [_transfer(b, nb) for b, nb in zip(C.breaks, new)])
+        assert np.array_equal(C.refine_to(new).masses, dense)
+
+    @given(SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_equals_the_interpolation_matrix_contraction(self, seed):
+        rng = np.random.default_rng(seed)
+        C = _nonuniform(rng)
+        axes = []
+        for b in C.breaks:
+            nodes = [b[rng.random(len(b)) < 0.5], [0.0, 1.0]]
+            if rng.random() < 0.5:  # interior nodes: this axis interpolates
+                nodes.append(rng.random(3))
+            axes.append(rng.permutation(np.concatenate(nodes)))
+        dense = _dense(C.cum, [_interpolation(b, xs) for b, xs in zip(C.breaks, axes)])
+        assert np.array_equal(C.cdf_on_lattice(axes), dense)
+
+    @given(SEEDS)
+    @settings(max_examples=20, deadline=None)
+    def test_unchanged_breaks_keep_the_operand(self, seed):
+        C = _nonuniform(np.random.default_rng(seed))
+        assert C.refine_to(C.breaks) is C
+        r1, r2 = common_refinement(C, C)
+        assert r1 is C and r2 is C
+
+    @given(SEEDS)
+    @settings(max_examples=20, deadline=None)
+    def test_non_nested_breaks_raise(self, seed):
+        rng = np.random.default_rng(seed)
+        C = _nonuniform(rng)
+        new = [_joined(rng, b, lo=0) for b in C.breaks]
+        j = rng.integers(C.dim)
+        new[j] = np.setdiff1d(new[j], C.breaks[j][1:-1][rng.integers(len(C.breaks[j]) - 2)])
+        with pytest.raises(DimensionMismatch):
+            C.refine_to(new)
 
 
 class TestSerialization:

@@ -1,7 +1,7 @@
 """Source-level guards: operands are told apart by type, not by probing for
 attributes, no module imports a name it never uses, every function the
 package defines is used by the package or the benchmark, and cells are
-located and kernel nodes built in one place each."""
+located, kernel nodes built and per-axis products taken in one place each."""
 
 import ast
 from pathlib import Path
@@ -96,8 +96,11 @@ def stray_calls(path, name, allowed) -> list:
 # family, which keep their own normalisation; the metrics read kernel nodes
 # only on the exact grid-pair path and otherwise call each operand's kernel;
 # the uniform-distance scan, with its lattice and certificate, runs only in
-# metrics (d_inf)
+# metrics (d_inf); per-axis products run in grid._contract, which gathers the
+# axes an interpolation matrix would only copy (the exact squared integral
+# keeps its own sum of weighted nodes)
 ONE_WAY = {
+    "tensordot": {"grid.py:_contract", "quadrature.py:integrate_square_multilinear"},
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
     "cum_nodes": {"grid.py", "conditioning.py:_surface_from_joint"},
     "kernel_nodes": {"grid.py", "conditioning.py", "metrics.py:_kernel_pair_grid"},
@@ -171,6 +174,13 @@ def test_one_way_guard_catches_offenders(tmp_path):
                       "    return slab_sup_distances(emp, targets, axes)\n")
     assert stray_calls(verify, "slab_sup_distances", ONE_WAY["slab_sup_distances"]) == [
         "verify.py:empirical_sup_scan:6"]
+    # a per-axis matrix product beside _contract, which would miss the gather
+    grid = tmp_path / "grid.py"
+    grid.write_text("import numpy as np\n\n\ndef _contract(nodes, maps):\n"
+                    "    return np.tensordot(maps[0], nodes, axes=(1, 0))\n\n\n"
+                    "class GridCopula:\n    def refine_to(self, T):\n"
+                    "        return np.tensordot(T, self.masses, axes=(1, 0))\n")
+    assert stray_calls(grid, "tensordot", ONE_WAY["tensordot"]) == ["grid.py:GridCopula:10"]
 
 
 def test_every_function_is_used_outside_tests():
