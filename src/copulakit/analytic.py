@@ -78,7 +78,8 @@ class AnalyticCopula:
         """Cdf on the lattice of ``axes[1:]``, one node of ``axes[0]`` at a
         time, evaluated in blocks of nodes of about 2**14 points, and a slab
         of more than 2**16 points in blocks of whole rows of its first axis,
-        each built on its own (the cdf works row by row)."""
+        each built on its own (the cdf works row by row) as a stack of
+        columns, so the closed forms read each coordinate contiguously."""
         if len(axes) != self.dim:
             raise DimensionMismatch("one node array per axis required")
         shape = tuple(len(a) for a in axes[1:])
@@ -86,13 +87,13 @@ class AnalyticCopula:
         step, rows = max(1, 2**14 // size), max(1, 2**16 * shape[0] // size)
         for s in range(0, len(axes[0]), step):
             xs = axes[0][s : s + step]
-            vals = []
+            out = np.empty((len(xs), *shape))
             for r in range(0, shape[0], rows):
                 # pts stays bound until the next block: freed at once, it costs page faults
                 pts = np.stack(np.meshgrid(xs, axes[1][r : r + rows], *axes[2:],
-                                           indexing="ij", copy=False), -1)
-                vals.append(self.cdf_many(pts.reshape(-1, self.dim)).reshape(len(xs), -1))
-            yield from np.hstack(vals).reshape(len(xs), *shape)
+                                           indexing="ij", copy=False)).reshape(self.dim, -1).T
+                out[:, r : r + rows] = self.cdf_many(pts).reshape(len(xs), -1, *shape[1:])
+            yield from out
 
     def lattice_gap(self, axes) -> float:
         """Bound on |cdf_slabs(axes) - cdf| at the nodes: none."""

@@ -193,10 +193,14 @@ def empirical_copula(points, tie_break: str = "error") -> EmpiricalCopula:
 def step_cdf_slabs(points, axes):
     """Step cdf ``#(points <= node) / n`` of n points in d >= 2 dimensions
     on the lattice of ``axes[1:]``, one node of ``axes[0]`` at a time, from
-    one count table over ``axes[1:]``.  Slab k adds the points that reach
+    one count table over ``axes[1:]``.  Slab 0 is seeded from one (d-1)-D
+    histogram of the points at or below the first node, cumulated along
+    each axis, so a first node well above 0 (a part of a split scan) costs
+    no more than one slab.  Each later slab k adds the points that reach
     node k on axis 0: in last-axis order, the running sum of their (d-2)-D
     indicators over the middle axes goes to each point's band of last-axis
-    rows (up to the next point's); in 2-D the running sum is a count."""
+    rows (up to the next point's); in 2-D the running sum is a count.  The
+    counts are integers either way, so both routes are exact."""
     n, d = points.shape
     # first node index at or above each coordinate
     idx = [np.searchsorted(np.asarray(a, dtype=float), col, side="left")
@@ -205,14 +209,24 @@ def step_cdf_slabs(points, axes):
     order = np.lexsort((idx[-1], idx[0]))
     starts = np.concatenate(([0], np.cumsum(np.bincount(idx[0], minlength=sizes[0] + 1))))
     # the band axis leads, so a band of rows is one contiguous block
-    counts = np.zeros([sizes[-1], *sizes[1:-1]])
+    shape = [sizes[-1], *sizes[1:-1]]
+    seed = idx[0] == 0
+    for j in range(1, d):
+        seed &= idx[j] < sizes[j]
+    cells = np.ravel_multi_index([idx[-1][seed], *(i[seed] for i in idx[1:-1])], shape)
+    counts = np.bincount(cells, minlength=int(np.prod(shape))).reshape(shape)
+    for ax in range(d - 1):
+        counts = np.cumsum(counts, axis=ax)
+    counts = counts.astype(float)
     for k in range(sizes[0]):
-        new = order[starts[k] : starts[k + 1]]
-        ind = np.ones(len(new), dtype=bool)
-        for j in range(1, d - 1):
-            below = idx[j][new][:, None] <= np.arange(sizes[j])
-            ind = ind[..., None] & below.reshape((len(new),) + (1,) * (j - 1) + (sizes[j],))
-        rows = idx[-1][new]
-        for lo, hi, row in zip(rows, np.append(rows[1:], sizes[-1]), np.cumsum(ind, axis=0)):
-            counts[lo:hi] += row
+        if k:
+            new = order[starts[k] : starts[k + 1]]
+            ind = np.ones(len(new), dtype=bool)
+            for j in range(1, d - 1):
+                below = idx[j][new][:, None] <= np.arange(sizes[j])
+                ind = ind[..., None] & below.reshape((len(new),) + (1,) * (j - 1) + (sizes[j],))
+            rows = idx[-1][new]
+            for lo, hi, row in zip(rows, np.append(rows[1:], sizes[-1]),
+                                   np.cumsum(ind, axis=0)):
+                counts[lo:hi] += row
         yield np.moveaxis(counts, 0, -1) / n

@@ -12,6 +12,7 @@ both operands' kernel breaks in the mesh.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -105,12 +106,9 @@ def _lattice_axes(ops, scan_m: int):
     return axes
 
 
-def slab_sup_distances(op, others, axes) -> list:
+def _slab_maxima(op, others, axes) -> list:
     """``max |op - other|`` on the lattice ``axes`` for each of ``others``,
     every operand's slabs drawn in step, so one slab per operand is alive."""
-    slab = int(np.prod([len(a) for a in axes[1:]]))
-    if slab > _SLAB_BUDGET:
-        raise ResolutionOverflow(f"a scan slab needs {slab} nodes > {_SLAB_BUDGET}")
     streams = [other.cdf_slabs(axes) for other in others]
     maxima = [0.0] * len(others)
     diff = None  # one buffer: fresh slab-sized temporaries cost page faults
@@ -120,6 +118,37 @@ def slab_sup_distances(op, others, axes) -> list:
             np.subtract(S, next(stream), out=diff)
             maxima[i] = max(maxima[i], float(diff.max()), -float(diff.min()))
     return maxima
+
+
+def slab_sup_distances(op, others, axes) -> list:
+    """``max |op - other|`` on the lattice ``axes`` for each of ``others``.
+
+    The first axis splits into contiguous parts, one per CPU the process may
+    run on, but no more parts than nodes or than the slab budget holds
+    slabs.  Each part streams its sub-lattice ``[axes[0][lo:hi], *axes[1:]]``
+    in a worker thread (numpy releases the GIL for slab-sized work), a
+    rank-form operand seeding its first slab from one histogram
+    (:func:`~copulakit.empirical.step_cdf_slabs`).  The maximum over the
+    parts' maxima is a serial scan's bit for bit, since no slab value
+    depends on the part it is drawn in.  One part runs inline.
+    """
+    slab = int(np.prod([len(a) for a in axes[1:]]))
+    if slab > _SLAB_BUDGET:
+        raise ResolutionOverflow(f"a scan slab needs {slab} nodes > {_SLAB_BUDGET}")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        cpus = os.cpu_count() or 1
+    parts = max(1, min(cpus, len(axes[0]), _SLAB_BUDGET // max(slab, 1)))
+    if parts == 1:
+        return _slab_maxima(op, others, axes)
+    from concurrent.futures import ThreadPoolExecutor  # 9 ms to import: a split scan only
+
+    cuts = [len(axes[0]) * p // parts for p in range(parts + 1)]
+    with ThreadPoolExecutor(parts) as pool:
+        found = list(pool.map(lambda lo, hi: _slab_maxima(
+            op, others, [axes[0][lo:hi], *axes[1:]]), cuts[:-1], cuts[1:]))
+    return [max(part) for part in zip(*found)]
 
 
 def d_inf_many(op, targets, eps: float = 1e-8, scan_m: int = _SCAN_M) -> list:

@@ -1,8 +1,13 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from copulakit import (
+    AnalyticCopula,
     bstar,
     box_mass,
     d_inf,
@@ -15,8 +20,15 @@ from copulakit import (
     save_sample,
 )
 from copulakit.empirical import step_cdf_slabs
-from copulakit.errors import BadOperand, DimensionMismatch, ResolutionOverflow, TiesDetected
-from copulakit.metrics import _lattice_axes, d_inf_many
+from copulakit import metrics
+from copulakit.errors import (
+    BadOperand,
+    ClosedFormUnavailable,
+    DimensionMismatch,
+    ResolutionOverflow,
+    TiesDetected,
+)
+from copulakit.metrics import _lattice_axes, d_inf_many, slab_sup_distances
 from copulakit.verify import random_copula_grid
 
 
@@ -259,14 +271,19 @@ class TestSupScan:
         assert aligned.error == _width(_lattice_axes([emp, cube], 40))
         assert unaligned.error == _width(_lattice_axes([emp, cube], 37)) + 3 / 120
 
-    def test_one_stream_of_the_operand_serves_every_target(self, cube, pi2, monkeypatch):
+    def test_one_stream_of_the_operand_serves_every_target(self, cube, pi2, monkeypatch,
+                                                           cpus):
         emp = empirical_copula(sample(cube, 200, seed=4))
         calls = []
         stream = type(emp).cdf_slabs
         monkeypatch.setattr(type(emp), "cdf_slabs",
                             lambda self, axes: calls.append(axes) or stream(self, axes))
+        cpus(3)
         both = d_inf_many(emp, [cube, pi2], scan_m=20)
-        assert len(calls) == 1
+        # each part streams its own nodes of the first axis, each node once
+        firsts = sorted((axes[0] for axes in calls), key=lambda a: a[0])
+        assert len(calls) == 3
+        assert np.array_equal(np.concatenate(firsts), _lattice_axes([emp, cube], 20)[0])
         # cube and pi2 share their breaks, so the shared lattice is each one's own
         monkeypatch.undo()
         assert [_fields(rep) for rep in both] == [_fields(d_inf(emp, t, scan_m=20))
@@ -311,6 +328,94 @@ class TestSupScan:
             d_inf_many(emp, [cube], scan_m=m)
         with pytest.raises(BadOperand, match="m >= 1"):
             d_inf(emp, cube, scan_m=m)
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Set the number of CPUs a scan may split across."""
+    def pin(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    return pin
+
+
+def _operands(kind, d, n):
+    """An operand of each kind in dimension ``d``; the sample has ``n`` points."""
+    rng = np.random.default_rng(10 * d + n)
+    return {"grid": lambda: random_copula_grid(rng, [2, 3, 4, 3][:d]),
+            "closed": lambda: efgm_quadratic(d),
+            "rank": lambda: empirical_copula(rng.random((n, d)))}[kind]()
+
+
+class TestSplitScan:
+    # n <= 64 streams the d-linear cdf, n > 64 the step counts
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [40, 150])
+    @pytest.mark.parametrize("kind", ["grid", "closed", "rank"])
+    def test_maxima_do_not_depend_on_the_number_of_parts(self, cpus, d, n, kind):
+        op = _operands(kind, d, n)
+        others = [_operands(k, d, n) for k in ("grid", "closed", "rank") if k != kind]
+        axes = _lattice_axes([op, *others], 9)
+        found = []
+        # more parts than cores, switching often: the grid's lazily built
+        # node tensor is the one state the parts share
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in (1, 2, 3, 7):
+                cpus(k)
+                found.append(slab_sup_distances(op, others, axes))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(m == found[0] for m in found[1:])
+        assert all(v > 0.0 for v in found[0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n, seed", [(1, 0), (17, 1), (200, 2)])
+    def test_a_stream_from_an_inner_node_seeds_its_first_slab(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        points = empirical_copula(rng.random((n, d))).ranks / n
+        axes = _nonuniform_axes(rng, n, d)
+        full = list(step_cdf_slabs(points, axes))
+        for k in range(len(axes[0])):
+            assert axes[0][k] > 0
+            tail = list(step_cdf_slabs(points, [axes[0][k:], *axes[1:]]))
+            assert len(tail) == len(full) - k
+            assert all(np.array_equal(a, b) for a, b in zip(tail, full[k:]))
+
+    def test_parts_run_on_worker_threads(self, cpus, cube, monkeypatch):
+        emp = empirical_copula(sample(cube, 200, seed=4))
+        axes = _lattice_axes([emp, cube], 20)
+        threads = []
+        stream = type(cube).cdf_slabs
+        monkeypatch.setattr(type(cube), "cdf_slabs", lambda self, axes: threads.append(
+            threading.get_ident()) or stream(self, axes))
+        cpus(2)
+        split = slab_sup_distances(emp, [cube], axes)
+        # a worker that is done with its part may take the next one
+        assert len(threads) == 2 and threading.get_ident() not in threads
+        # a slab budget that holds one slab scans inline, as does one CPU
+        threads.clear()
+        monkeypatch.setattr(metrics, "_SLAB_BUDGET", len(axes[1]) ** 2)
+        assert slab_sup_distances(emp, [cube], axes) == split
+        cpus(1)
+        monkeypatch.undo()
+        assert threads == [threading.get_ident()]
+
+    def test_an_error_in_the_last_part_reaches_the_caller(self, cpus, cube):
+        err = ClosedFormUnavailable("no value at x = 1")
+
+        def cdf(pts):
+            if np.any(pts[:, 0] == 1.0):
+                raise err
+            return np.prod(pts, axis=1)
+
+        emp = empirical_copula(sample(cube, 200, seed=4))
+        axes = _lattice_axes([emp, cube], 20)
+        for k in (1, 3):
+            cpus(k)
+            with pytest.raises(ClosedFormUnavailable) as caught:
+                slab_sup_distances(emp, [cube, AnalyticCopula(3, cdf)], axes)
+            assert caught.value is err
 
 
 class TestSampling:

@@ -1,7 +1,8 @@
 """Source-level guards: operands are told apart by type, not by probing for
 attributes, no module imports a name it never uses, every function the
 package defines is used by the package or the benchmark, and cells are
-located, kernel nodes built and per-axis products taken in one place each."""
+located, kernel nodes built, per-axis products taken and worker threads
+started in one place each."""
 
 import ast
 from pathlib import Path
@@ -98,13 +99,16 @@ def stray_calls(path, name, allowed) -> list:
 # the uniform-distance scan, with its lattice and certificate, runs only in
 # metrics (d_inf); per-axis products run in grid._contract, which gathers the
 # axes an interpolation matrix would only copy (the exact squared integral
-# keeps its own sum of weighted nodes)
+# keeps its own sum of weighted nodes); the scan is the one parallel region,
+# its parts one per CPU of the process's affinity mask
 ONE_WAY = {
     "tensordot": {"grid.py:_contract", "quadrature.py:integrate_square_multilinear"},
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
     "cum_nodes": {"grid.py", "conditioning.py:_surface_from_joint"},
     "kernel_nodes": {"grid.py", "conditioning.py", "metrics.py:_kernel_pair_grid"},
     "slab_sup_distances": {"metrics.py"},
+    "ThreadPoolExecutor": {"metrics.py:slab_sup_distances"},
+    "sched_getaffinity": {"metrics.py:slab_sup_distances"},
 }
 
 
@@ -181,6 +185,17 @@ def test_one_way_guard_catches_offenders(tmp_path):
                     "class GridCopula:\n    def refine_to(self, T):\n"
                     "        return np.tensordot(T, self.masses, axes=(1, 0))\n")
     assert stray_calls(grid, "tensordot", ONE_WAY["tensordot"]) == ["grid.py:GridCopula:10"]
+    # a second pool, sized by its own CPU count, beside the split scan
+    met = tmp_path / "metrics.py"
+    met.write_text("import os\nfrom concurrent.futures import ThreadPoolExecutor\n\n\n"
+                   "def slab_sup_distances(op, others, axes):\n"
+                   "    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:\n"
+                   "        return pool.map(op, others)\n\n\n"
+                   "def d1(c1, c2):\n"
+                   "    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:\n"
+                   "        return pool.map(c1, c2)\n")
+    for name in ("ThreadPoolExecutor", "sched_getaffinity"):
+        assert stray_calls(met, name, ONE_WAY[name]) == ["metrics.py:d1:11"]
 
 
 def test_every_function_is_used_outside_tests():
