@@ -12,7 +12,9 @@ both operands' kernel breaks in the mesh.
 
 from __future__ import annotations
 
+import functools
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -106,18 +108,52 @@ def _lattice_axes(ops, scan_m: int):
     return axes
 
 
-def _slab_maxima(op, others, axes) -> list:
+def _slab_maxima(op, others, axes, stop=None) -> list:
     """``max |op - other|`` on the lattice ``axes`` for each of ``others``,
-    every operand's slabs drawn in step, so one slab per operand is alive."""
+    every operand's slabs drawn in step, so one slab per operand is alive;
+    a set ``stop`` event ends the loop at the next slab."""
     streams = [other.cdf_slabs(axes) for other in others]
     maxima = [0.0] * len(others)
     diff = None  # one buffer: fresh slab-sized temporaries cost page faults
     for S in op.cdf_slabs(axes):
+        if stop is not None and stop.is_set():
+            break
         diff = np.empty_like(S) if diff is None else diff
         for i, stream in enumerate(streams):
             np.subtract(S, next(stream), out=diff)
             maxima[i] = max(maxima[i], float(diff.max()), -float(diff.min()))
     return maxima
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS this process has
+    loaded, found by its path in ``/proc/self/maps``; None for another BLAS
+    or where that file is missing."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    import ctypes
+
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: this only looks it up
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                try:
+                    return (lib[f"{prefix}_get_num_threads{suffix}"],
+                            lib[f"{prefix}_set_num_threads{suffix}"])
+                except AttributeError:  # another symbol naming
+                    continue
+    return None
+
+
+# one split scan at a time: each takes every CPU, and BLAS's thread count is per process
+_SPLIT_SCAN = threading.Lock()
 
 
 def slab_sup_distances(op, others, axes) -> list:
@@ -130,7 +166,14 @@ def slab_sup_distances(op, others, axes) -> list:
     rank-form operand seeding its first slab from one histogram
     (:func:`~copulakit.empirical.step_cdf_slabs`).  The maximum over the
     parts' maxima is a serial scan's bit for bit, since no slab value
-    depends on the part it is drawn in.  One part runs inline.
+    depends on the part it is drawn in.
+
+    While the parts run, OpenBLAS is held to one thread: a grid's slabs are
+    matrix products, and a BLAS thread pool beside the parts would take
+    their cores.  Where the BLAS is not an OpenBLAS whose thread count can
+    be set, or one part is all there is, the scan runs inline.  An error in
+    a part, or an interrupt, stops the other parts at their next slab and
+    reaches the caller unchanged.
     """
     slab = int(np.prod([len(a) for a in axes[1:]]))
     if slab > _SLAB_BUDGET:
@@ -140,14 +183,27 @@ def slab_sup_distances(op, others, axes) -> list:
     except AttributeError:  # a platform without affinity masks
         cpus = os.cpu_count() or 1
     parts = max(1, min(cpus, len(axes[0]), _SLAB_BUDGET // max(slab, 1)))
-    if parts == 1:
+    blas = _openblas_threads() if parts > 1 else None
+    if blas is None:
         return _slab_maxima(op, others, axes)
     from concurrent.futures import ThreadPoolExecutor  # 9 ms to import: a split scan only
 
+    get_threads, set_threads = blas
     cuts = [len(axes[0]) * p // parts for p in range(parts + 1)]
-    with ThreadPoolExecutor(parts) as pool:
-        found = list(pool.map(lambda lo, hi: _slab_maxima(
-            op, others, [axes[0][lo:hi], *axes[1:]]), cuts[:-1], cuts[1:]))
+    stop = threading.Event()
+    with _SPLIT_SCAN:
+        threads = get_threads()
+        set_threads(1)
+        try:
+            with ThreadPoolExecutor(parts) as pool:
+                try:
+                    found = list(pool.map(lambda lo, hi: _slab_maxima(
+                        op, others, [axes[0][lo:hi], *axes[1:]], stop), cuts[:-1], cuts[1:]))
+                except BaseException:
+                    stop.set()
+                    raise
+        finally:
+            set_threads(threads)
     return [max(part) for part in zip(*found)]
 
 

@@ -1,6 +1,8 @@
 import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -331,7 +333,17 @@ class TestSupScan:
 
 
 @pytest.fixture()
-def cpus(monkeypatch):
+def blas(monkeypatch):
+    """A stand-in for OpenBLAS's thread count, ``blas[0]``, 4 to start with,
+    so a split scan does not depend on the BLAS that numpy loads."""
+    threads = [4]
+    monkeypatch.setattr(metrics, "_openblas_threads", lambda: (
+        lambda: threads[0], lambda k: threads.__setitem__(0, k)))
+    return threads
+
+
+@pytest.fixture()
+def cpus(monkeypatch, blas):
     """Set the number of CPUs a scan may split across."""
     def pin(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
@@ -382,26 +394,46 @@ class TestSplitScan:
             assert len(tail) == len(full) - k
             assert all(np.array_equal(a, b) for a, b in zip(tail, full[k:]))
 
-    def test_parts_run_on_worker_threads(self, cpus, cube, monkeypatch):
+    def test_parts_run_on_worker_threads_with_one_blas_thread(self, cpus, blas, cube,
+                                                               monkeypatch):
         emp = empirical_copula(sample(cube, 200, seed=4))
         axes = _lattice_axes([emp, cube], 20)
-        threads = []
+        seen = []
         stream = type(cube).cdf_slabs
-        monkeypatch.setattr(type(cube), "cdf_slabs", lambda self, axes: threads.append(
-            threading.get_ident()) or stream(self, axes))
+        monkeypatch.setattr(type(cube), "cdf_slabs", lambda self, axes: seen.append(
+            (threading.get_ident(), blas[0])) or stream(self, axes))
         cpus(2)
         split = slab_sup_distances(emp, [cube], axes)
         # a worker that is done with its part may take the next one
-        assert len(threads) == 2 and threading.get_ident() not in threads
-        # a slab budget that holds one slab scans inline, as does one CPU
-        threads.clear()
-        monkeypatch.setattr(metrics, "_SLAB_BUDGET", len(axes[1]) ** 2)
-        assert slab_sup_distances(emp, [cube], axes) == split
-        cpus(1)
-        monkeypatch.undo()
-        assert threads == [threading.get_ident()]
+        assert len(seen) == 2
+        assert all(t != threading.get_ident() and k == 1 for t, k in seen)
+        assert blas == [4]
+        # inline, BLAS untouched: a slab budget that holds one slab, one CPU,
+        # or a BLAS whose thread count cannot be set
+        budget = metrics._SLAB_BUDGET
+        for attr, value, k in (("_SLAB_BUDGET", len(axes[1]) ** 2, 2),
+                               ("_SLAB_BUDGET", budget, 1),
+                               ("_openblas_threads", lambda: None, 2)):
+            seen.clear()
+            monkeypatch.setattr(metrics, attr, value)
+            cpus(k)
+            assert slab_sup_distances(emp, [cube], axes) == split
+            assert seen == [(threading.get_ident(), 4)]
 
-    def test_an_error_in_the_last_part_reaches_the_caller(self, cpus, cube):
+    def test_the_loaded_openblas_thread_count_is_set(self):
+        threads = metrics._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS")
+        get, put = threads
+        n = get()
+        put(1)
+        try:
+            assert get() == 1
+        finally:
+            put(n)
+        assert get() == n >= 1
+
+    def test_an_error_in_the_last_part_reaches_the_caller(self, cpus, blas, cube):
         err = ClosedFormUnavailable("no value at x = 1")
 
         def cdf(pts):
@@ -416,6 +448,30 @@ class TestSplitScan:
             with pytest.raises(ClosedFormUnavailable) as caught:
                 slab_sup_distances(emp, [cube, AnalyticCopula(3, cdf)], axes)
             assert caught.value is err
+        assert blas == [4]
+
+    @pytest.mark.parametrize("stop", ["error", "interrupt"])
+    def test_an_error_or_an_interrupt_stops_the_other_parts(self, cpus, blas, cube, stop):
+        err = ClosedFormUnavailable("no value below x = 1/2")
+        drawn = []
+
+        def cdf(pts):
+            if stop == "error" and pts[0, 0] < 0.5:
+                raise err  # the first part, at its first slab
+            if stop == "interrupt" and not drawn:  # Ctrl-C while the parts run
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            drawn.append(pts[0, 0])
+            time.sleep(0.005)
+            return np.prod(pts, axis=1)
+
+        emp = empirical_copula(sample(cube, 200, seed=4))
+        axes = _lattice_axes([emp, cube], 200)
+        cpus(2)
+        with pytest.raises(KeyboardInterrupt if stop == "interrupt" else ClosedFormUnavailable):
+            slab_sup_distances(emp, [AnalyticCopula(3, cdf)], axes)
+        # unstopped, a part draws 100 slabs of 5 ms each
+        assert len(drawn) < 20
+        assert blas == [4]
 
 
 class TestSampling:

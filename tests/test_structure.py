@@ -100,7 +100,8 @@ def stray_calls(path, name, allowed) -> list:
 # metrics (d_inf); per-axis products run in grid._contract, which gathers the
 # axes an interpolation matrix would only copy (the exact squared integral
 # keeps its own sum of weighted nodes); the scan is the one parallel region,
-# its parts one per CPU of the process's affinity mask
+# its parts one per CPU of the process's affinity mask, and the one place
+# that sets the thread count of a native BLAS
 ONE_WAY = {
     "tensordot": {"grid.py:_contract", "quadrature.py:integrate_square_multilinear"},
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
@@ -109,6 +110,7 @@ ONE_WAY = {
     "slab_sup_distances": {"metrics.py"},
     "ThreadPoolExecutor": {"metrics.py:slab_sup_distances"},
     "sched_getaffinity": {"metrics.py:slab_sup_distances"},
+    "CDLL": {"metrics.py:_openblas_threads"},
 }
 
 
@@ -193,9 +195,14 @@ def test_one_way_guard_catches_offenders(tmp_path):
                    "        return pool.map(op, others)\n\n\n"
                    "def d1(c1, c2):\n"
                    "    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:\n"
-                   "        return pool.map(c1, c2)\n")
+                   "        return pool.map(c1, c2)\n\n\n"
+                   "def _openblas_threads():\n"
+                   "    return ctypes.CDLL('libopenblas.so')\n\n\n"
+                   "def d2(c1, c2):\n"
+                   "    ctypes.CDLL('libopenblas.so').openblas_set_num_threads(1)\n")
     for name in ("ThreadPoolExecutor", "sched_getaffinity"):
         assert stray_calls(met, name, ONE_WAY[name]) == ["metrics.py:d1:11"]
+    assert stray_calls(met, "CDLL", ONE_WAY["CDLL"]) == ["metrics.py:d2:20"]
 
 
 def test_every_function_is_used_outside_tests():
