@@ -25,6 +25,11 @@ class AnalyticCopula:
     cdf_fn : callable
         Vectorized evaluator mapping an (m, dim) array of points in the unit
         hypercube to the m copula values.
+    slabs_fn : callable, optional
+        Lattice evaluator ``axes -> iterator of slabs``, yielding the cdf on
+        the lattice of ``axes[1:]`` at each node of ``axes[0]`` in turn, with
+        the values of ``cdf_fn`` at those points bit for bit; without it
+        :meth:`cdf_slabs` evaluates ``cdf_fn`` in blocks of points.
     kernel_fn : callable, optional
         Vectorized Markov-kernel evaluator ``(v, u) -> K(v, [0, u])``
         conditioning on the last coordinate; ``v`` has shape (m,) and ``u``
@@ -47,9 +52,10 @@ class AnalyticCopula:
 
     def __init__(self, dim, cdf_fn, kernel_fn=None, kernel_v_breaks=None,
                  kernel_u_breaks=None, multilinear=False,
-                 family=None, name=""):
+                 family=None, name="", slabs_fn=None):
         self.dim = int(dim)
         self._cdf_fn = cdf_fn
+        self._slabs_fn = slabs_fn
         self._kernel_fn = kernel_fn
         self.kernel_v_breaks = (
             np.array([0.0, 1.0]) if kernel_v_breaks is None
@@ -76,12 +82,16 @@ class AnalyticCopula:
 
     def cdf_slabs(self, axes):
         """Cdf on the lattice of ``axes[1:]``, one node of ``axes[0]`` at a
-        time, evaluated in blocks of nodes of about 2**14 points, and a slab
-        of more than 2**16 points in blocks of whole rows of its first axis,
+        time: drawn from ``slabs_fn`` where the copula has one, else
+        evaluated in blocks of nodes of about 2**14 points, and a slab of
+        more than 2**16 points in blocks of whole rows of its first axis,
         each built on its own (the cdf works row by row) as a stack of
         columns, so the closed forms read each coordinate contiguously."""
         if len(axes) != self.dim:
             raise DimensionMismatch("one node array per axis required")
+        if self._slabs_fn is not None:
+            yield from self._slabs_fn([np.asarray(a, dtype=float) for a in axes])
+            return
         shape = tuple(len(a) for a in axes[1:])
         size = int(np.prod(shape))
         step, rows = max(1, 2**14 // size), max(1, 2**16 * shape[0] // size)

@@ -347,6 +347,8 @@ def _dispatch(args) -> int:
             raise BadOperand(f"metric {args.name} does not read --{', --'.join(unread)}")
         a = parse_operand(args.a)
         b = parse_operand(args.b)
+        if a.dim != b.dim:
+            raise BadOperand(f"--a and --b differ in dimension ({a.dim} and {b.dim})")
         if "axis" in kwargs:
             _index(args.axis, a.dim, "--axis")
         rep = fn(a, b, **kwargs)

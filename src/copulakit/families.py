@@ -264,7 +264,9 @@ def slab_mixture(family: ConditionalFamily, u_breaks, name) -> AnalyticCopula:
     Slab ``k`` of ``family`` gives the conditioning interval, the
     conditional margins ``F1k``, ``F2k`` and the bivariate cdf ``S_k``
     (``family.surfaces[k]``).  The Markov kernel on slab ``k`` is
-    ``S_k(F1k(u1), F2k(u2))``, and the copula carries ``family``.
+    ``S_k(F1k(u1), F2k(u2))``, and the copula carries ``family``.  On a
+    lattice each ``S_k`` is evaluated once per node pair of the first two
+    axes, not once per node.
     """
     t = family.t_breaks
     slabs = list(zip(t[:-1], t[1:], family.margins1, family.margins2, family.surfaces))
@@ -286,8 +288,29 @@ def slab_mixture(family: ConditionalFamily, u_breaks, name) -> AnalyticCopula:
             out[sel] = surface(np.stack([m1(u[sel, 0]), m2(u[sel, 1])], axis=-1))
         return out
 
+    def cdf_slabs(axes):
+        # S_k does not depend on v: per block of first-axis rows, one table
+        # S_k(F1k(x), F2k(y)) per slab k, then each scan slab is the sum of
+        # the tables' rows times the overlaps, cdf's products in cdf's order,
+        # added in blocks of 2**16 entries so no second slab-sized array lives
+        x, y, v = axes
+        overlaps = [np.clip(v - lo, 0.0, hi - lo) for lo, hi, *_ in slabs]
+        rows, cols = max(1, 2**16 // (len(slabs) * len(y))), max(1, 2**16 // len(v))
+        for r in range(0, len(x), rows):
+            xs = x[r : r + rows]
+            tables = [surface(np.stack(np.meshgrid(m1(xs), m2(y), indexing="ij"),
+                                       axis=-1).reshape(-1, 2)).reshape(len(xs), len(y))
+                      for _, _, m1, m2, surface in slabs]
+            for i in range(len(xs)):
+                out = np.zeros((len(y), len(v)))
+                for c in range(0, len(y), cols):
+                    for table, overlap in zip(tables, overlaps):
+                        out[c : c + cols] += np.multiply.outer(table[i, c : c + cols], overlap)
+                yield out
+
     return AnalyticCopula(3, cdf, kernel_fn=kern, kernel_v_breaks=t,
-                          kernel_u_breaks=u_breaks, family=family, name=name)
+                          kernel_u_breaks=u_breaks, family=family, name=name,
+                          slabs_fn=cdf_slabs)
 
 
 def _efgm_family(spec: EfgmSpec) -> ConditionalFamily:

@@ -47,14 +47,9 @@ def _corner_slabs(values: np.ndarray) -> list:
             for bits in itertools.product((0, 1), repeat=values.ndim)]
 
 
-def _corner_tensor(values: np.ndarray) -> np.ndarray:
-    """Stack per-cell corner values: shape (*cells, 2**d) from node tensor."""
-    return np.stack(_corner_slabs(values), axis=-1)
-
-
 def _any_corner(mask: np.ndarray) -> np.ndarray:
-    """Cells with at least one node of ``mask``, flattened in C order."""
-    return reduce(np.logical_or, _corner_slabs(mask)).reshape(-1)
+    """Cells with at least one node of ``mask``."""
+    return reduce(np.logical_or, _corner_slabs(mask))
 
 
 _SPLIT_CACHE: dict = {}
@@ -101,16 +96,18 @@ def integrate_abs_multilinear(values: np.ndarray, axes, tol: float = 1e-10,
     """
     d = values.ndim
     widths = [np.diff(np.asarray(a, dtype=float)) for a in axes]
-    vols = (reduce(np.multiply.outer, widths) if d > 1 else widths[0]).reshape(-1)
-    corners = _corner_tensor(values).reshape(-1, 2**d)
+    vols = reduce(np.multiply.outer, widths)
+    corners = _corner_slabs(values)
     if d > 2:
-        return _bisect_abs(corners, vols, d, tol, max_rounds)
-    # exact on sign-definite cells; only mixed cells are overwritten, so a
-    # mesh without them sums the same per-cell values in the same order
-    cells = np.abs(corners.mean(axis=1)) * vols
+        return _bisect_abs(np.stack(corners, axis=-1).reshape(-1, 2**d), vols.reshape(-1),
+                           d, tol, max_rounds)
+    # exact on sign-definite cells: the corner mean, summed from 0 in corner
+    # order as mean() reduces a corner row; only mixed cells are overwritten,
+    # so a mesh without them sums the same per-cell values in the same order
+    cells = np.abs(sum(corners) / 2**d) * vols
     mixed = _any_corner(values < 0.0) & _any_corner(values > 0.0)
     if mixed.any():
-        c = corners[mixed]
+        c = np.stack([s[mixed] for s in corners], axis=1)
         unit = _abs_linear_unit(c[:, 0], c[:, 1]) if d == 1 else _abs_bilinear_unit(c)
         cells[mixed] = unit * vols[mixed]
     return float(cells.sum()), 0.0

@@ -215,6 +215,14 @@ class TestMalformedInput:
         assert run(args) == 2
         assert "at least one cell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, a, b", [
+        ("d1", "cube", "pi:dim=4"), ("dinf", "example54", "pi-analytic:dim=4"),
+        ("tv", "cube", "pi:dim=2"), ("kl", "bstar", "cube"), ("d2", "efgm:dim=4", "cube"),
+    ])
+    def test_operands_of_different_dimension_are_usage_error(self, capsys, name, a, b):
+        assert run(["metric", "--name", name, "--a", a, "--b", b]) == 2
+        assert "differ in dimension" in capsys.readouterr().err
+
     @pytest.mark.parametrize("t, u", [
         ("1.5", "0.5,0.5"), ("-0.1", "0.5,0.5"), ("nan", "0.5,0.5"), ("inf", "0.5,0.5"),
         ("0.5", "1.5,0.5"), ("0.5", "0.5,nan"),

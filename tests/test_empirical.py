@@ -15,9 +15,11 @@ from copulakit import (
     d_inf,
     efgm_quadratic,
     empirical_copula,
+    example54_copula,
     is_simplified,
     load_sample,
     product_extend,
+    pvc3,
     sample,
     save_sample,
 )
@@ -380,6 +382,18 @@ class TestSplitScan:
             sys.setswitchinterval(interval)
         assert all(m == found[0] for m in found[1:])
         assert all(v > 0.0 for v in found[0])
+
+    def test_slab_mixture_maxima_do_not_depend_on_the_number_of_parts(self, cpus):
+        # each part builds the conditional-copula tables of its own rows only
+        ex = example54_copula()
+        others = [pvc3(ex).psi, _operands("grid", 3, 150), _operands("rank", 3, 150)]
+        axes = _lattice_axes([ex, *others], 16)
+        found = []
+        for k in (1, 2, 3):
+            cpus(k)
+            found.append(slab_sup_distances(ex, others, axes))
+        assert all(m == found[0] for m in found[1:])
+        assert found[0][0] == 3 / 16
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n, seed", [(1, 0), (17, 1), (200, 2)])

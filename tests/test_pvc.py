@@ -32,6 +32,7 @@ from copulakit import (
     sample,
 )
 from copulakit.errors import BadOperand, ClosedFormUnavailable, CopulaError, DimensionMismatch
+from copulakit.pvc import _fingerprint
 from copulakit.verify import convergence_lab
 from conftest import f3pi_member
 
@@ -106,6 +107,13 @@ class TestPvc3:
         plus, minus = pvc3_analytic(member(0.5)), pvc3_analytic(member(-0.5))
         assert plus.fingerprint != minus.fingerprint
         assert pvc3_analytic(member(0.5)).fingerprint == plus.fingerprint
+
+    def test_closed_form_fingerprints_are_stable(self):
+        # the fingerprint hashes a 5-node lattice of the cdf
+        res = pvc3(example54_copula())
+        assert res.fingerprint == "2b8b95ad8b5d46f6"
+        assert _fingerprint(res.psi) == "6053af5f042fc9df"
+        assert pvc3(efgm_quadratic()).fingerprint == "88f1c299c6134558"
 
     def test_grid_and_rank_fingerprints_are_stable(self, cube):
         emp = EmpiricalCopula(np.array([[1, 2, 3], [2, 3, 1], [3, 1, 2]]))
@@ -299,6 +307,11 @@ class TestDistanceReport:
         rep = pvc_distance_report(ex, pvc3(ex))
         assert rep["d_inf"]["value"] >= 3 / 16 - 1e-9
         assert rep["slab_count"] == 4
+        # the values of the pointwise evaluation, bit for bit
+        assert {k: rep["d_inf"][k] for k in ("value", "error", "n_evaluations")} == {
+            "value": 0.1875, "error": 0.01171875, "n_evaluations": 35014194}
+        assert rep["d1"]["value"] == 0.03657173692073132
+        assert rep["delta"] == 0.06231152219288638
 
     def test_independence_report_zeros(self, pi2):
         rep = pvc_distance_report(pi2, pvc3(pi2))

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from copulakit.quadrature import (
+    _abs_bilinear_unit,
+    _abs_linear_unit,
     adaptive_gl,
     integrate_abs_multilinear,
     integrate_square_multilinear,
@@ -146,6 +149,64 @@ def test_closed_form_inside_bisection_bracket(kind):
         # the bracket's own ends are rounded: allow an ulp or so
         assert abs(val - mid) <= half3 + 1e-15 * val
         assert val == pytest.approx(outer_gl_oracle(xs, ys, v), rel=1e-13, abs=1e-300)
+
+
+def stacked_corner_reference(v, axes):
+    """``int |g|`` on one or two axes from the stacked (cells, 2**d) corner
+    tensor: the corner mean per cell, the closed form on mixed cells."""
+    d = v.ndim
+    corners = np.stack([v[tuple(slice(b, n - 1 + b) for n, b in zip(v.shape, bits))]
+                        for bits in itertools.product((0, 1), repeat=d)], axis=-1)
+    corners = corners.reshape(-1, 2**d)
+    widths = [np.diff(a) for a in axes]
+    vols = (np.multiply.outer(*widths) if d == 2 else widths[0]).reshape(-1)
+    cells = np.abs(corners.mean(axis=1)) * vols
+    mixed = (corners < 0.0).any(axis=1) & (corners > 0.0).any(axis=1)
+    c = corners[mixed]
+    unit = _abs_linear_unit(c[:, 0], c[:, 1]) if d == 1 else _abs_bilinear_unit(c)
+    cells[mixed] = unit * vols[mixed]
+    return float(cells.sum())
+
+
+MESH_KINDS = ("normal", "wide-range", "zeros", "negative-zeros", "positive", "negative",
+              "mostly-mixed")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", MESH_KINDS)
+def test_corner_sums_equal_the_stacked_corner_mean(d, kind):
+    rng = np.random.default_rng([d, MESH_KINDS.index(kind)])
+    for _ in range(40):
+        shape = tuple(int(n) for n in rng.integers(2, 60 if d == 1 else 25, size=d))
+        axes = [np.sort(np.concatenate([[0.0, 1.0], rng.random(n - 2)])) for n in shape]
+        v = rng.normal(size=shape)
+        if kind == "wide-range":
+            v *= 10.0 ** rng.integers(-12, 12, size=shape)
+        elif kind == "zeros":
+            v[rng.random(shape) < 0.4] = 0.0
+        elif kind == "negative-zeros":
+            v[rng.random(shape) < 0.4] = -0.0
+            v[rng.random(shape) < 0.2] = 0.0
+        elif kind == "positive":
+            v = np.abs(v)
+        elif kind == "negative":
+            v = -np.abs(v)
+            v[rng.random(shape) < 0.2] = -0.0
+        elif kind == "mostly-mixed":  # a checkerboard of signs: every cell mixed
+            v = np.abs(v) * (-1.0) ** np.indices(shape).sum(axis=0)
+        val, half = integrate_abs_multilinear(v, axes)
+        assert half == 0.0
+        assert val == stacked_corner_reference(v, axes)
+
+
+def test_three_axes_keep_their_bracket():
+    rng = np.random.default_rng(7)
+    axes = [np.sort(np.r_[0.0, rng.random(n - 2), 1.0]) for n in (4, 5, 3)]
+    v = rng.normal(size=(4, 5, 3))
+    assert integrate_abs_multilinear(v, axes, tol=1e-4) == (
+        0.4614422500311347, 3.449920060555334e-05)
+    assert integrate_abs_multilinear(v, axes, tol=1e-3, max_rounds=3) == (
+        0.46215358626097625, 0.0021507942418518555)
 
 
 def test_integrate_square():
