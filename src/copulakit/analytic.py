@@ -78,7 +78,8 @@ class AnalyticCopula:
 
     def cdf_on_lattice(self, axes) -> np.ndarray:
         """Cdf on a product lattice."""
-        return np.stack(list(self.cdf_slabs(axes)))
+        slabs = list(self.cdf_slabs(axes))
+        return np.stack(slabs) if slabs else np.empty([len(a) for a in axes])
 
     def cdf_slabs(self, axes):
         """Cdf on the lattice of ``axes[1:]``, one node of ``axes[0]`` at a
@@ -89,11 +90,14 @@ class AnalyticCopula:
         columns, so the closed forms read each coordinate contiguously."""
         if len(axes) != self.dim:
             raise DimensionMismatch("one node array per axis required")
+        shape = tuple(len(a) for a in axes[1:])
+        size = int(np.prod(shape))
+        if size == 0:
+            yield from np.empty((len(axes[0]), *shape))
+            return
         if self._slabs_fn is not None:
             yield from self._slabs_fn([np.asarray(a, dtype=float) for a in axes])
             return
-        shape = tuple(len(a) for a in axes[1:])
-        size = int(np.prod(shape))
         step, rows = max(1, 2**14 // size), max(1, 2**16 * shape[0] // size)
         for s in range(0, len(axes[0]), step):
             xs = axes[0][s : s + step]

@@ -71,8 +71,8 @@ def _product_extend(base="cube", dim=None):
     return product_extend(grid, grid.dim + 1 if dim is None else int(dim))
 
 
-# name -> (builder, the parameters it reads); the values are text in an operand
-# spec and numbers from make's options or a descriptor file
+# name -> (builder, the parameters it reads); the values are text from an
+# operand spec, or text or numbers from a descriptor file
 FAMILIES = {
     "pi": (lambda dim=3, res=None: independence(
         int(dim), None if res is None else _resolutions(res, int(dim))), ("dim", "res")),
@@ -141,9 +141,14 @@ def _read_operand(spec: str):
         return GridCopula.from_json(path.read_text())
     if path.suffix in (".json", ".csv") or len(path.parts) > 1:
         raise BadOperand(f"no operand file {spec!r}")
+    return build_family(*_family_spec(spec))
+
+
+def _family_spec(spec: str):
+    """Name and parameters of a ``family[:key=value,...]`` spec."""
     name, _, argstr = spec.partition(":")
     pairs = (kv.partition("=") for kv in argstr.split(",") if kv)
-    return build_family(name, {k.strip(): v.strip() for k, _, v in pairs})
+    return name, {k.strip(): v.strip() for k, _, v in pairs}
 
 
 def _emit(payload, out, fmt: str = "json"):
@@ -232,14 +237,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
 
     p = sub.add_parser("make", help="construct a named family")
-    p.add_argument("family", help="family:parameters it reads, one of " + " | ".join(
-        ":".join([name, ",".join(reads)]) if reads else name
-        for name, (_, reads) in FAMILIES.items()))
+    p.add_argument("family", help="family[:key=value,...], keys as each family reads them: "
+                   + " | ".join(":".join([name, ",".join(reads)]) if reads else name
+                                for name, (_, reads) in FAMILIES.items()))
     p.add_argument("--res", default=None, help="discretize to this resolution, e.g. 8 or 8x8x4")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--base", default=None)
 
     p = sub.add_parser("metric", help="evaluate a distance")
     p.add_argument("--name", required=True, choices=sorted(_METRICS))
@@ -328,15 +329,14 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "make":
-        params = {key: vars(args)[key] for key in ("dim", "m", "k", "base")
-                  if vars(args)[key] is not None}
-        cop = build_family(args.family, params)
+        name, params = _family_spec(args.family)
+        cop = build_family(name, params)
         if args.res is not None:
             cop = _discretized(cop, args.res)
         if isinstance(cop, GridCopula):
             _write(cop.to_json() + "\n", args.out)
         else:
-            _emit({"family": args.family, "params": params}, args.out)
+            _emit({"family": name, "params": params}, args.out)
         return 0
 
     if cmd == "metric":

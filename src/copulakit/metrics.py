@@ -44,7 +44,7 @@ EXACT = "exact"
 CERTIFIED = "certified"
 ESTIMATED = "estimated"
 
-# largest merged lattice d_inf evaluates exactly, the per-axis node count of
+# largest merged lattice d_inf evaluates whole, the per-axis node count of
 # the scan lattices, and the largest slab a streamed scan holds per operand
 _NODE_BUDGET = 2_000_000
 _SCAN_M = 128
@@ -215,27 +215,29 @@ def d_inf_many(op, targets, eps: float = 1e-8, scan_m: int = _SCAN_M) -> list:
     if scan_m < 1:
         raise BadOperand(f"the scan lattice needs scan_m >= 1, got {scan_m}")
     reports = [None] * len(targets)
-    passes = {}  # scan lattice -> (its axes, the targets scanned on it)
+    passes = {}  # scan lattice -> (its axes, whether exact, the targets scanned on it)
     for i, t in enumerate(targets):
         b1, b2 = op.multilinear_breaks(), t.multilinear_breaks()
-        axes = [np.union1d(a, b) for a, b in zip(b1, b2)] if b1 and b2 else []
-        count = int(np.prod([len(a) for a in axes]))
-        if axes and count <= _NODE_BUDGET:
-            value = float(np.max(np.abs(op.cdf_on_lattice(axes) - t.cdf_on_lattice(axes))))
+        merged = [np.union1d(a, b) for a, b in zip(b1, b2)] if b1 and b2 else []
+        count = int(np.prod([len(a) for a in merged]))
+        if merged and count <= _NODE_BUDGET:
+            value = float(np.max(np.abs(op.cdf_on_lattice(merged) - t.cdf_on_lattice(merged))))
             reports[i] = _report("d_inf", t0, value, EXACT, 0.0, count)
-        else:
-            # on its own lattice, a target's certificate ignores the others' breaks
-            scan = _lattice_axes([op, t], scan_m)
-            passes.setdefault(tuple(a.tobytes() for a in scan), (scan, []))[1].append(i)
-    for axes, idx in passes.values():
+            continue
+        # above the budget the merged breaks stream, still exactly; on its own
+        # scan lattice, a target's certificate ignores the others' breaks
+        axes, exact = merged or _lattice_axes([op, t], scan_m), bool(merged)
+        passes.setdefault((exact, *(a.tobytes() for a in axes)), (axes, exact, []))[2].append(i)
+    for axes, exact, idx in passes.values():
         maxima = slab_sup_distances(op, [targets[i] for i in idx], axes)
         # every copula is 1-Lipschitz per coordinate, so the difference moves by
         # at most twice the distance to the nearest node, half a cell per axis
         width = sum(float(np.max(np.diff(a))) for a in axes) + op.lattice_gap(axes)
         n_evals = 2 * int(np.prod([len(a) for a in axes]))
         for i, value in zip(idx, maxima):
-            reports[i] = _report("d_inf", t0, value, CERTIFIED,
-                                 width + targets[i].lattice_gap(axes), n_evals, eps)
+            error = 0.0 if exact else width + targets[i].lattice_gap(axes)
+            reports[i] = _report("d_inf", t0, value, EXACT if exact else CERTIFIED, error,
+                                 n_evals, eps)
     return reports
 
 
@@ -243,9 +245,10 @@ def d_inf(c1, c2, eps: float = 1e-8, scan_m: int = _SCAN_M) -> MetricReport:
     """Uniform distance ``max |C1 - C2|``.
 
     Exact whenever both operands are multilinear between known breakpoints
-    and the merged lattice fits the node budget (the difference is then
-    multilinear per cell, so the node maximum is the true maximum).
-    Otherwise both stream slab by slab over a scan lattice (``scan_m``
+    (the difference is then multilinear per cell of the merged breaks, so
+    its node maximum is the true maximum): the merged lattice is evaluated
+    whole within the node budget and streamed slab by slab above it.
+    Otherwise both stream over a scan lattice (``scan_m``
     uniform nodes per axis plus both operands' breaks), whose node maximum
     is a lower bound, certified within the Lipschitz width (the largest
     lattice step, summed over the axes) plus each operand's

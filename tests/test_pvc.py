@@ -32,6 +32,7 @@ from copulakit import (
     sample,
 )
 from copulakit.errors import BadOperand, ClosedFormUnavailable, CopulaError, DimensionMismatch
+from copulakit import pvc as pvc_mod
 from copulakit.pvc import _fingerprint
 from copulakit.verify import convergence_lab
 from conftest import f3pi_member
@@ -310,8 +311,32 @@ class TestDistanceReport:
         # the values of the pointwise evaluation, bit for bit
         assert {k: rep["d_inf"][k] for k in ("value", "error", "n_evaluations")} == {
             "value": 0.1875, "error": 0.01171875, "n_evaluations": 35014194}
-        assert rep["d1"]["value"] == 0.03657173692073132
-        assert rep["delta"] == 0.06231152219288638
+        # d1 by quadrature on the closed forms, not on a discretization of them,
+        # and no simplifiedness gap, which only a grid has in closed form
+        assert sorted(rep) == ["d1", "d_inf", "fingerprint", "slab_count"]
+        assert rep["d1"]["exactness"] == "estimated"
+        assert rep["d1"]["value"] == pytest.approx(0.0366033, abs=rep["d1"]["error"])
+        assert 0 < rep["d1"]["error"] < 1e-5
+
+    def test_efgm_report_brackets_one_72nd(self):
+        # the kernel field of EFGM moves by (1 - 2t) u1 (1 - u1) u2 (1 - u2)
+        # against its image, whose L1 integral is 1/2 * 1/6 * 1/6 = 1/72
+        C = efgm_quadratic()
+        rep = pvc_distance_report(C, pvc3(C))
+        assert sorted(rep) == ["d1", "d_inf", "fingerprint", "slab_count"]
+        assert rep["d1"]["exactness"] == "estimated"
+        assert abs(rep["d1"]["value"] - 1 / 72) <= rep["d1"]["error"]
+
+    def test_empirical_input_is_rejected_before_any_metric(self, monkeypatch):
+        emp = empirical_copula(sample(cube_copula(), 100, seed=0))
+
+        def metric(*args, **kwargs):
+            raise AssertionError("a metric ran")
+
+        for name in ("d_inf", "d1", "is_simplified"):
+            monkeypatch.setattr(pvc_mod, name, metric)
+        with pytest.raises(DimensionMismatch):
+            pvc_distance_report(emp, pvc3(emp))
 
     def test_independence_report_zeros(self, pi2):
         rep = pvc_distance_report(pi2, pvc3(pi2))

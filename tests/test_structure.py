@@ -101,7 +101,11 @@ def stray_calls(path, name, allowed) -> list:
 # axes an interpolation matrix would only copy (the exact squared integral
 # keeps its own sum of weighted nodes); the scan is the one parallel region,
 # its parts one per CPU of the process's affinity mask, and the one place
-# that sets the thread count of a native BLAS
+# that sets the thread count of a native BLAS; an operand is discretized
+# only where the caller asks for it (make and pvc --res, the verification
+# cases) or where the grid is the closed form itself (a multilinear closed
+# form on its one cell per axis), so no metric or report discretizes
+# behind the caller's back
 ONE_WAY = {
     "tensordot": {"grid.py:_contract", "quadrature.py:integrate_square_multilinear"},
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
@@ -111,6 +115,7 @@ ONE_WAY = {
     "ThreadPoolExecutor": {"metrics.py:slab_sup_distances"},
     "sched_getaffinity": {"metrics.py:slab_sup_distances"},
     "CDLL": {"metrics.py:_openblas_threads"},
+    "discretize": {"families.py", "cli.py:_discretized", "verify.py", "metrics.py:_grid_pair"},
 }
 
 
@@ -203,6 +208,14 @@ def test_one_way_guard_catches_offenders(tmp_path):
     for name in ("ThreadPoolExecutor", "sched_getaffinity"):
         assert stray_calls(met, name, ONE_WAY[name]) == ["metrics.py:d1:11"]
     assert stray_calls(met, "CDLL", ONE_WAY["CDLL"]) == ["metrics.py:d2:20"]
+    # a report that computes its metrics on a hidden discretization
+    pvc = tmp_path / "pvc.py"
+    pvc.write_text("from .families import discretize\nfrom .metrics import d1\n\n\n"
+                   "def pvc_distance_report(C, result):\n"
+                   "    res = [64, 64, 4]\n"
+                   "    return d1(discretize(C, res), discretize(result.psi, res))\n")
+    assert stray_calls(pvc, "discretize", ONE_WAY["discretize"]) == [
+        "pvc.py:pvc_distance_report:7", "pvc.py:pvc_distance_report:7"]
 
 
 def test_every_function_is_used_outside_tests():
