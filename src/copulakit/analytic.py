@@ -109,10 +109,6 @@ class AnalyticCopula:
                 out[:, r : r + rows] = self.cdf_many(pts).reshape(len(xs), -1, *shape[1:])
             yield from out
 
-    def lattice_gap(self, axes) -> float:
-        """Bound on |cdf_slabs(axes) - cdf| at the nodes: none."""
-        return 0.0
-
     def kernel(self, v, u) -> np.ndarray:
         """Markov kernel ``K(v, [0, u])`` w.r.t. the last coordinate."""
         if self._kernel_fn is None:

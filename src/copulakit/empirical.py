@@ -3,9 +3,10 @@
 The empirical copula of an n-point tie-free sample is the d-linear
 interpolation of the empirical subcopula: a checkerboard with resolution n
 per axis carrying mass 1/n in exactly one cell per slab, located by the
-coordinatewise ranks.  It is stored in rank form so that large n stays
-cheap; a dense :class:`~copulakit.grid.GridCopula` view is available for
-small n.  Every slab's conditional copula is the independence copula, which
+coordinatewise ranks, whose node values on the rank grid {k/n} are step
+counts.  It is stored in rank form so that large n stays cheap; a dense
+:class:`~copulakit.grid.GridCopula` view is available for small n.  Every
+slab's conditional copula is the independence copula, which
 :func:`copulakit.conditioning.slab_family` exploits.
 """
 
@@ -16,7 +17,7 @@ import csv
 import numpy as np
 
 from .errors import BadOperand, DimensionMismatch, TiesDetected
-from .grid import GridCopula, uniform_breaks
+from .grid import GridCopula, _axis_map, _contract, uniform_breaks
 
 # sample points per block of the cdf evaluations
 _CHUNK = 256
@@ -118,29 +119,43 @@ class EmpiricalCopula:
         return out
 
     def cdf_on_lattice(self, axes) -> np.ndarray:
-        """Exact d-linear cdf on a product lattice, summed over blocks of
-        sample points so the temporaries stay small."""
-        total = 0.0
-        for s in range(0, self.n, _CHUNK):
-            ranks = self.ranks[s : s + _CHUNK]
-            ws = [
-                np.clip(self.n * np.asarray(a, dtype=float)[None, :]
-                        - (ranks[:, j][:, None] - 1), 0.0, 1.0)
-                for j, a in enumerate(axes)
-            ]
-            # sublist form: sample axis 0, lattice axis j + 1, any dimension
-            operands = [x for j, w in enumerate(ws) for x in (w, [0, j + 1])]
-            total = total + np.einsum(*operands, list(range(1, self.dim + 1)),
-                                      optimize=True)
-        return total / self.n
+        """Exact d-linear cdf on a product lattice: the stacked :meth:`cdf_slabs`."""
+        slabs = list(self.cdf_slabs(axes))
+        return np.stack(slabs) if slabs else np.empty([len(a) for a in axes])
 
     def cdf_slabs(self, axes):
-        """Cdf on the lattice of ``axes[1:]``, one node of ``axes[0]`` at a
-        time: d-linear for n <= 64, else the step counts, which are within
-        :meth:`lattice_gap` of it."""
-        if self.multilinear_breaks() is None:
-            return step_cdf_slabs(self.ranks / self.n, axes)
-        return (self.cdf_on_lattice([[x], *axes[1:]])[0] for x in axes[0])
+        """Exact d-linear cdf on the lattice of ``axes[1:]``, one node of
+        ``axes[0]`` at a time: the checkerboard on the rank grid {k/n}.  Its
+        node values, the step counts, stream over the rank nodes that each
+        axis's :func:`~copulakit.grid._axis_map` reads, at most two slabs
+        held; on {k/n} every map is a gather and the slabs are the counts."""
+        grid, maps, nodes = uniform_breaks(self.n), [], []
+        for xs in axes:
+            W = _axis_map(grid, xs)
+            if W.ndim == 1:
+                used, W = np.unique(W, return_inverse=True)
+            else:
+                used = np.flatnonzero(W.any(axis=0))
+                W = W[:, used]
+            maps.append(W)
+            nodes.append(grid[used])
+        (W0, *tail), points = maps, self.ranks / self.n
+        if all(W.ndim == 1 and np.array_equal(W, np.arange(len(W))) for W in tail):
+            tail = []  # the tail's nodes are the rank nodes: no map, checked once per scan
+        rows = ([[c] for c in W0.tolist()] if W0.ndim == 1
+                else [np.flatnonzero(w).tolist() for w in W0])
+        held, top = {}, len(nodes[0])  # the rank slabs a node reads; the stream's next
+        for i, taps in enumerate(rows):
+            for c in taps:
+                if c < top and c not in held:  # the first node, or one below the last
+                    stream, top = step_cdf_slabs(points, [nodes[0][c:], *nodes[1:]]), c
+                while top <= c:
+                    held[top], top = next(stream), top + 1
+            held = {c: held[c] for c in taps}
+            if W0.ndim == 1:
+                yield _contract(held[taps[0]], tail)
+            else:
+                yield _contract(np.stack([held[c] for c in taps]), [W0[i : i + 1, taps], *tail])[0]
 
     # -- structure ------------------------------------------------------------
 
@@ -148,13 +163,6 @@ class EmpiricalCopula:
         if self.n <= 64:
             return tuple(uniform_breaks(self.n) for _ in range(self.dim))
         return None
-
-    def lattice_gap(self, axes) -> float:
-        """Bound on |cdf_slabs(axes) - cdf| at the nodes: 0 for the d-linear
-        cdf and for step counts on the rank grid {k/n}, else dim/n."""
-        n = self.n
-        on_grid = all(np.array_equal(np.round(np.multiply(a, n)) / n, a) for a in axes)
-        return 0.0 if on_grid or self.multilinear_breaks() is not None else self.dim / n
 
     def to_grid(self) -> GridCopula:
         """Dense checkerboard view (resolution n per axis; small n only)."""

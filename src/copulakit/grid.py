@@ -281,10 +281,6 @@ class GridCopula:
         for i in range(len(W0)):
             yield _contract(self.cum, [W0[i : i + 1], *rest])[0]
 
-    def lattice_gap(self, axes) -> float:
-        """Bound on |cdf_slabs(axes) - cdf| at the nodes: none."""
-        return 0.0
-
     # -- algebra ----------------------------------------------------------
 
     def margin(self, axes) -> "GridCopula":

@@ -232,10 +232,9 @@ def d_inf_many(op, targets, eps: float = 1e-8, scan_m: int = _SCAN_M) -> list:
         maxima = slab_sup_distances(op, [targets[i] for i in idx], axes)
         # every copula is 1-Lipschitz per coordinate, so the difference moves by
         # at most twice the distance to the nearest node, half a cell per axis
-        width = sum(float(np.max(np.diff(a))) for a in axes) + op.lattice_gap(axes)
+        error = 0.0 if exact else sum(float(np.max(np.diff(a))) for a in axes)
         n_evals = 2 * int(np.prod([len(a) for a in axes]))
         for i, value in zip(idx, maxima):
-            error = 0.0 if exact else width + targets[i].lattice_gap(axes)
             reports[i] = _report("d_inf", t0, value, EXACT if exact else CERTIFIED, error,
                                  n_evals, eps)
     return reports
@@ -251,9 +250,9 @@ def d_inf(c1, c2, eps: float = 1e-8, scan_m: int = _SCAN_M) -> MetricReport:
     Otherwise both stream over a scan lattice (``scan_m``
     uniform nodes per axis plus both operands' breaks), whose node maximum
     is a lower bound, certified within the Lipschitz width (the largest
-    lattice step, summed over the axes) plus each operand's
-    ``lattice_gap(axes)``: ``d/n`` for a rank-form empirical copula with a
-    node off its rank grid ``{k/n}``, where its step counts are exact.
+    lattice step, summed over the axes).  Every operand is exact at every
+    node, a rank-form empirical copula as the checkerboard on its rank grid
+    ``{k/n}``.
     """
     return d_inf_many(c1, [c2], eps, scan_m)[0]
 
@@ -325,8 +324,6 @@ def d1(c1, c2, eps: float = 1e-8, axis=None) -> MetricReport:
         free, diffs = _kernel_pair_grid(*pair, axis)
         total, err, cells = 0.0, 0.0, 0
         for w, dK in diffs:
-            if w <= 0:
-                continue
             val, half = integrate_abs_multilinear(dK, free, tol=eps / max(len(diffs), 1))
             total += w * val
             err += w * half

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from copulakit import (
@@ -41,6 +43,20 @@ def _dominated_fraction(points, axes):
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     below = np.all(points[:, None, :] <= nodes.reshape(-1, len(axes))[None], axis=2)
     return below.sum(axis=0).reshape(nodes.shape[:-1]) / len(points)
+
+
+def _d_linear(emp, axes):
+    """The d-linear cdf on a lattice: the brute-force step counts on the rank
+    grid {k/n}, elsewhere the clip-weight formula of ``cdf_many`` at each node."""
+    if _on_rank_grid(axes, emp.n):
+        return _dominated_fraction(emp.ranks / emp.n, axes)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return emp.cdf_many(nodes.reshape(-1, len(axes))).reshape(nodes.shape[:-1])
+
+
+def _on_rank_grid(axes, n):
+    """Whether every node is a float k/n, as ``uniform_breaks(n)`` holds it."""
+    return all(np.array_equal(np.round(np.multiply(a, n)) / n, a) for a in axes)
 
 
 def _nonuniform_axes(rng, n, d):
@@ -149,16 +165,14 @@ class TestEmpiricalEvaluation:
 
 def _scan_oracle(emp, targets, axes):
     """Node maxima of |empirical - target| on the lattice ``axes``: the
-    brute-force step cdf for n > 64, the d-linear cdf per slab below,
-    against one target lattice per slab."""
-    step = _dominated_fraction(emp.ranks / emp.n, axes)
+    d-linear cdf (:func:`_d_linear`) against one target lattice per slab."""
+    E = _d_linear(emp, axes)
     maxima = [0.0] * len(targets)
     for k in range(len(axes[0])):
         slab = [axes[0][k : k + 1], *axes[1:]]
-        E = step[k] if emp.n > 64 else emp.cdf_on_lattice(slab)[0]
         for t_i, target in enumerate(targets):
             T = target.cdf_on_lattice(slab)[0]
-            maxima[t_i] = max(maxima[t_i], float(np.max(np.abs(E - T))))
+            maxima[t_i] = max(maxima[t_i], float(np.max(np.abs(E[k] - T))))
     return maxima
 
 
@@ -175,27 +189,75 @@ class TestStepSlabs:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rank_form_slabs_are_the_step_counts(self, d):
         emp = empirical_copula(np.random.default_rng(d).random((70, d)))
-        axes = [np.linspace(0.0, 1.0, 6)] * d
+        axes = [np.arange(6) / 5] * d
         slabs = np.stack(list(emp.cdf_slabs(axes)))
         assert np.array_equal(slabs, _dominated_fraction(emp.ranks / emp.n, axes))
-        # the step counts are exact on the rank grid {k/70} only
-        assert emp.lattice_gap([np.arange(11) / 10] * d) == 0.0
-        assert emp.lattice_gap([np.arange(11) / 10] * (d - 1) + [np.arange(4) / 3]) == d / 70
+        # the step counts are the d-linear cdf on the rank grid {k/70} only;
+        # off it, by thirds or by an ulp (linspace's 0.6000000000000001 for
+        # 42/70), the slabs interpolate them
+        for off in ([np.arange(11) / 10] * (d - 1) + [np.arange(4) / 3],
+                    [np.linspace(0.0, 1.0, 6)] * d):
+            slabs = np.stack(list(emp.cdf_slabs(off)))
+            assert_allclose(slabs, _d_linear(emp, off), rtol=0, atol=1e-14)
+            assert not np.array_equal(slabs, _dominated_fraction(emp.ranks / emp.n, off))
 
     def test_small_samples_stream_their_d_linear_cdf(self, cube):
         emp = empirical_copula(sample(cube, 30, seed=4))
         axes = [np.linspace(0.0, 1.0, 7)] * 3
-        assert_allclose(np.stack(list(emp.cdf_slabs(axes))), emp.cdf_on_lattice(axes),
-                        atol=1e-15)
-        assert emp.lattice_gap(axes) == 0.0
+        assert_allclose(np.stack(list(emp.cdf_slabs(axes))),
+                        emp.to_grid().cdf_on_lattice(axes), rtol=0, atol=1e-15)
+
+
+class TestCheckerboardOnTheRankGrid:
+    # sample sizes on both sides of 64, where multilinear_breaks stops
+    sizes = st.sampled_from([1, 5, 17, 64, 65, 90, 200])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_slabs_are_the_d_linear_cdf_on_mixed_lattices(self, seed, d, n):
+        rng = np.random.default_rng(seed)
+        emp = empirical_copula(rng.random((n, d)))
+        axes = [np.union1d(rng.random(rng.integers(1, 6)),
+                           rng.integers(0, n + 1, rng.integers(0, 4)) / n) for _ in range(d)]
+        # the dense view holds n^d cells: the clip-weight formula above 2^22
+        want = (emp.to_grid().cdf_on_lattice(axes) if n**d <= 2**22
+                else _d_linear(emp, axes))
+        assert_allclose(emp.cdf_on_lattice(axes), want, rtol=0, atol=1e-14)
+        assert_allclose(np.stack(list(emp.cdf_slabs(axes))), want, rtol=0, atol=1e-14)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_slabs_are_the_step_counts_on_the_rank_grid(self, seed, d, n):
+        rng = np.random.default_rng(seed)
+        emp = empirical_copula(rng.random((n, d)))
+        axes = [np.unique(rng.integers(0, n + 1, rng.integers(1, 8))) / n for _ in range(d)]
+        want = list(step_cdf_slabs(emp.ranks / n, axes))
+        assert all(np.array_equal(a, b) for a, b in zip(emp.cdf_slabs(axes), want, strict=True))
+        # a part of a split scan starts at an inner node of the first axis
+        k = int(rng.integers(0, len(axes[0])))
+        part = emp.cdf_slabs([axes[0][k:], *axes[1:]])
+        assert all(np.array_equal(a, b) for a, b in zip(part, want[k:], strict=True))
+
+    def test_any_node_order_and_an_empty_axis(self):
+        rng = np.random.default_rng(5)
+        emp = empirical_copula(rng.random((30, 3)))
+        # a node below the one before restarts the rank stream
+        axes = [rng.random(6), rng.random(4), np.array([1.0, 0.0, 0.5])]
+        assert_allclose(emp.cdf_on_lattice(axes), emp.to_grid().cdf_on_lattice(axes),
+                        rtol=0, atol=1e-15)
+        for j in range(3):
+            empty = [np.array([0.5])] * 3
+            empty[j] = np.array([])
+            assert emp.cdf_on_lattice(empty).shape == (1, 1, 1)[:j] + (0,) + (1, 1, 1)[j + 1 :]
 
 
 class TestRankFormDInf:
-    # value and error of the whole-lattice evaluation this scan replaced
+    # the node maximum of the d-linear cdf on the whole scan lattice, the same
+    # bit for bit from cdf_many node by node, and the Lipschitz width alone
     @pytest.mark.parametrize("source, target, n, seed, value, error", [
-        ("cube", "cube", 300, 5, 0.05539143880208336, 0.0334375),
-        ("cube", "efgm", 300, 5, 0.11370253026485444, 0.0334375),
-        ("bstar", "bstar", 200, 7, 0.031269531249999996, 0.025625000000000002),
+        ("cube", "cube", 300, 5, 0.05083333333333334, 0.0234375),
+        ("cube", "efgm", 300, 5, 0.11370253026485444, 0.0234375),
+        ("bstar", "bstar", 200, 7, 0.030917968750000024, 0.015625),
     ])
     def test_pinned_to_the_whole_lattice_values(self, cube, source, target, n, seed,
                                                 value, error):
@@ -218,21 +280,16 @@ class TestRankFormDInf:
         # every break of both targets is on the 8-lattice
         other = product_extend(cube, 4) if target == "grid" else efgm_quadratic(4)
         axes = [np.arange(9) / 8] * 4
-        oracle = np.max(np.abs(_dominated_fraction(emp.ranks / emp.n, axes)
-                               - other.cdf_on_lattice(axes)))
+        oracle = np.max(np.abs(_d_linear(emp, axes) - other.cdf_on_lattice(axes)))
         rep = d_inf(emp, other, scan_m=8)
         assert rep.value == pytest.approx(oracle, rel=0, abs=1e-15)
-        assert rep.error == 4 / 8 + 4 / 100
+        assert rep.error == 4 / 8
         assert rep.n_evaluations == 2 * 9**4
 
 
 def _width(axes):
     """Lipschitz width of a scan lattice: the largest step, summed over axes."""
     return sum(float(np.max(np.diff(a))) for a in axes)
-
-
-def _on_rank_grid(axes, n):
-    return all(np.allclose(a * n, np.round(a * n), rtol=0, atol=1e-9) for a in axes)
 
 
 def _fields(rep):
@@ -259,21 +316,26 @@ class TestSupScan:
                 if t not in scanned:
                     assert _fields(rep) == _fields(d_inf(emp, t)) and rep.exactness == "exact"
                     continue
-                # each target on its own lattice; the step counts are exact on
-                # the rank grid only
+                # each target on its own lattice, certified by its width; on
+                # the rank grid the slabs are the step counts bit for bit
                 axes = _lattice_axes([emp, t], m)
-                gap = 0.0 if n <= 64 or _on_rank_grid(axes, n) else 3 / n
-                assert [rep.value] == _scan_oracle(emp, [t], axes)
-                assert rep.error == _width(axes) + gap
+                (oracle,) = _scan_oracle(emp, [t], axes)
+                if _on_rank_grid(axes, n):
+                    assert rep.value == oracle
+                else:
+                    assert rep.value == pytest.approx(oracle, rel=0, abs=1e-14)
+                assert rep.error == _width(axes)
 
     def test_the_rank_gap_follows_the_lattice(self, cube):
-        # 40 divides 120 and the cube's breaks lie on the 120-grid: no gap;
-        # 37 does not divide 120: the gap is d/n
+        # 40 divides 120 and the cube's breaks lie on the 120-grid; 37 does not
+        # divide 120, yet every node is exact there too: no gap on either
         emp = empirical_copula(sample(cube, 120, seed=0))
-        (aligned,) = d_inf_many(emp, [cube], scan_m=40)
-        (unaligned,) = d_inf_many(emp, [cube], scan_m=37)
-        assert aligned.error == _width(_lattice_axes([emp, cube], 40))
-        assert unaligned.error == _width(_lattice_axes([emp, cube], 37)) + 3 / 120
+        for m in (40, 37):
+            (rep,) = d_inf_many(emp, [cube], scan_m=m)
+            axes = _lattice_axes([emp, cube], m)
+            assert rep.error == _width(axes)
+            assert rep.value == pytest.approx(_scan_oracle(emp, [cube], axes)[0],
+                                              rel=0, abs=1e-14)
 
     def test_one_stream_of_the_operand_serves_every_target(self, cube, pi2, monkeypatch,
                                                            cpus):
@@ -294,14 +356,15 @@ class TestSupScan:
                                                   for t in (cube, pi2)]
 
     def test_a_certificate_does_not_grow_with_the_other_targets(self, pi2):
-        # the source's breaks lie off the 400-grid: on a shared lattice they
-        # would add d/n to pi2's certificate too
+        # the source's breaks lie off the 400-grid: pi2 is still scanned on
+        # its own lattice, which holds no node of the source's
         source = random_copula_grid(np.random.default_rng(2), [2, 3, 4])
         emp = empirical_copula(sample(source, 400, seed=2))
         both = d_inf_many(emp, [pi2, source], scan_m=40)
         assert [_fields(rep) for rep in both] == [_fields(d_inf(emp, t, scan_m=40))
                                                   for t in (pi2, source)]
-        assert both[0].error < both[1].error
+        assert both[0].error == _width(_lattice_axes([emp, pi2], 40))
+        assert both[0].n_evaluations < both[1].n_evaluations
 
     def test_accepts_any_dimension_and_rejects_a_target_of_another(self, cube):
         rng = np.random.default_rng(1)
@@ -309,9 +372,10 @@ class TestSupScan:
                             (rng.random((90, 2)), bstar())):
             emp = empirical_copula(pts)
             (rep,) = d_inf_many(emp, [target], scan_m=8)
-            axes = _lattice_axes([emp, target], 8)
-            assert rep.value == _scan_oracle(emp, [target], axes)[0]
-            assert rep.error == _width(axes) + emp.dim / 90  # 8 does not divide 90
+            axes = _lattice_axes([emp, target], 8)  # 8 does not divide 90
+            assert rep.value == pytest.approx(_scan_oracle(emp, [target], axes)[0],
+                                              rel=0, abs=1e-14)
+            assert rep.error == _width(axes)
         emp = empirical_copula(rng.random((40, 3)))
         with pytest.raises(DimensionMismatch):
             d_inf_many(emp, [cube, cube.margin((0, 1))], scan_m=8)
@@ -361,7 +425,7 @@ def _operands(kind, d, n):
 
 
 class TestSplitScan:
-    # n <= 64 streams the d-linear cdf, n > 64 the step counts
+    # a rank-form operand streams its d-linear cdf at n <= 64 and n > 64 alike
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [40, 150])
     @pytest.mark.parametrize("kind", ["grid", "closed", "rank"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +168,14 @@ class TestKernelMetrics:
             rep = d1(efgm_sequence_member(m, 1, 3), pi_a)
             assert rep.value == pytest.approx(2.0**-m / 36, abs=1e-8)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_d2_efgm_sequence(self, m):
+        # K1 - K2 = f'(v) u1(1-u1) u2(1-u2) with the integral of f'^2 equal to
+        # 2^-m and that of u^2 (1-u)^2 equal to 1/30: d2 = 2^-m / 900
+        rep = d2(efgm_sequence_member(m, 1), independence_analytic(3))
+        assert rep.exactness == "estimated"
+        assert abs(rep.value - 2.0**-m / 900) <= rep.error
+
     def test_d2_and_sup_zero_on_identity(self, cube):
         assert d2(cube, cube).value == 0.0
         assert d_inf_kernel(cube, cube).value == 0.0
@@ -313,6 +322,18 @@ class TestChain:
     def test_cube_pi_chain(self, cube, pi2):
         rep = metric_chain_check(cube, pi2)
         assert rep["ok"]
+
+    def test_disjoint_supports_report_no_kl(self, cube, rcube):
+        rep = metric_chain_check(cube, rcube)
+        assert rep["ok"] and rep["reports"]["kl"] is None
+
+    def test_d2_above_d1_is_a_violation(self, cube, pi2, monkeypatch):
+        d1_value = d1(cube, pi2).value
+        real = metrics_mod.d2
+        monkeypatch.setattr(metrics_mod, "d2", lambda c1, c2, eps: replace(
+            real(c1, c2, eps=eps), value=2 * d1_value + 1.0))
+        with pytest.raises(ChainViolation, match="d2 <= d1"):
+            metric_chain_check(cube, pi2)
 
     def test_random_pairs_with_doubled_budget_oracle(self, rng):
         # metrics recomputed at a tighter budget agree within the reported

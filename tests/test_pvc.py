@@ -64,6 +64,10 @@ class TestPvc3:
         res = pvc3(emp)
         assert res.psi is emp
 
+    def test_the_ladder_fixes_a_sample(self, cube):
+        emp = empirical_copula(sample(cube, 500, seed=8))
+        assert pvc_dvine(emp).psi is emp
+
     def test_margins_preserved(self, random_grid):
         g = random_grid((3, 2, 4))
         res = pvc3(g)

@@ -99,7 +99,10 @@ def stray_calls(path, name, allowed) -> list:
 # the uniform-distance scan, with its lattice and certificate, runs only in
 # metrics (d_inf); per-axis products run in grid._contract, which gathers the
 # axes an interpolation matrix would only copy (the exact squared integral
-# keeps its own sum of weighted nodes); the scan is the one parallel region,
+# keeps its own sum of weighted nodes), and so does the d-linear cdf of every
+# operand, a rank-form sample's as the checkerboard on its rank grid (the
+# bisection of the multilinear quadrature keeps its one einsum, which splits
+# cells, not lattices); the scan is the one parallel region,
 # its parts one per CPU of the process's affinity mask, and the one place
 # that sets the thread count of a native BLAS; an operand is discretized
 # only where the caller asks for it (make and pvc --res, the verification
@@ -116,6 +119,7 @@ ONE_WAY = {
     "sched_getaffinity": {"metrics.py:slab_sup_distances"},
     "CDLL": {"metrics.py:_openblas_threads"},
     "discretize": {"families.py", "cli.py:_discretized", "verify.py", "metrics.py:_grid_pair"},
+    "einsum": {"quadrature.py:_bisect_abs"},
 }
 
 
@@ -192,6 +196,12 @@ def test_one_way_guard_catches_offenders(tmp_path):
                     "class GridCopula:\n    def refine_to(self, T):\n"
                     "        return np.tensordot(T, self.masses, axes=(1, 0))\n")
     assert stray_calls(grid, "tensordot", ONE_WAY["tensordot"]) == ["grid.py:GridCopula:10"]
+    # a second d-linear evaluator, by clip weights, beside the rank-grid checkerboard
+    emp = tmp_path / "empirical.py"
+    emp.write_text("import numpy as np\n\n\nclass EmpiricalCopula:\n"
+                   "    def cdf_on_lattice(self, axes):\n"
+                   "        return np.einsum('pi,pj->ij', *self.weights(axes))\n")
+    assert stray_calls(emp, "einsum", ONE_WAY["einsum"]) == ["empirical.py:EmpiricalCopula:6"]
     # a second pool, sized by its own CPU count, beside the split scan
     met = tmp_path / "metrics.py"
     met.write_text("import os\nfrom concurrent.futures import ThreadPoolExecutor\n\n\n"
