@@ -16,7 +16,7 @@ import csv
 
 import numpy as np
 
-from .errors import BadOperand, DimensionMismatch, TiesDetected
+from .errors import BadDimension, BadOperand, DimensionMismatch, TiesDetected
 from .grid import GridCopula, _axis_map, _contract, uniform_breaks
 
 # sample points per block of the cdf evaluations
@@ -72,6 +72,8 @@ def load_sample(path) -> np.ndarray:
     pts = np.asarray(rows, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != len(header):
         raise DimensionMismatch("malformed sample file")
+    if pts.shape[1] < 2:
+        raise BadOperand(f"a sample needs at least two columns, got {pts.shape[1]}")
     if not np.all(np.isfinite(pts)):
         raise BadOperand("sample coordinates must be finite numbers")
     try:
@@ -87,9 +89,10 @@ class EmpiricalCopula:
     __slots__ = ("ranks", "n", "dim")
 
     def __init__(self, ranks: np.ndarray):
-        ranks = np.asarray(ranks, dtype=np.int64)
-        self.ranks = ranks
+        self.ranks = ranks = np.asarray(ranks, dtype=np.int64)
         self.n, self.dim = ranks.shape
+        if self.dim < 2:
+            raise BadDimension("copulas need dimension >= 2")
         for j in range(self.dim):
             if len(np.unique(ranks[:, j])) != self.n:
                 raise TiesDetected(f"ranks along axis {j} are not a permutation")
@@ -160,19 +163,14 @@ class EmpiricalCopula:
     # -- structure ------------------------------------------------------------
 
     def multilinear_breaks(self):
-        if self.n <= 64:
-            return tuple(uniform_breaks(self.n) for _ in range(self.dim))
-        return None
+        """The rank grid {k/n} on every axis, at every n: d-linear per rank cell."""
+        return tuple(uniform_breaks(self.n) for _ in range(self.dim))
 
     def to_grid(self) -> GridCopula:
-        """Dense checkerboard view (resolution n per axis; small n only)."""
+        """The same checkerboard as a dense grid of n^d cells (an oracle for small n)."""
         masses = np.zeros((self.n,) * self.dim)
         masses[tuple((self.ranks - 1).T)] = 1.0 / self.n
         return GridCopula([uniform_breaks(self.n)] * self.dim, masses)
-
-    def margin(self, axes) -> "EmpiricalCopula":
-        axes = tuple(int(a) for a in axes)
-        return EmpiricalCopula(self.ranks[:, list(axes)])
 
     def __repr__(self):
         return f"EmpiricalCopula(n={self.n}, dim={self.dim})"

@@ -424,7 +424,7 @@ def _check_index_set(axes, dim: int) -> tuple:
     return axes
 
 
-def common_refinement(c1: GridCopula, c2: GridCopula, cell_limit: int = DEFAULT_CELL_LIMIT):
+def common_refinement(c1: GridCopula, c2: GridCopula):
     """Re-express two grid copulas on a shared per-axis grid.
 
     Uniform axis pairs refine to the lcm resolution, mixed ones to the union
@@ -433,7 +433,7 @@ def common_refinement(c1: GridCopula, c2: GridCopula, cell_limit: int = DEFAULT_
     Raises
     ------
     ResolutionOverflow
-        If the refined grid would exceed ``cell_limit`` cells.
+        If the refined grid would exceed ``DEFAULT_CELL_LIMIT`` cells.
     """
     if c1.dim != c2.dim:
         raise DimensionMismatch("operands differ in dimension")
@@ -444,8 +444,8 @@ def common_refinement(c1: GridCopula, c2: GridCopula, cell_limit: int = DEFAULT_
         target.append(uniform_breaks(int(np.lcm(len(b1) - 1, len(b2) - 1)))
                       if u1 and u2 else np.union1d(b1, b2))
     cells = int(np.prod([len(t) - 1 for t in target]))
-    if cells > cell_limit:
-        raise ResolutionOverflow(f"refinement needs {cells} cells > limit {cell_limit}")
+    if cells > DEFAULT_CELL_LIMIT:
+        raise ResolutionOverflow(f"refinement needs {cells} cells > limit {DEFAULT_CELL_LIMIT}")
     return c1.refine_to(target), c2.refine_to(target)
 
 

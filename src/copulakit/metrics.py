@@ -44,9 +44,8 @@ EXACT = "exact"
 CERTIFIED = "certified"
 ESTIMATED = "estimated"
 
-# largest merged lattice d_inf evaluates whole, the per-axis node count of
-# the scan lattices, and the largest slab a streamed scan holds per operand
-_NODE_BUDGET = 2_000_000
+# the per-axis node count of the scan lattices, and the largest slab a scan
+# holds per operand, which is also the largest lattice d_inf evaluates whole
 _SCAN_M = 128
 _SLAB_BUDGET = 2**23
 
@@ -94,15 +93,15 @@ def _report(name, t0, value, exactness, error, n_evals, eps=0.0) -> MetricReport
 
 
 def _lattice_axes(ops, scan_m: int):
-    """Scan nodes per axis: uniform plus every operand's multilinear and kernel breaks."""
+    """Scan nodes per axis: uniform plus every operand's breaks but a sample's rank nodes."""
     axes = []
     for j in range(ops[0].dim):
         pts = uniform_breaks(scan_m)
-        for op in ops:
+        for op in (op for op in ops if not isinstance(op, EmpiricalCopula)):
             mb = op.multilinear_breaks()
             if mb is not None:
                 pts = np.union1d(pts, mb[j])
-            if not isinstance(op, EmpiricalCopula) and j < op.dim - 1:
+            if j < op.dim - 1:
                 pts = np.union1d(pts, op.kernel_u_breaks[j])
         axes.append(pts)
     return axes
@@ -208,7 +207,8 @@ def slab_sup_distances(op, others, axes) -> list:
 
 
 def d_inf_many(op, targets, eps: float = 1e-8, scan_m: int = _SCAN_M) -> list:
-    """:func:`d_inf` to each of ``targets``; scanned ones of equal lattices share one op stream."""
+    """:func:`d_inf` to each of ``targets``, each on its own merged or scan
+    lattice; streamed targets on equal lattices share one stream of ``op``."""
     t0 = time.perf_counter()
     if any(t.dim != op.dim for t in targets):
         raise DimensionMismatch("operands differ in dimension")
@@ -218,15 +218,18 @@ def d_inf_many(op, targets, eps: float = 1e-8, scan_m: int = _SCAN_M) -> list:
     passes = {}  # scan lattice -> (its axes, whether exact, the targets scanned on it)
     for i, t in enumerate(targets):
         b1, b2 = op.multilinear_breaks(), t.multilinear_breaks()
-        merged = [np.union1d(a, b) for a, b in zip(b1, b2)] if b1 and b2 else []
-        count = int(np.prod([len(a) for a in merged]))
-        if merged and count <= _NODE_BUDGET:
-            value = float(np.max(np.abs(op.cdf_on_lattice(merged) - t.cdf_on_lattice(merged))))
+        axes = merged = [np.union1d(a, b) for a, b in zip(b1, b2)] if b1 and b2 else []
+        # a scan axis has at least scan_m + 1 nodes: only longer merged axes need it built
+        if not merged or max(len(a) for a in merged) > scan_m + 1:
+            scan = _lattice_axes([op, t], scan_m)
+            if not merged or any(len(a) > len(b) for a, b in zip(merged, scan)):
+                axes = scan
+        exact, count = axes is merged, int(np.prod([len(a) for a in axes]))
+        if exact and count <= _SLAB_BUDGET:
+            value = float(np.max(np.abs(op.cdf_on_lattice(axes) - t.cdf_on_lattice(axes))))
             reports[i] = _report("d_inf", t0, value, EXACT, 0.0, count)
             continue
-        # above the budget the merged breaks stream, still exactly; on its own
-        # scan lattice, a target's certificate ignores the others' breaks
-        axes, exact = merged or _lattice_axes([op, t], scan_m), bool(merged)
+        # on its own scan lattice, a target's certificate ignores the others' breaks
         passes.setdefault((exact, *(a.tobytes() for a in axes)), (axes, exact, []))[2].append(i)
     for axes, exact, idx in passes.values():
         maxima = slab_sup_distances(op, [targets[i] for i in idx], axes)
@@ -243,16 +246,16 @@ def d_inf_many(op, targets, eps: float = 1e-8, scan_m: int = _SCAN_M) -> list:
 def d_inf(c1, c2, eps: float = 1e-8, scan_m: int = _SCAN_M) -> MetricReport:
     """Uniform distance ``max |C1 - C2|``.
 
-    Exact whenever both operands are multilinear between known breakpoints
-    (the difference is then multilinear per cell of the merged breaks, so
-    its node maximum is the true maximum): the merged lattice is evaluated
-    whole within the node budget and streamed slab by slab above it.
-    Otherwise both stream over a scan lattice (``scan_m``
-    uniform nodes per axis plus both operands' breaks), whose node maximum
-    is a lower bound, certified within the Lipschitz width (the largest
-    lattice step, summed over the axes).  Every operand is exact at every
-    node, a rank-form empirical copula as the checkerboard on its rank grid
-    ``{k/n}``.
+    Exact, with error 0, when both operands are multilinear between known
+    breakpoints and no axis of their merged breaks has more nodes than the
+    scan lattice's: the difference is then multilinear per merged cell, so
+    its node maximum is the true one (grid and closed-form pairs always, a
+    sample when its rank grid ``{k/n}`` is no finer than the scan).  Else
+    the node maximum over the scan lattice (``scan_m`` uniform nodes per
+    axis plus both operands' breaks, none of a sample's) is a lower bound,
+    certified within the Lipschitz width (the largest lattice step, summed
+    over the axes).  An exact lattice of at most ``_SLAB_BUDGET`` nodes is
+    evaluated whole, any other lattice streamed slab by slab.
     """
     return d_inf_many(c1, [c2], eps, scan_m)[0]
 
@@ -396,7 +399,7 @@ def _kernel_integral_analytic(c1, c2, power: int, eps: float, axis):
 
     axes = [np.union1d(a, b) for a, b in zip(c1.kernel_u_breaks, c2.kernel_u_breaks)]
     axes.append(np.union1d(c1.kernel_v_breaks, c2.kernel_v_breaks))
-    return adaptive_gl(f, axes, order=8, tol=eps)
+    return adaptive_gl(f, axes, tol=eps)
 
 
 # -- measure metrics --------------------------------------------------------------

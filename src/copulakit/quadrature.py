@@ -13,7 +13,7 @@ Two integrators are provided:
   weights, ``|corner-mean| * vol <= cell integral <= mean(|corners|) * vol``,
   which yields a certified bracket at every stage.
 
-* :func:`adaptive_gl` is a tensor Gauss-Legendre rule (order 8 by default)
+* :func:`adaptive_gl` is a tensor Gauss-Legendre rule of order 8
   with one-level refinement as error estimate and adaptive subdivision of
   the worst cells, for smooth or piecewise-smooth integrands given by a
   vectorized callable.
@@ -31,6 +31,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .grid import _axis_map, _contract
+
+_GL_ORDER = 8  # nodes per axis and cell of adaptive_gl's rule
 
 
 @lru_cache(maxsize=None)
@@ -247,8 +249,7 @@ def integrate_square_multilinear(values: np.ndarray, axes) -> float:
     return float(sq)
 
 
-def adaptive_gl(f, axes, order: int = 8, tol: float = 1e-8,
-                max_evals: int = 2_000_000):
+def adaptive_gl(f, axes, tol: float = 1e-8, max_evals: int = 2_000_000):
     """Adaptive tensor Gauss-Legendre integration over a meshed unit box.
 
     Parameters
@@ -258,8 +259,6 @@ def adaptive_gl(f, axes, order: int = 8, tol: float = 1e-8,
     axes : sequence of 1-d arrays
         Initial mesh breakpoints per axis (integrand may be nonsmooth only
         on mesh planes for the estimate to be sharp).
-    order : int
-        Nodes per axis and cell.
     tol : float
         Target total error estimate (difference between the coarse rule and
         one uniform refinement per cell).
@@ -280,11 +279,11 @@ def adaptive_gl(f, axes, order: int = 8, tol: float = 1e-8,
 
     def rule(cell):
         nonlocal n_evals
-        coarse = _gl_cell(f, cell, order)
+        coarse = _gl_cell(f, cell)
         fine = 0.0
         for sub in _split_cell(cell):
-            fine += _gl_cell(f, sub, order)
-        n_evals += order**d * (1 + 2**d)
+            fine += _gl_cell(f, sub)
+        n_evals += _GL_ORDER**d * (1 + 2**d)
         return fine, abs(fine - coarse)
 
     for cell in cells:
@@ -313,8 +312,8 @@ def _split_cell(cell):
     return itertools.product(*halves)
 
 
-def _gl_cell(f, cell, order: int) -> float:
-    x, w = leg01(order)
+def _gl_cell(f, cell) -> float:
+    x, w = leg01(_GL_ORDER)
     pts_1d = [lo + (hi - lo) * x for lo, hi in cell]
     wts_1d = [(hi - lo) * w for lo, hi in cell]
     grid = np.stack([g.ravel() for g in np.meshgrid(*pts_1d, indexing="ij")], axis=-1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from copulakit import cube_copula, independence, new_grid, rcube_copula
+from copulakit import GridCopula, cube_copula, independence, new_grid, rcube_copula
 from copulakit.verify import random_copula_grid
 
 
@@ -37,6 +37,20 @@ def random_grid(rng):
         return random_copula_grid(local, resolutions)
 
     return make
+
+
+def nonuniform_grid(rng, dim):
+    """Random checkerboard of 1 to 4 cells per axis on random breaks: a
+    positive tensor fitted to the cell widths by iterative proportional
+    fitting."""
+    breaks = [np.concatenate(([0.0], np.sort(rng.random(n - 1)), [1.0]))
+              for n in rng.integers(1, 5, size=dim)]
+    m = rng.random([len(b) - 1 for b in breaks]) + 0.05
+    for _ in range(400):
+        for ax, b in enumerate(breaks):
+            rest = tuple(a for a in range(dim) if a != ax)
+            m = m * np.expand_dims(np.diff(b) / m.sum(axis=rest), rest)
+    return GridCopula(breaks, m)
 
 
 def a1_cdf(u, v):

@@ -7,7 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from copulakit import GridCopula, d_inf, empirical_copula, kernel_cdf, load_sample, save_sample
+from copulakit import (GridCopula, cube_copula, d_inf, empirical_copula, kernel_cdf, load_sample,
+                       sample, save_sample)
 from copulakit import cli as cli_mod
 from copulakit import pvc as pvc_mod
 from copulakit import verify as verify_mod
@@ -262,6 +263,15 @@ class TestMalformedInput:
             assert run(args) == 2
             assert message in capsys.readouterr().err
 
+    def test_one_column_sample_is_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "one.csv"
+        csv.write_text("x1\n0.1\n0.5\n0.9\n")
+        for args in (["metric", "--name", "dinf", "--a", str(csv), "--b", str(csv)],
+                     ["empirical", "--in", str(csv)],
+                     ["pvc", "--in", str(csv)]):
+            assert run(args) == 2
+            assert "two columns" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["pvc", "--in", "cube", "--order", "0,2,1"],
         ["metric", "--name", "dinf", "--a", "cube", "--b", "cube", "--axis", "0"],
@@ -405,6 +415,31 @@ class TestPipelines:
         surf = json.loads(capsys.readouterr().out)
         assert surf["values"][-1][-1] == 1.0
 
+    def test_countermonotone_kernel(self, capsys):
+        # given t, W puts all its mass at u = 1 - t = 0.7
+        for u, value in (("0.8", 1.0), ("0.6", 0.0)):
+            assert run(["kernel", "--in", "w", "--t", "0.3", "--u", u]) == 0
+            assert json.loads(capsys.readouterr().out)["value"] == value
+
+    def test_ranks_descriptor_round_trip(self, tmp_path, capsys):
+        csv, desc = tmp_path / "s100.csv", tmp_path / "e.json"
+        assert run(["sample", "--in", "cube", "--n", "100", "--out", str(csv)]) == 0
+        assert run(["empirical", "--in", str(csv), "--out", str(desc)]) == 0
+        assert json.loads(desc.read_text())["family"] == "empirical"
+        reports = []
+        for operand in (desc, csv):
+            assert run(["metric", "--name", "dinf", "--a", str(operand), "--b", "cube"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            del reports[-1]["elapsed_s"]
+        assert reports[0] == reports[1]
+        assert (reports[0]["exactness"], reports[0]["error"]) == ("exact", 0.0)
+
+    def test_sample_to_stdout_reads_back(self, tmp_path, capsys):
+        assert run(["sample", "--in", "cube", "--n", "5"]) == 0
+        csv = tmp_path / "s.csv"
+        csv.write_text(capsys.readouterr().out)
+        assert np.array_equal(load_sample(csv), sample(cube_copula(), 5, 0))
+
     def test_analytic_kernel_is_not_discretized(self, capsys):
         assert run(["kernel", "--in", "efgm", "--t", "0.3", "--u", "0.3,0.6"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -533,8 +568,8 @@ class TestVerifyCommand:
 
 # One invocation per JSON report the CLI writes, on cheap operands, with the
 # $defs branch its payload belongs to.  The report goes to the file named by
-# the given flag.  Empirical sizes of at most 64 take the exact path, whose
-# rows have the same keys as the sup-scan path's.
+# the given flag.  A sample no finer than the scan lattice takes the exact
+# path, whose rows have the same keys as the certified scan's.
 REPORT_COMMANDS = [
     ("metric_report", "--out", ["metric", "--name", "tv", "--a", "cube", "--b", "pi:res=2"]),
     ("verification_list", "--out", ["verify", "cube-worst-case"]),

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -25,17 +25,20 @@ from copulakit import (
     sample,
     save_sample,
 )
-from copulakit.empirical import step_cdf_slabs
+from copulakit.empirical import EmpiricalCopula, step_cdf_slabs
 from copulakit import metrics
 from copulakit.errors import (
+    BadDimension,
     BadOperand,
     ClosedFormUnavailable,
     DimensionMismatch,
     ResolutionOverflow,
     TiesDetected,
 )
+from copulakit.grid import uniform_breaks
 from copulakit.metrics import _lattice_axes, d_inf_many, slab_sup_distances
 from copulakit.verify import random_copula_grid
+from conftest import nonuniform_grid
 
 
 def _dominated_fraction(points, axes):
@@ -141,15 +144,20 @@ class TestEmpiricalEvaluation:
         assert_allclose(step, exact, atol=1e-13)
 
     def test_scan_matches_exact_small_n(self, cube, pi2):
-        # above 64 points the scan reads step counts; the dense grid view,
-        # 101^3 merged nodes, is exact
+        # 100 points: the 101 rank nodes per axis fit the 251-node scan axis,
+        # so the sample is read on its merged breaks, exactly, as its dense
+        # grid view of 10^6 cells is; on a 51-node scan axis it is certified
         emp = empirical_copula(sample(cube, 100, seed=8))
-        scan, _ = d_inf_many(emp, [cube, pi2], scan_m=250)
-        exact = d_inf(emp.to_grid(), cube)
-        assert (scan.exactness, exact.exactness) == ("certified", "exact")
-        assert exact.value <= scan.value + scan.error + 1e-12
-        # unaligned lattice: the step counts may overshoot by at most 3/n
-        assert scan.value <= exact.value + 3 / emp.n + 1e-12
+        exact = [d_inf(emp.to_grid(), t) for t in (cube, pi2)]
+        for rep, oracle in zip(d_inf_many(emp, [cube, pi2], scan_m=250), exact):
+            assert (rep.exactness, rep.error, oracle.exactness) == ("exact", 0.0, "exact")
+            assert rep.value == pytest.approx(oracle.value, rel=0, abs=1e-14)
+        for rep, oracle in zip(d_inf_many(emp, [cube, pi2], scan_m=50), exact):
+            assert rep.exactness == "certified"
+            assert rep.error == pytest.approx(3 / 50, rel=0, abs=1e-15)
+            # every node value is the d-linear cdf: a lower bound and a bracket
+            assert rep.value <= oracle.value + 1e-14
+            assert oracle.value <= rep.value + rep.error + 1e-14
 
     def test_scan_aligned_node_values_are_exact(self, cube, pi2):
         emp = empirical_copula(sample(cube, 120, seed=9))
@@ -209,7 +217,7 @@ class TestStepSlabs:
 
 
 class TestCheckerboardOnTheRankGrid:
-    # sample sizes on both sides of 64, where multilinear_breaks stops
+    # sample sizes from 1 to 200 points, some past the default 128-node scan axis
     sizes = st.sampled_from([1, 5, 17, 64, 65, 90, 200])
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), sizes)
@@ -287,6 +295,31 @@ class TestRankFormDInf:
         assert rep.n_evaluations == 2 * 9**4
 
 
+class TestTheExactnessRule:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 300),
+           st.integers(8, 200))
+    @settings(max_examples=30, deadline=None)
+    @example(seed=0, d=3, n=100, m=128)  # exact
+    @example(seed=0, d=2, n=300, m=8)  # certified
+    def test_exact_when_the_merged_breaks_fit_the_scan(self, seed, d, n, m):
+        rng = np.random.default_rng(seed)
+        emp = empirical_copula(rng.random((n, d)))
+        grid = nonuniform_grid(rng, d)
+        rep = d_inf(emp, grid, scan_m=m)
+        scan = _lattice_axes([emp, grid], m)
+        merged = [np.union1d(uniform_breaks(n), b) for b in grid.breaks]
+        fits = all(len(a) <= len(b) for a, b in zip(merged, scan))
+        assert (rep.exactness == "exact") == fits
+        if fits:
+            assert rep.error == 0.0
+            assert abs(rep.value - d_inf(emp.to_grid(), grid).value) <= 1e-14
+        else:
+            assert rep.error == _width(scan)
+        # the scan lattice holds none of the sample's rank nodes
+        for a, b in zip(scan, grid.breaks):
+            assert np.setdiff1d(a, np.union1d(uniform_breaks(m), b)).size == 0
+
+
 def _width(axes):
     """Lipschitz width of a scan lattice: the largest step, summed over axes."""
     return sum(float(np.max(np.diff(a))) for a in axes)
@@ -294,6 +327,19 @@ def _width(axes):
 
 def _fields(rep):
     return rep.value, rep.exactness, rep.error, rep.n_evaluations
+
+
+def _d_inf_lattice(emp, t, m):
+    """The lattice ``d_inf(emp, t, scan_m=m)`` reads and whether it is exact:
+    the merged breaks when ``t`` is multilinear and no merged axis is longer
+    than the scan axis, else the scan lattice."""
+    scan = _lattice_axes([emp, t], m)
+    if t.multilinear_breaks() is None:
+        return scan, False
+    merged = [np.union1d(a, b) for a, b in zip(emp.multilinear_breaks(), t.multilinear_breaks())]
+    if any(len(a) > len(b) for a, b in zip(merged, scan)):
+        return scan, False
+    return merged, True
 
 
 class TestSupScan:
@@ -306,25 +352,22 @@ class TestSupScan:
         source = random_copula_grid(rng, [2, 3, 4])
         emp = empirical_copula(sample(source, n, seed=seed))
         nonuniform = random_copula_grid(rng, rng.integers(1, 6, size=3))
-        # a closed form is never exact, so every list but the first scans;
-        # at n <= 64 the grid targets take the exact branch
+        # a closed form is never exact; a grid target is exact on the merged
+        # breaks when no merged axis is longer than the scan axis
         efgm = efgm_quadratic(3)
         for targets in ([cube], [pi2, nonuniform, efgm], [nonuniform, source, cube, efgm]):
             reports = d_inf_many(emp, targets, scan_m=m)
-            scanned = [t for t in targets if n > 64 or t is efgm]
             for t, rep in zip(targets, reports):
-                if t not in scanned:
-                    assert _fields(rep) == _fields(d_inf(emp, t)) and rep.exactness == "exact"
-                    continue
-                # each target on its own lattice, certified by its width; on
-                # the rank grid the slabs are the step counts bit for bit
-                axes = _lattice_axes([emp, t], m)
+                # each target on its own lattice, exact or certified by its
+                # width; on the rank grid the slabs are the step counts bit for bit
+                axes, exact = _d_inf_lattice(emp, t, m)
                 (oracle,) = _scan_oracle(emp, [t], axes)
                 if _on_rank_grid(axes, n):
                     assert rep.value == oracle
                 else:
                     assert rep.value == pytest.approx(oracle, rel=0, abs=1e-14)
-                assert rep.error == _width(axes)
+                assert (rep.exactness, rep.error) == (
+                    ("exact", 0.0) if exact else ("certified", _width(axes)))
 
     def test_the_rank_gap_follows_the_lattice(self, cube):
         # 40 divides 120 and the cube's breaks lie on the 120-grid; 37 does not
@@ -425,7 +468,7 @@ def _operands(kind, d, n):
 
 
 class TestSplitScan:
-    # a rank-form operand streams its d-linear cdf at n <= 64 and n > 64 alike
+    # a rank-form operand streams its d-linear cdf at small and large n alike
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [40, 150])
     @pytest.mark.parametrize("kind", ["grid", "closed", "rank"])
@@ -585,3 +628,13 @@ class TestSampleIo:
         assert np.array_equal(back, pts)
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,x3"
+
+    def test_one_column_is_not_a_copula_sample(self, tmp_path):
+        path = tmp_path / "one.csv"
+        save_sample(path, np.array([[0.1], [0.5], [0.9]]))
+        with pytest.raises(BadOperand, match="two columns"):
+            load_sample(path)
+        with pytest.raises(BadDimension):
+            empirical_copula(np.array([[0.1], [0.5], [0.9]]))
+        with pytest.raises(BadDimension):
+            EmpiricalCopula(np.array([[1], [2], [3]]))

@@ -264,8 +264,9 @@ class TestCommonRefinement:
     def test_overflow_guard(self):
         a = independence(3, [97, 97, 97])
         b = independence(3, [89, 89, 89])
+        # 8633 cells per axis, the lcm: 6.4e11 cells, past the limit of 10^8
         with pytest.raises(ResolutionOverflow):
-            common_refinement(a, b, cell_limit=10**6)
+            common_refinement(a, b)
 
 
 def _joined(rng, b, lo=1):

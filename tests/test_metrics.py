@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from copulakit import (
-    GridCopula,
     box_mass,
     comonotone,
     common_refinement,
@@ -36,7 +35,7 @@ from copulakit import metrics as metrics_mod
 from copulakit import verify
 from copulakit.errors import ChainViolation, ResolutionOverflow, SupportViolation
 from copulakit.verify import random_copula_grid
-from conftest import a1_cdf, a2_cdf
+from conftest import a1_cdf, a2_cdf, nonuniform_grid
 
 
 def riemann_d1_oracle(n=500):
@@ -91,31 +90,20 @@ class TestDInf:
         assert dab <= d_inf(a, c).value + d_inf(c, b).value + 1e-12
 
 
-def nonuniform_grid(rng, dim):
-    """Random checkerboard of 1 to 4 cells per axis on random breaks: a
-    positive tensor fitted to the cell widths by iterative proportional
-    fitting."""
-    breaks = [np.concatenate(([0.0], np.sort(rng.random(n - 1)), [1.0]))
-              for n in rng.integers(1, 5, size=dim)]
-    m = rng.random([len(b) - 1 for b in breaks]) + 0.05
-    for _ in range(400):
-        for ax, b in enumerate(breaks):
-            rest = tuple(a for a in range(dim) if a != ax)
-            m = m * np.expand_dims(np.diff(b) / m.sum(axis=rest), rest)
-    return GridCopula(breaks, m)
-
-
 class TestStreamedMergedBreaks:
-    """With the dense node budget at 0 a multilinear pair streams its merged
-    breaks through the slab scan: still exact, with error 0, and the value of
-    the dense evaluation of the same nodes up to rounding, since the two take
-    different float paths (over 2,400 such pairs and orders, 40 differed,
-    by at most 1.2e-16)."""
+    """With the slab budget at one slab of the lattice a multilinear pair
+    streams its merged breaks through the slab scan: still exact, with error
+    0, and the value of the whole evaluation of the same nodes up to
+    rounding, since the two take different float paths (over 2,400 such
+    pairs and orders, 40 differed, by at most 1.2e-16)."""
 
     @staticmethod
     def streamed(c1, c2):
+        b1, b2 = c1.multilinear_breaks(), c2.multilinear_breaks()
+        axes = ([np.union1d(a, b) for a, b in zip(b1, b2)] if b1 and b2
+                else metrics_mod._lattice_axes([c1, c2], metrics_mod._SCAN_M))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics_mod, "_NODE_BUDGET", 0)
+            mp.setattr(metrics_mod, "_SLAB_BUDGET", int(np.prod([len(a) for a in axes[1:]])))
             return d_inf(c1, c2)
 
     def check(self, c1, c2):
@@ -124,6 +112,8 @@ class TestStreamedMergedBreaks:
         for rep in (self.streamed(c1, c2), self.streamed(c2, c1)):
             assert (rep.exactness, rep.error, rep.target_met) == ("exact", 0.0, True)
             assert abs(rep.value - dense.value) <= 1e-15
+            # a stream counts both operands' nodes, a whole evaluation the lattice's
+            assert rep.n_evaluations == 2 * dense.n_evaluations
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
@@ -143,9 +133,10 @@ class TestStreamedMergedBreaks:
     def test_grid_against_closed_form_independence(self, seed, dim):
         self.check(nonuniform_grid(np.random.default_rng(seed), dim), independence_analytic(dim))
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120))
     @settings(max_examples=20, deadline=None)
     def test_small_sample_against_a_grid(self, seed, n):
+        # at most 121 rank nodes and 3 breaks per axis fit the 129-node scan axis
         g = nonuniform_grid(np.random.default_rng(seed), 3)
         self.check(empirical_copula(sample(g, n, seed)), g)
 
