@@ -10,6 +10,8 @@ dimension three, optionally its conditional family.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import DimensionMismatch, KernelUnavailable
@@ -29,7 +31,10 @@ class AnalyticCopula:
         Lattice evaluator ``axes -> iterator of slabs``, yielding the cdf on
         the lattice of ``axes[1:]`` at each node of ``axes[0]`` in turn, with
         the values of ``cdf_fn`` at those points bit for bit; without it
-        :meth:`cdf_slabs` evaluates ``cdf_fn`` in blocks of points.
+        :meth:`cdf_slabs` evaluates ``cdf_fn`` in blocks of points.  A
+        product form gives one that multiplies per-axis vectors by outer
+        products, in the order ``cdf_fn`` multiplies a point's coordinates,
+        and builds no mesh of points.
     kernel_fn : callable, optional
         Vectorized Markov-kernel evaluator ``(v, u) -> K(v, [0, u])``
         conditioning on the last coordinate; ``v`` has shape (m,) and ``u``
@@ -126,17 +131,30 @@ class AnalyticCopula:
         return f"AnalyticCopula(dim={self.dim}, name={self.name!r})"
 
 
+def column_product(u) -> np.ndarray:
+    """``np.prod(u, axis=1)`` bit for bit as a new array: the columns of ``u``
+    multiplied left to right, as whole columns rather than short rows."""
+    return reduce(np.multiply, u.T[1:], u[:, 0].copy())
+
+
+def outer_chain(first, axes) -> np.ndarray:
+    """``first`` times each node of the lattice of ``axes``, the factors
+    multiplied left to right as ``np.prod`` multiplies a point's coordinates."""
+    return reduce(np.multiply.outer, axes, first)
+
+
 def independence_analytic(dim: int) -> AnalyticCopula:
-    """The independence copula as an analytic evaluator."""
+    """The independence copula as an analytic evaluator; a lattice slab is
+    the outer product of its axes."""
 
     def cdf(pts):
         return np.prod(pts, axis=1)
 
-    def kern(v, u):
-        return np.prod(u, axis=1)
+    def slabs(axes):
+        return (outer_chain(x, axes[1:]) for x in axes[0])
 
-    return AnalyticCopula(dim, cdf, kernel_fn=kern, multilinear=True,
-                          name=f"pi_{dim}")
+    return AnalyticCopula(dim, cdf, kernel_fn=lambda v, u: column_product(u),
+                          multilinear=True, name=f"pi_{dim}", slabs_fn=slabs)
 
 
 def comonotone(dim: int = 2) -> AnalyticCopula:

@@ -35,7 +35,7 @@ from .conditioning import (
     partial_copula,
     slab_family,
 )
-from .empirical import EmpiricalCopula, empirical_copula, load_sample, sample, save_sample
+from .empirical import EmpiricalCopula, empirical_copula, load_sample, sample, sample_csv
 from .errors import BadOperand, ClosedFormUnavailable, CopulaError, UnknownCase
 from .families import (
     SHUFFLE_SPECS,
@@ -415,13 +415,7 @@ def _dispatch(args) -> int:
             raise BadOperand(f"sample needs a grid operand, got {C!r}; " + (
                 "empirical --in s.csv writes one for n <= 64" if isinstance(C, EmpiricalCopula)
                 else "discretize it with make <family> --res N"))
-        pts = sample(C, args.n, args.seed)
-        if args.out:
-            save_sample(args.out, pts)
-        else:
-            header = ",".join(f"x{j + 1}" for j in range(pts.shape[1]))
-            body = "\n".join(",".join(repr(float(x)) for x in row) for row in pts)
-            sys.stdout.write(header + "\n" + body + "\n")
+        _write(sample_csv(sample(C, args.n, args.seed)), args.out)
         return 0
 
     if cmd == "empirical":

@@ -53,14 +53,19 @@ def sample(copula: GridCopula, n: int, seed: int) -> np.ndarray:
     return pts
 
 
-def save_sample(path, points: np.ndarray):
-    """Write a sample as CSV with header ``x1,...,xd`` (bit-exact floats)."""
+def sample_csv(points) -> str:
+    """A sample as CSV text: the header ``x1,...,xd``, then one line per
+    point, its coordinates as bit-exact floats."""
     points = np.asarray(points, dtype=float)
+    lines = [",".join(f"x{j + 1}" for j in range(points.shape[1]))]
+    lines += [",".join(map(repr, row)) for row in points.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def save_sample(path, points: np.ndarray):
+    """Write :func:`sample_csv` of a sample to the file ``path``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(points.shape[1])])
-        for row in points:
-            writer.writerow([repr(float(x)) for x in row])
+        fh.write(sample_csv(points))
 
 
 def load_sample(path) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticCopula
+from .analytic import AnalyticCopula, column_product, outer_chain
 from .conditioning import ConditionalFamily, PiecewiseLinearCdf, preimage_union
 from .errors import BadIndex, InvalidShuffle, NonCopulaInput
 from .grid import GridCopula, cell_index, new_grid, uniform_breaks
@@ -185,7 +185,12 @@ class EfgmSpec:
 
 
 def efgm(spec: EfgmSpec) -> AnalyticCopula:
-    """Analytic copula for a perturbation spec, kernel included."""
+    """Analytic copula for a perturbation spec, kernel included.
+
+    Both products factor over the axes: a lattice slab is built from the
+    per-axis vectors ``u``, ``u(1-u)`` and ``f(v)`` by outer products, and
+    the kernel multiplies whole columns of ``u``.
+    """
     d = spec.dim
 
     def cdf(pts):
@@ -194,9 +199,18 @@ def efgm(spec: EfgmSpec) -> AnalyticCopula:
         return v * np.prod(u, axis=1) + spec.f(v) * np.prod(u * (1.0 - u), axis=1)
 
     def kern(v, u):
-        return np.prod(u, axis=1) + spec.fprime(v) * np.prod(u * (1.0 - u), axis=1)
+        return column_product(u) + spec.fprime(v) * column_product(u * (1.0 - u))
 
-    return AnalyticCopula(d, cdf, kernel_fn=kern,
+    def slabs(axes):
+        *us, v = axes
+        ws = [u * (1.0 - u) for u in us]
+        fv = spec.f(v)
+        for x, w in zip(us[0], ws[0]):
+            out = outer_chain(x, [*us[1:], v])
+            out += outer_chain(w, [*ws[1:], fv])
+            yield out
+
+    return AnalyticCopula(d, cdf, kernel_fn=kern, slabs_fn=slabs,
                           kernel_v_breaks=np.asarray(spec.v_breaks, dtype=float),
                           family=_efgm_family(spec) if d == 3 else None,
                           name=spec.label)

@@ -227,7 +227,8 @@ def d_inf_many(op, targets, eps: float = 1e-8, scan_m: int = _SCAN_M) -> list:
         exact, count = axes is merged, int(np.prod([len(a) for a in axes]))
         if exact and count <= _SLAB_BUDGET:
             value = float(np.max(np.abs(op.cdf_on_lattice(axes) - t.cdf_on_lattice(axes))))
-            reports[i] = _report("d_inf", t0, value, EXACT, 0.0, count)
+            # both operands' nodes, as a stream of the same lattice counts them
+            reports[i] = _report("d_inf", t0, value, EXACT, 0.0, 2 * count)
             continue
         # on its own scan lattice, a target's certificate ignores the others' breaks
         passes.setdefault((exact, *(a.tobytes() for a in axes)), (axes, exact, []))[2].append(i)

@@ -286,9 +286,8 @@ def case_efgm_approximation() -> VerificationCase:
     pi_a = independence_analytic(3)
     rep = d_inf(e, pi_a, scan_m=128)
     res = pvc3(e)
-    g = np.linspace(0.0, 1.0, 21)
-    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-    probe = float(np.max(np.abs(res.psi.cdf_many(pts) - pts.prod(axis=1))))
+    axes = [np.linspace(0.0, 1.0, 21)] * 3
+    probe = float(np.max(np.abs(res.psi.cdf_on_lattice(axes) - pi_a.cdf_on_lattice(axes))))
     passed = abs(rep.value - 1.0 / 64.0) <= 1e-6 and probe <= 1e-12
     return _case(
         "efgm-approximation",

@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copulakit import (
+    EfgmSpec,
     comonotone,
     cube_copula,
     pvc3,
     countermonotone,
+    efgm,
     efgm_quadratic,
+    efgm_sequence_member,
     example54_copula,
     independence_analytic,
     shuffle_d,
@@ -175,9 +178,99 @@ class TestSlabMixtureLattice:
                                   cop.cdf_many(np.array([[0.6, 0.3, 0.9]])))
 
 
-@pytest.mark.parametrize("path, cop", [("row-block", efgm_quadratic()),
-                                       ("slab-mixture", example54_copula())],
-                         ids=["row-block", "slab-mixture"])
+def _product_form(name, dim, seed):
+    """A closed form whose products factor over the axes, and its kernel by
+    the row-product formula."""
+    if name == "pi":
+        return independence_analytic(dim), lambda v, u: np.prod(u, axis=1)
+    rng = np.random.default_rng(seed)
+    if name == "efgm-quadratic":
+        cop, fprime = efgm_quadratic(dim), lambda v: 1.0 - 2.0 * v
+    elif name == "efgm-sequence":
+        m = int(rng.integers(1, 5))
+        k = int(rng.integers(1, 2**m + 1))
+        lo, hi = (k - 1) / 2**m, k / 2**m
+        cop = efgm_sequence_member(m, k, dim)
+        fprime = lambda v: ((v > lo) & (v <= hi)).astype(float)
+    else:
+        a = float(rng.uniform(-1.0, 1.0))
+        spec = EfgmSpec(dim, lambda v: a * v * (1.0 - v), lambda v: a * (1.0 - 2.0 * v),
+                        label="efgm_a")
+        cop, fprime = efgm(spec), spec.fprime
+    return cop, lambda v, u: np.prod(u, axis=1) + fprime(v) * np.prod(u * (1.0 - u), axis=1)
+
+
+_PRODUCT_FORMS = ["efgm-quadratic", "efgm-seeded", "efgm-sequence", "pi"]
+
+
+def _nodes(rng, n, kinks):
+    """``n`` nodes in [0, 1], some on ``kinks``, and 0 at times as -0.0."""
+    pts = np.union1d(rng.choice(kinks, size=min(n, rng.integers(0, 3))), rng.random(n))
+    nodes = rng.choice(pts, size=n, replace=False)
+    return np.where((nodes == 0.0) & (rng.random(n) < 0.5), -0.0, nodes)
+
+
+def _bits(a):
+    """The float64 values of ``a`` as integers: -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestFactoredProductForms:
+    """EFGM and independence slabs and kernels factor over the axes and give
+    the pointwise evaluation bit for bit, signed zeros included."""
+
+    @staticmethod
+    def check_lattice(cop, axes, lo, hi):
+        want = AnalyticCopula(cop.dim, cop.cdf_many).cdf_on_lattice(axes)
+        cop.cdf_many = None  # the factored slabs evaluate no point
+        got = cop.cdf_on_lattice(axes)
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+        # a part of a split scan streams a contiguous slice of the first axis
+        part = list(cop.cdf_slabs([axes[0][lo:hi], *axes[1:]]))
+        assert len(part) == hi - lo
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(part, want[lo:hi]))
+
+    @given(st.sampled_from(_PRODUCT_FORMS), st.integers(2, 4), st.integers(0, 2**32 - 1),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_slabs_equal_the_row_block_evaluation(self, name, dim, seed, data):
+        cop, _ = _product_form(name, dim, seed)
+        rng = np.random.default_rng(seed)
+        kinks = np.union1d(cop.kernel_v_breaks, [0.5])
+        sizes = data.draw(st.lists(st.integers(0, 8), min_size=dim, max_size=dim))
+        axes = [np.sort(_nodes(rng, n, kinks)) for n in sizes]
+        lo = data.draw(st.integers(0, sizes[0]))
+        self.check_lattice(cop, axes, lo, data.draw(st.integers(lo, sizes[0])))
+
+    @pytest.mark.parametrize("name", _PRODUCT_FORMS)
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 1), (1, 1, 1, 1), (0, 3, 3), (3, 0, 3),
+                                       (3, 3, 0)])
+    def test_a_single_node_and_an_empty_axis(self, name, sizes):
+        cop, _ = _product_form(name, len(sizes), 7)
+        axes = [np.linspace(0.0, 1.0, n) if n > 1 else np.full(n, 0.6) for n in sizes]
+        self.check_lattice(cop, axes, 0, sizes[0])
+
+    @given(st.sampled_from(_PRODUCT_FORMS), st.integers(2, 4), st.integers(0, 2**32 - 1),
+           st.integers(0, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_kernels_equal_the_row_product_formula(self, name, dim, seed, m):
+        cop, formula = _product_form(name, dim, seed)
+        rng = np.random.default_rng(seed)
+        kinks = np.union1d(cop.kernel_v_breaks, [0.5])
+        v = _nodes(rng, m, kinks)
+        u = _nodes(rng, m * (dim - 1), kinks).reshape(m, dim - 1)
+        # whole rows, and one row broadcast to every v
+        for rows in (u, u[:1]):
+            got = cop.kernel(v, rows)
+            want = formula(v, np.broadcast_to(rows, (m, dim - 1)))
+            assert np.array_equal(_bits(got), _bits(want))
+            assert not np.shares_memory(got, rows)
+
+
+@pytest.mark.parametrize("path, cop", [("row-block", comonotone(3)),
+                                       ("slab-mixture", example54_copula()),
+                                       ("product", efgm_quadratic())],
+                         ids=["row-block", "slab-mixture", "product"])
 @pytest.mark.parametrize("empty", [0, 1, 2])
 def test_an_empty_axis_gives_the_empty_lattice_a_grid_gives(path, cop, empty):
     axes = [np.array([0.5])] * 3

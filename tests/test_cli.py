@@ -440,6 +440,14 @@ class TestPipelines:
         csv.write_text(capsys.readouterr().out)
         assert np.array_equal(load_sample(csv), sample(cube_copula(), 5, 0))
 
+    def test_sample_writes_the_same_bytes_to_stdout_and_to_a_file(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        assert run(["sample", "--in", "cube", "--n", "3", "--out", str(csv)]) == 0
+        assert run(["sample", "--in", "cube", "--n", "3"]) == 0
+        assert capsys.readouterr().out.encode() == csv.read_bytes()
+        want = sample(cube_copula(), 3, 0)
+        assert np.array_equal(load_sample(csv).view(np.int64), want.view(np.int64))
+
     def test_analytic_kernel_is_not_discretized(self, capsys):
         assert run(["kernel", "--in", "efgm", "--t", "0.3", "--u", "0.3,0.6"]) == 0
         payload = json.loads(capsys.readouterr().out)

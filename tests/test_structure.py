@@ -2,7 +2,8 @@
 attributes, no module imports a name it never uses, every function the
 package defines is used by the package or the benchmark, and cells are
 located, kernel nodes built, per-axis products taken and worker threads
-started in one place each."""
+started in one place each, and point meshes built only where a cdf takes
+points."""
 
 import ast
 from pathlib import Path
@@ -108,7 +109,11 @@ def stray_calls(path, name, allowed) -> list:
 # only where the caller asks for it (make and pvc --res, the verification
 # cases) or where the grid is the closed form itself (a multilinear closed
 # form on its one cell per axis), so no metric or report discretizes
-# behind the caller's back
+# behind the caller's back; a point mesh is built only where a lattice
+# meets a cdf that takes points (the generic row blocks of a closed form,
+# a slab mixture's surface tables, the free rows of the kernel scan and a
+# quadrature cell), never for a product form, whose slabs are outer
+# products of its axes
 ONE_WAY = {
     "tensordot": {"grid.py:_contract", "quadrature.py:integrate_square_multilinear"},
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
@@ -120,6 +125,8 @@ ONE_WAY = {
     "CDLL": {"metrics.py:_openblas_threads"},
     "discretize": {"families.py", "cli.py:_discretized", "verify.py", "metrics.py:_grid_pair"},
     "einsum": {"quadrature.py:_bisect_abs"},
+    "meshgrid": {"analytic.py:AnalyticCopula", "families.py:slab_mixture",
+                 "metrics.py:_free_points", "quadrature.py:_gl_cell"},
 }
 
 
@@ -226,6 +233,14 @@ def test_one_way_guard_catches_offenders(tmp_path):
                    "    return d1(discretize(C, res), discretize(result.psi, res))\n")
     assert stray_calls(pvc, "discretize", ONE_WAY["discretize"]) == [
         "pvc.py:pvc_distance_report:7", "pvc.py:pvc_distance_report:7"]
+    # a product form that evaluates its lattice on a mesh of points again
+    fam = tmp_path / "families.py"
+    fam.write_text("import numpy as np\n\n\ndef efgm(spec):\n    def slabs(axes):\n"
+                   "        for x in axes[0]:\n"
+                   "            yield cdf(np.stack(np.meshgrid(*axes[1:], indexing='ij')))\n"
+                   "    return slabs\n\n\n"
+                   "def slab_mixture(family):\n    return np.meshgrid(family, family)\n")
+    assert stray_calls(fam, "meshgrid", ONE_WAY["meshgrid"]) == ["families.py:efgm:7"]
 
 
 def test_every_function_is_used_outside_tests():
