@@ -77,16 +77,10 @@ class PiecewiseLinearCdf:
     def preimages(self, targets) -> np.ndarray:
         """All breakpoints plus one preimage point per target value crossed
         strictly inside a linear piece (flat pieces contribute their ends)."""
-        pts = set(self.xs.tolist())
-        for a in range(len(self.xs) - 1):
-            v0, v1 = self.values[a], self.values[a + 1]
-            if v1 <= v0:
-                continue
-            for s in targets:
-                if v0 < s < v1:
-                    x = self.xs[a] + (s - v0) / (v1 - v0) * (self.xs[a + 1] - self.xs[a])
-                    pts.add(float(x))
-        return np.array(sorted(pts))
+        xs, vs, s = self.xs, self.values, np.asarray(targets, dtype=float)
+        a, t = np.nonzero((vs[:-1, None] < s) & (s < vs[1:, None]))
+        x = xs[a] + (s[t] - vs[a]) / (vs[a + 1] - vs[a]) * (xs[a + 1] - xs[a])
+        return np.unique(np.concatenate([xs, x]))
 
 
 def preimage_union(margins, targets) -> np.ndarray:

@@ -95,11 +95,14 @@ def _contract(nodes: np.ndarray, maps) -> np.ndarray:
 
 
 def cum_nodes(masses: np.ndarray) -> np.ndarray:
-    """Zero-padded cumulative tensor of cell masses: the cdf at every node."""
-    c = masses
+    """Zero-padded cumulative tensor of cell masses, the cdf at every node: the
+    masses copied into a new zero buffer, summed in place by ``np.cumsum``."""
+    c = np.zeros(tuple(n + 1 for n in masses.shape))
+    inner = c[(slice(1, None),) * c.ndim]
+    inner[...] = masses
     for ax in range(c.ndim):
-        c = np.cumsum(c, axis=ax)
-    return np.pad(c, [(1, 0)] * c.ndim)
+        np.cumsum(inner, axis=ax, out=inner)
+    return c
 
 
 def multilinear_interp(nodes: np.ndarray, breaks_list, pts: np.ndarray) -> np.ndarray:

@@ -463,20 +463,22 @@ def wcc_profile(c1, c2, v_grid):
 
 def metric_chain_check(c1: GridCopula, c2: GridCopula, eps: float = 1e-8) -> dict:
     """Evaluate all metrics on a grid pair and assert the order relations
-    that must hold between them (within summed error budgets).
+    that must hold between them (within summed error budgets).  The pair is
+    refined once: d1, d2, d_inf_kernel, tv and kl read the refined pair
+    (which they would refine to itself), d_inf the operands.
 
     Raises
     ------
     ChainViolation
         If any relation fails; that indicates an implementation bug.
+    KernelUnavailable, ClosedFormUnavailable
+        If an operand has no Markov kernel, or is not a grid.
     """
-    rep = {
-        "d_inf": d_inf(c1, c2),
-        "d1": d1(c1, c2, eps=eps),
-        "d2": d2(c1, c2, eps=eps),
-        "d_inf_kernel": d_inf_kernel(c1, c2, eps=eps),
-        "tv": tv(c1, c2),
-    }
+    rep = {"d_inf": d_inf(c1, c2)}
+    _check_kernel_operands(c1, c2, None)
+    r1, r2 = _grid_refinement(c1, c2)
+    rep.update(d1=d1(r1, r2, eps=eps), d2=d2(r1, r2, eps=eps),
+               d_inf_kernel=d_inf_kernel(r1, r2, eps=eps), tv=tv(r1, r2))
     budget = sum(r.error for r in rep.values()) + eps
     checks = [
         ("d1 <= d_inf_kernel", rep["d1"].value, rep["d_inf_kernel"].value),
@@ -486,7 +488,7 @@ def metric_chain_check(c1: GridCopula, c2: GridCopula, eps: float = 1e-8) -> dic
     ]
     failures = [name for name, a, b in checks if a > b + budget]
     try:
-        rep["kl"] = kl(c1, c2)
+        rep["kl"] = kl(r1, r2)
         if rep["kl"].value < 2 * rep["tv"].value ** 2 - 1e-12:
             failures.append("kl >= 2 tv^2")
     except SupportViolation:

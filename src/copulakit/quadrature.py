@@ -279,10 +279,10 @@ def adaptive_gl(f, axes, tol: float = 1e-8, max_evals: int = 2_000_000):
 
     def rule(cell):
         nonlocal n_evals
-        coarse = _gl_cell(f, cell)
+        coarse, *halves = _gl_rules(f, cell)
         fine = 0.0
-        for sub in _split_cell(cell):
-            fine += _gl_cell(f, sub)
+        for val in halves:
+            fine += val
         n_evals += _GL_ORDER**d * (1 + 2**d)
         return fine, abs(fine - coarse)
 
@@ -312,10 +312,31 @@ def _split_cell(cell):
     return itertools.product(*halves)
 
 
-def _gl_cell(f, cell) -> float:
+@lru_cache(maxsize=None)
+def _gl_index(d: int) -> np.ndarray:
+    """Per point and axis of :func:`_gl_rules`, the index into that axis's
+    table of the rule's nodes on the whole cell, its lower and its upper
+    half (``_GL_ORDER`` each): the whole cell's points, then each half's in
+    :func:`_split_cell` order, every rule's points in C order."""
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*[np.arange(_GL_ORDER)] * d,
+                                                      indexing="ij")], axis=-1)
+    pieces = [(0,) * d, *itertools.product((1, 2), repeat=d)]
+    return np.concatenate([nodes + _GL_ORDER * np.array(p) for p in pieces])
+
+
+def _gl_rules(f, cell) -> list:
+    """The Gauss-Legendre rule on ``cell`` and on each of its halves, in
+    :func:`_split_cell` order, from one call of ``f``."""
     x, w = leg01(_GL_ORDER)
-    pts_1d = [lo + (hi - lo) * x for lo, hi in cell]
-    wts_1d = [(hi - lo) * w for lo, hi in cell]
-    grid = np.stack([g.ravel() for g in np.meshgrid(*pts_1d, indexing="ij")], axis=-1)
-    wts = reduce(np.multiply.outer, wts_1d).ravel() if len(cell) > 1 else wts_1d[0]
-    return float(np.dot(f(grid), wts))
+    d = len(cell)
+    lo, hi = np.array(cell).T
+    mid = (lo + hi) / 2
+    # per axis, the rule's nodes and weights on the cell, its lower and its upper half
+    starts = np.stack([lo, lo, mid], axis=1)[..., None]
+    widths = np.stack([hi - lo, mid - lo, hi - mid], axis=1)[..., None]
+    at = (np.arange(d), _gl_index(d))
+    pts = (starts + widths * x).reshape(d, -1)[at]
+    wts = reduce(np.multiply, (widths * w).reshape(d, -1)[at].T)
+    vals = f(pts)
+    m = _GL_ORDER**d
+    return [float(np.dot(vals[k : k + m], wts[k : k + m])) for k in range(0, len(vals), m)]

@@ -24,6 +24,7 @@ from copulakit import (
     slab_family,
 )
 from copulakit.conditioning import PiecewiseLinearCdf, _surface_from_joint
+from copulakit.families import example54_margins
 from copulakit.errors import BadAxis, DegenerateMargins, DimensionMismatch, ZeroMassSlab
 from conftest import a1_cdf, a2_cdf
 
@@ -169,6 +170,45 @@ class TestConditionalCopula:
         with pytest.raises(DegenerateMargins):
             _surface_from_joint(np.array([0.0, 0.5, 1.0]),
                                 np.array([0.0, 0.5, 1.0]), joint)
+
+
+def preimages_loop_oracle(cdf, targets):
+    """Per piece and target, the preimage of each target crossed strictly
+    inside a rising piece, plus every breakpoint."""
+    pts = set(cdf.xs.tolist())
+    for a in range(len(cdf.xs) - 1):
+        v0, v1 = cdf.values[a], cdf.values[a + 1]
+        if v1 <= v0:
+            continue
+        for s in targets:
+            if v0 < s < v1:
+                pts.add(float(cdf.xs[a] + (s - v0) / (v1 - v0) * (cdf.xs[a + 1] - cdf.xs[a])))
+    return np.array(sorted(pts))
+
+
+class TestPreimages:
+    def check(self, cdf, targets):
+        got, want = cdf.preimages(targets), preimages_loop_oracle(cdf, targets)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_example54_margins(self):
+        quarters = [0.25, 0.5, 0.75]
+        for fm in (m for margins in example54_margins() for m in margins):
+            for targets in (quarters, np.linspace(0.0, 1.0, 33), [], [0.25, 0.25, 1.0]):
+                self.check(fm, targets)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_cdfs_with_flat_pieces(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            k = int(rng.integers(1, 9))
+            xs = np.concatenate(([0.0], np.sort(rng.random(k - 1)), [1.0]))
+            steps = rng.random(k) * (rng.random(k) < 0.7)  # some pieces flat
+            steps[-1] += 0.1
+            vs = np.concatenate(([0.0], np.cumsum(steps) / steps.sum()))
+            vs[-1] = 1.0
+            targets = np.concatenate((rng.random(int(rng.integers(0, 12))), vs[1:-1]))
+            self.check(PiecewiseLinearCdf(xs, vs), targets)
 
 
 class TestPartialCopula:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from copulakit import (
@@ -28,7 +29,7 @@ from copulakit.errors import (
     TotalMassViolation,
     WeightError,
 )
-from copulakit.grid import cell_index
+from copulakit.grid import cell_index, cum_nodes
 from copulakit.verify import random_copula_grid
 from conftest import checkerboard_cdf_oracle
 
@@ -132,6 +133,36 @@ class TestCellsAndKernelNodes:
         g = GridCopula([uniform_breaks(2), [0.0, 0.5, 0.5 + 1e-13, 1.0]],
                        [[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]])
         assert g.kernel([0.5 + 5e-14, 0.9], [[1.0], [0.75]]).tolist() == [0.0, 0.5]
+
+
+def chained_cumsum_oracle(masses):
+    """The cumulative tensor as a chain of fresh cumsums, then a zero pad."""
+    c = masses
+    for ax in range(c.ndim):
+        c = np.cumsum(c, axis=ax)
+    return np.pad(c, [(1, 0)] * c.ndim)
+
+
+@st.composite
+def strided_masses(draw):
+    """A 1- to 4-D tensor with one-cell axes allowed and signed zeros among
+    its entries, read as the strided view ``base[..., k]`` of a tensor with
+    one more axis (a kernel fiber is such a view)."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    extra = draw(st.integers(1, 3))
+    base = draw(arrays(np.float64, shape + (extra,),
+                       elements=st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0])))
+    return base[..., draw(st.integers(0, extra - 1))]
+
+
+class TestCumNodes:
+    @given(strided_masses())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_padded_chain_of_cumsums_bit_for_bit(self, masses):
+        got, want = cum_nodes(masses), chained_cumsum_oracle(masses)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert not np.shares_memory(got, masses)
 
 
 class TestBoxMass:

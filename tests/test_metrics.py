@@ -33,7 +33,13 @@ from copulakit import (
 )
 from copulakit import metrics as metrics_mod
 from copulakit import verify
-from copulakit.errors import ChainViolation, ResolutionOverflow, SupportViolation
+from copulakit.errors import (
+    ChainViolation,
+    ClosedFormUnavailable,
+    KernelUnavailable,
+    ResolutionOverflow,
+    SupportViolation,
+)
 from copulakit.verify import random_copula_grid
 from conftest import a1_cdf, a2_cdf, nonuniform_grid
 
@@ -323,6 +329,39 @@ class TestChain:
     def test_disjoint_supports_report_no_kl(self, cube, rcube):
         rep = metric_chain_check(cube, rcube)
         assert rep["ok"] and rep["reports"]["kl"] is None
+
+    @pytest.mark.parametrize("kind", ["lcm", "nonuniform", "mixed"])
+    def test_reports_equal_the_standalone_metrics(self, kind):
+        # the chain refines the pair once; each report is still the metric
+        # on the operands, field for field but the time
+        rng = np.random.default_rng(["lcm", "nonuniform", "mixed"].index(kind))
+        for _ in range(4):
+            if kind == "lcm":
+                c1, c2 = random_copula_grid(rng, [2, 2, 3]), random_copula_grid(rng, [3, 4, 2])
+            elif kind == "nonuniform":
+                c1, c2 = nonuniform_grid(rng, 3), nonuniform_grid(rng, 3)
+            else:
+                c1 = random_copula_grid(rng, rng.integers(1, 5, size=3))
+                c2 = nonuniform_grid(rng, 3)
+            eps = 1e-8
+            rep = metric_chain_check(c1, c2, eps=eps)
+            standalone = {"d_inf": d_inf(c1, c2), "d1": d1(c1, c2, eps=eps),
+                          "d2": d2(c1, c2, eps=eps),
+                          "d_inf_kernel": d_inf_kernel(c1, c2, eps=eps),
+                          "tv": tv(c1, c2), "kl": kl(c1, c2)}
+            assert list(rep["reports"]) == list(standalone)
+            for name, want in standalone.items():
+                got = dict(rep["reports"][name])
+                want = want.to_dict()
+                del got["elapsed_s"], want["elapsed_s"]
+                assert got == want, name
+
+    def test_operand_errors_are_kept(self, cube):
+        # no Markov kernel: a sample; not a grid: a closed form
+        with pytest.raises(KernelUnavailable):
+            metric_chain_check(cube, empirical_copula(sample(cube, 50, seed=3)))
+        with pytest.raises(ClosedFormUnavailable):
+            metric_chain_check(cube, independence_analytic(3))
 
     def test_d2_above_d1_is_a_violation(self, cube, pi2, monkeypatch):
         d1_value = d1(cube, pi2).value

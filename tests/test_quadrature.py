@@ -7,6 +7,8 @@ import pytest
 from copulakit.quadrature import (
     _abs_bilinear_unit,
     _abs_linear_unit,
+    _gl_rules,
+    _split_cell,
     adaptive_gl,
     integrate_abs_multilinear,
     integrate_square_multilinear,
@@ -241,3 +243,35 @@ class TestAdaptiveGl:
         a = adaptive_gl(f, [np.array([0.0, 1.0])] * 2, tol=1e-9)
         b = adaptive_gl(f, [np.array([0.0, 1.0])] * 2, tol=1e-9)
         assert a == b
+
+
+def gl_cell_oracle(f, cell):
+    """The Gauss-Legendre rule on one cell from its own point mesh."""
+    x, w = leg01(8)
+    pts = [lo + (hi - lo) * x for lo, hi in cell]
+    wts = [(hi - lo) * w for lo, hi in cell]
+    grid = np.stack([g.ravel() for g in np.meshgrid(*pts, indexing="ij")], axis=-1)
+    weights = wts[0]
+    for wj in wts[1:]:
+        weights = np.multiply.outer(weights, wj)
+    return float(np.dot(f(grid), weights.ravel()))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gl_rules_equal_the_per_cell_rules_in_one_call(d):
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=d)
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return np.abs(np.sin(7.0 * p @ a) + np.exp(-p.sum(axis=1)))
+
+    for _ in range(10):
+        lo = rng.random(d) * 0.5
+        cell = tuple(zip(lo, lo + rng.random(d) * 0.5))
+        calls.clear()
+        got = _gl_rules(f, cell)
+        assert calls == [8**d * (1 + 2**d)]
+        want = [gl_cell_oracle(f, c) for c in (cell, *_split_cell(cell))]
+        assert [v.hex() for v in got] == [v.hex() for v in want]

@@ -1,9 +1,9 @@
 """Source-level guards: operands are told apart by type, not by probing for
 attributes, no module imports a name it never uses, every function the
 package defines is used by the package or the benchmark, and cells are
-located, kernel nodes built, per-axis products taken and worker threads
-started in one place each, and point meshes built only where a cdf takes
-points."""
+located, kernel nodes built, cell masses cumulated, per-axis products taken
+and worker threads started in one place each, and point meshes built only
+where a cdf takes points."""
 
 import ast
 from pathlib import Path
@@ -112,8 +112,11 @@ def stray_calls(path, name, allowed) -> list:
 # behind the caller's back; a point mesh is built only where a lattice
 # meets a cdf that takes points (the generic row blocks of a closed form,
 # a slab mixture's surface tables, the free rows of the kernel scan and a
-# quadrature cell), never for a product form, whose slabs are outer
-# products of its axes
+# quadrature cell's rule index), never for a product form, whose slabs are
+# outer products of its axes; cell masses are cumulated in grid.cum_nodes
+# alone, in place in its zero-padded buffer, so no pad copies a cumulative
+# tensor (the step counts of a sample cumulate their integer histograms in
+# the one slab scan)
 ONE_WAY = {
     "tensordot": {"grid.py:_contract", "quadrature.py:integrate_square_multilinear"},
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
@@ -126,7 +129,9 @@ ONE_WAY = {
     "discretize": {"families.py", "cli.py:_discretized", "verify.py", "metrics.py:_grid_pair"},
     "einsum": {"quadrature.py:_bisect_abs"},
     "meshgrid": {"analytic.py:AnalyticCopula", "families.py:slab_mixture",
-                 "metrics.py:_free_points", "quadrature.py:_gl_cell"},
+                 "metrics.py:_free_points", "quadrature.py:_gl_index"},
+    "cumsum": {"grid.py:cum_nodes", "empirical.py:step_cdf_slabs"},
+    "pad": set(),
 }
 
 
@@ -241,6 +246,14 @@ def test_one_way_guard_catches_offenders(tmp_path):
                    "    return slabs\n\n\n"
                    "def slab_mixture(family):\n    return np.meshgrid(family, family)\n")
     assert stray_calls(fam, "meshgrid", ONE_WAY["meshgrid"]) == ["families.py:efgm:7"]
+    # a kernel fiber cumulated beside cum_nodes, and a padded cumulative tensor
+    grid = tmp_path / "grid.py"
+    grid.write_text("import numpy as np\n\n\ndef cum_nodes(m):\n"
+                    "    return np.pad(np.cumsum(m, axis=0), [(1, 0)])\n\n\n"
+                    "class GridCopula:\n    def kernel_nodes(self, fiber):\n"
+                    "        return np.cumsum(fiber, axis=0)\n")
+    assert stray_calls(grid, "cumsum", ONE_WAY["cumsum"]) == ["grid.py:GridCopula:10"]
+    assert stray_calls(grid, "pad", ONE_WAY["pad"]) == ["grid.py:cum_nodes:5"]
 
 
 def test_every_function_is_used_outside_tests():
