@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatch, KernelUnavailable
+from .errors import BadDimension, DimensionMismatch, KernelUnavailable
 
 
 class AnalyticCopula:
@@ -59,6 +59,8 @@ class AnalyticCopula:
                  kernel_u_breaks=None, multilinear=False,
                  family=None, name="", slabs_fn=None):
         self.dim = int(dim)
+        if self.dim < 2:
+            raise BadDimension("copulas need dimension >= 2")
         self._cdf_fn = cdf_fn
         self._slabs_fn = slabs_fn
         self._kernel_fn = kernel_fn

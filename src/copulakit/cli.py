@@ -328,6 +328,10 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    least = {"seed": 0, "n": 1}  # the least --seed, and the least sample size --n
+    for name, value in vars(args).items():
+        if name in least and value < least[name]:
+            raise BadOperand(f"--{name} {value} must be at least {least[name]}")
     if cmd == "make":
         name, params = _family_spec(args.family)
         cop = build_family(name, params)
@@ -438,7 +442,10 @@ def _dispatch(args) -> int:
         return 0 if all(c.passed for c in cases) else 1
 
     if cmd == "discontinuity":
-        rows = verify_mod.discontinuity_experiment(_numbers(args.n_list, int), seed=args.seed)
+        n_list = _numbers(args.n_list, int)
+        if min(n_list, default=1) < 1:
+            raise BadOperand(f"--n-list {args.n_list!r}: every sample size must be at least 1")
+        rows = verify_mod.discontinuity_experiment(n_list, seed=args.seed)
         _emit(rows, args.out, args.format)
         return 0
 

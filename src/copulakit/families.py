@@ -27,13 +27,9 @@ _PARTITION_TOL = 1e-12
 
 def independence(dim: int, resolutions: list | None = None) -> GridCopula:
     """Independence copula as a checkerboard (default: one cell per axis)."""
-    if resolutions is None:
-        resolutions = [1] * dim
-    widths = [np.diff(uniform_breaks(n)) for n in resolutions]
-    masses = widths[0]
-    for w in widths[1:]:
-        masses = np.multiply.outer(masses, w)
-    return new_grid(dim, resolutions, masses)
+    resolutions = [1] * dim if resolutions is None else resolutions
+    return new_grid(dim, resolutions, outer_chain(1.0, [np.diff(uniform_breaks(n))
+                                                        for n in resolutions]))
 
 
 def cube_copula() -> GridCopula:

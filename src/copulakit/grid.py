@@ -32,7 +32,6 @@ from .errors import (
 
 VALIDATION_TOL = 1e-12
 DEFAULT_CELL_LIMIT = 10**8
-_CDF_CHUNK = 4096
 
 GRID_ORDER_TAG = "row-major-last-fastest"
 
@@ -106,27 +105,21 @@ def cum_nodes(masses: np.ndarray) -> np.ndarray:
 
 
 def multilinear_interp(nodes: np.ndarray, breaks_list, pts: np.ndarray) -> np.ndarray:
-    """Interpolate a node tensor at points, one value per row of ``pts``."""
+    """Interpolate a node tensor at points, one value per row of ``pts``: each
+    point's 2^d cell-corner nodes, gathered in one index as an (m, 2, ..., 2)
+    array, blended axis by axis, axis 0 first, as ``lo * (1 - w) + hi * w``."""
     pts = np.asarray(pts, dtype=float)
-    m = len(pts)
-    if m == 0:
-        return np.empty(0)
-    acc = None
+    d = len(breaks_list)
+    index, weights = [], []
     for j, b in enumerate(breaks_list):
         idx, frac = _locate(np.asarray(b, dtype=float), pts[:, j])
-        if acc is None:
-            lo = nodes[idx]
-            hi = nodes[idx + 1]
-        else:
-            rest = acc.shape[2:]
-            flat = acc.reshape(m, acc.shape[1], -1)
-            lo = np.take_along_axis(flat, idx[:, None, None], axis=1)[:, 0, :]
-            hi = np.take_along_axis(flat, (idx + 1)[:, None, None], axis=1)[:, 0, :]
-            lo = lo.reshape((m,) + rest)
-            hi = hi.reshape((m,) + rest)
-        w = frac.reshape((m,) + (1,) * (lo.ndim - 1))
-        acc = lo * (1.0 - w) + hi * w
-    return acc if acc.ndim == 1 else acc.reshape(m)
+        corner_shape = (-1,) + (1,) * j + (2,) + (1,) * (d - 1 - j)
+        index.append((idx[:, None] + (0, 1)).reshape(corner_shape))
+        weights.append(frac.reshape((-1,) + (1,) * (d - 1 - j)))
+    acc = nodes[tuple(index)]
+    for w in weights:
+        acc = acc[:, 0] * (1.0 - w) + acc[:, 1] * w
+    return acc
 
 
 class GridCopula:
@@ -261,15 +254,13 @@ class GridCopula:
         return float(self.cdf_many(np.asarray(u, dtype=float)[None, :])[0])
 
     def cdf_many(self, points: np.ndarray) -> np.ndarray:
-        """Copula values at ``points`` of shape (m, dim)."""
+        """Copula values at ``points`` of shape (m, dim), from one unchunked
+        :func:`multilinear_interp` call, which holds 2^d corner values per
+        point rather than a slice of the node tensor."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise DimensionMismatch(f"points must have shape (m, {self.dim})")
-        out = np.empty(len(points))
-        for start in range(0, len(points), _CDF_CHUNK):
-            stop = start + _CDF_CHUNK
-            out[start:stop] = multilinear_interp(self.cum, self.breaks, points[start:stop])
-        return out
+        return multilinear_interp(self.cum, self.breaks, points)
 
     def cdf_on_lattice(self, axes) -> np.ndarray:
         """Copula values on the product lattice ``axes[0] x ... x axes[d-1]``."""

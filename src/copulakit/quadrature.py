@@ -54,25 +54,21 @@ def _any_corner(mask: np.ndarray) -> np.ndarray:
     return reduce(np.logical_or, _corner_slabs(mask))
 
 
-_SPLIT_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _split_matrix(d: int) -> np.ndarray:
     """Maps 2**d parent corners to (2**d children x 2**d corners) values."""
-    if d not in _SPLIT_CACHE:
-        half = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-        lattice = reduce(np.kron, [half] * d) if d > 1 else half
-        # lattice rows are the 3**d refined nodes in C order
-        idx3 = np.arange(3**d).reshape((3,) * d)
-        rows = []
-        for child in itertools.product((0, 1), repeat=d):
-            corner_ids = []
-            for bits in itertools.product((0, 1), repeat=d):
-                pos = tuple(c + b for c, b in zip(child, bits))
-                corner_ids.append(idx3[pos])
-            rows.append(lattice[corner_ids])
-        _SPLIT_CACHE[d] = np.array(rows)  # (2**d children, 2**d corners, 2**d parent)
-    return _SPLIT_CACHE[d]
+    half = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+    lattice = reduce(np.kron, [half] * d) if d > 1 else half
+    # lattice rows are the 3**d refined nodes in C order
+    idx3 = np.arange(3**d).reshape((3,) * d)
+    rows = []
+    for child in itertools.product((0, 1), repeat=d):
+        corner_ids = []
+        for bits in itertools.product((0, 1), repeat=d):
+            pos = tuple(c + b for c, b in zip(child, bits))
+            corner_ids.append(idx3[pos])
+        rows.append(lattice[corner_ids])
+    return np.array(rows)  # (2**d children, 2**d corners, 2**d parent)
 
 
 def integrate_abs_multilinear(values: np.ndarray, axes, tol: float = 1e-10,
@@ -204,37 +200,28 @@ def _abs_cross_piece(a0, a1, b0, b1):
 
 def _bisect_abs(corners, vols, d, tol, max_rounds):
     """Certified bracket of ``int |g|`` by recursive bisection of the
-    ``d``-dimensional cells with corner rows ``corners`` and volumes ``vols``."""
-    active_c, active_v = corners, vols
-    split = _split_matrix(d)
-
-    settled_lo = 0.0
-    settled_up = 0.0
-    for _ in range(max_rounds):
-        lo = np.abs(active_c.mean(axis=1)) * active_v
-        up = np.abs(active_c).mean(axis=1) * active_v
+    ``d``-dimensional cells with corner rows ``corners`` and volumes ``vols``,
+    bracketed once per round.  A split whose children's corner table would
+    pass 2M x 4**3 doubles (1 GB, the peak of 2M cells on 3 axes; 500k cells
+    on 4) is not made: the bracket of the unsplit cells is returned."""
+    settled_lo = settled_up = 0.0
+    capped = False
+    for rnd in range(max_rounds + 1):
+        lo = np.abs(corners.mean(axis=1)) * vols
+        up = np.abs(corners).mean(axis=1) * vols
         total_lo = settled_lo + float(lo.sum())
         total_up = settled_up + float(up.sum())
-        if total_up - total_lo <= tol or active_c.shape[0] == 0:
+        if total_up - total_lo <= tol or len(lo) == 0 or rnd == max_rounds or capped:
             break
         budget = tol - (settled_up - settled_lo)
-        done = (up - lo) <= max(budget, 0.0) / (4.0 * max(len(lo), 1))
+        done = (up - lo) <= max(budget, 0.0) / (4.0 * len(lo))
         settled_lo += float(lo[done].sum())
         settled_up += float(up[done].sum())
-        active_c = active_c[~done]
-        active_v = active_v[~done]
-        if active_c.shape[0] == 0 or active_c.shape[0] > 2_000_000:
-            total_lo = settled_lo + float(lo[~done].sum())
-            total_up = settled_up + float(up[~done].sum())
-            break
-        children = np.einsum("kcp,np->nkc", split, active_c)
-        active_c = children.reshape(-1, 2**d)
-        active_v = np.repeat(active_v / 2**d, 2**d)
-    else:
-        lo = np.abs(active_c.mean(axis=1)) * active_v
-        up = np.abs(active_c).mean(axis=1) * active_v
-        total_lo = settled_lo + float(lo.sum())
-        total_up = settled_up + float(up.sum())
+        corners, vols = corners[~done], vols[~done]
+        capped = len(corners) * 4**d > 2_000_000 * 4**3
+        if not capped:
+            corners = np.einsum("kcp,np->nkc", _split_matrix(d), corners).reshape(-1, 2**d)
+            vols = np.repeat(vols / 2**d, 2**d)
     return (total_lo + total_up) / 2.0, (total_up - total_lo) / 2.0
 
 

@@ -13,6 +13,7 @@ from copulakit import cli as cli_mod
 from copulakit import pvc as pvc_mod
 from copulakit import verify as verify_mod
 from copulakit.cli import FAMILIES, _build_parser, main, parse_operand
+from copulakit.errors import BadDimension
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/copulakit/schemas/report.schema.json")
@@ -295,6 +296,33 @@ class TestMalformedInput:
     def test_out_of_range_index_is_usage_error(self, capsys, args):
         assert run(args) == 2
         assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["sample", "--in", "cube", "--n", "5", "--seed", "-1"],
+        ["discontinuity", "--n-list", "10", "--seed", "-1"],
+        ["nonopt", "--seed", "-1"],
+        ["nowheredense", "--seed", "-1"],
+        ["sample", "--in", "cube", "--n", "0"],
+        ["nonopt", "--n", "0"],
+        ["discontinuity", "--n-list", "0"],
+        ["discontinuity", "--n-list", "-5"],
+        ["discontinuity", "--n-list", "10,0"],
+    ], ids=["sample-seed", "discontinuity-seed", "nonopt-seed", "nowheredense-seed",
+            "sample-n", "nonopt-n", "n-list-zero", "n-list-negative", "n-list-one-zero"])
+    def test_negative_seed_or_empty_sample_is_usage_error(self, capsys, args):
+        assert run(args) == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        f"{name}:{'m=2,k=1,' if 'k' in reads else ''}dim={dim}"
+        for name, (_, reads) in FAMILIES.items() if "dim" in reads for dim in (0, 1)])
+    def test_family_dimension_below_two_is_bad_dimension(self, capsys, spec):
+        with pytest.raises(BadDimension):
+            parse_operand(spec)
+        for name in ("dinf", "d1"):
+            # the exit code of pi:dim=1, a grid that checks its dimension
+            assert run(["metric", "--name", name, "--a", spec, "--b", spec]) == 3
+            assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("name", ["d1", "d2", "dinfk"])
     def test_axis_an_analytic_kernel_cannot_take_is_numerical_error(self, capsys, name):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from copulakit import (
     common_refinement,
     convex_combine,
     cube_copula,
+    discretize,
+    example54_copula,
     independence,
     new_grid,
     product_extend,
+    pvc3,
     uniform_breaks,
 )
 from copulakit.errors import (
@@ -29,7 +33,7 @@ from copulakit.errors import (
     TotalMassViolation,
     WeightError,
 )
-from copulakit.grid import cell_index, cum_nodes
+from copulakit.grid import _locate, cell_index, cum_nodes, multilinear_interp
 from copulakit.verify import random_copula_grid
 from conftest import checkerboard_cdf_oracle
 
@@ -387,6 +391,80 @@ class TestAxisMaps:
         new[j] = np.setdiff1d(new[j], C.breaks[j][1:-1][rng.integers(len(C.breaks[j]) - 2)])
         with pytest.raises(DimensionMismatch):
             C.refine_to(new)
+
+
+def slice_gather_interp(nodes, breaks_list, pts):
+    """Multilinear interpolation by slices: the first axis gathers a whole node
+    slice per point, each later axis picks from it along its own axis."""
+    pts = np.asarray(pts, dtype=float)
+    m = len(pts)
+    if m == 0:
+        return np.empty(0)
+    acc = None
+    for j, b in enumerate(breaks_list):
+        idx, frac = _locate(np.asarray(b, dtype=float), pts[:, j])
+        if acc is None:
+            lo = nodes[idx]
+            hi = nodes[idx + 1]
+        else:
+            rest = acc.shape[2:]
+            flat = acc.reshape(m, acc.shape[1], -1)
+            lo = np.take_along_axis(flat, idx[:, None, None], axis=1)[:, 0, :]
+            hi = np.take_along_axis(flat, (idx + 1)[:, None, None], axis=1)[:, 0, :]
+            lo = lo.reshape((m,) + rest)
+            hi = hi.reshape((m,) + rest)
+        w = frac.reshape((m,) + (1,) * (lo.ndim - 1))
+        acc = lo * (1.0 - w) + hi * w
+    return acc if acc.ndim == 1 else acc.reshape(m)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestPointwise:
+    """Pointwise evaluation blends each point's 2^d cell-corner nodes, bit for
+    bit the values of the slice gather, in memory of a few doubles per point."""
+
+    @given(SEEDS)
+    @settings(max_examples=80, deadline=None)
+    def test_corner_blend_equals_the_slice_gather(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        breaks = [np.union1d([0.0, 1.0], rng.random(rng.integers(0, 5))) for _ in range(d)]
+        nodes = rng.normal(size=[len(b) for b in breaks])
+        m = int(rng.integers(0, 40))
+        pts = rng.uniform(-0.25, 1.25, (m, d))  # some outside [0, 1]
+        for j, b in enumerate(breaks):
+            on = rng.random(m) < 0.4  # on a node, 0 and 1 among them
+            pts[on, j] = rng.choice(b, on.sum())
+        for p in (pts, pts[:0]):
+            got = multilinear_interp(nodes, breaks, p)
+            assert got.shape == (len(p),)
+            assert np.array_equal(_bits(got), _bits(slice_gather_interp(nodes, breaks, p)))
+
+    @given(SEEDS)
+    @settings(max_examples=5, deadline=None)
+    def test_cdf_many_of_more_than_4096_points_equals_each_cdf(self, seed):
+        rng = np.random.default_rng(seed)
+        C = _nonuniform(rng)
+        pts = rng.random((4100, C.dim))
+        pts[::7] = 1.0  # the last node of every axis
+        assert np.array_equal(_bits(C.cdf_many(pts)), _bits([C.cdf(p) for p in pts]))
+
+    def test_cdf_many_peak_memory_is_a_few_doubles_per_point(self):
+        psi = pvc3(discretize(example54_copula(), [64, 64, 4])).psi
+        assert psi.shape == (226, 226, 4)
+        pts = np.random.default_rng(0).random((4096, 3))
+        psi.cum  # cached with the copula, not evaluation memory
+        tracemalloc.start()
+        try:
+            values = psi.cdf_many(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.array_equal(_bits(values), _bits(slice_gather_interp(psi.cum, psi.breaks, pts)))
 
 
 class TestSerialization:

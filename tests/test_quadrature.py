@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from copulakit.quadrature import (
     _abs_bilinear_unit,
     _abs_linear_unit,
+    _bisect_abs,
     _gl_rules,
     _split_cell,
     adaptive_gl,
@@ -209,6 +211,23 @@ def test_three_axes_keep_their_bracket():
         0.4614422500311347, 3.449920060555334e-05)
     assert integrate_abs_multilinear(v, axes, tol=1e-3, max_rounds=3) == (
         0.46215358626097625, 0.0021507942418518555)
+
+
+def test_four_axes_stop_before_the_split_table_passes_its_cap():
+    # splitting 500,001 mixed cells on four axes would fill a table of
+    # 500,001 x 16 x 16 doubles (1 GB); they are bracketed unsplit instead
+    n = 500_001
+    corners = np.tile([1.0, -1.0], (n, 8))
+    vols = np.full(n, 1.0 / n)
+    tracemalloc.start()
+    try:
+        value, half = _bisect_abs(corners, vols, 4, 1e-12, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    total = float(vols.sum())  # every corner mean is 0, every mean of |corner| 1
+    assert (value, half) == (total / 2, total / 2)
+    assert peak < 256 * 2**20
 
 
 def test_integrate_square():

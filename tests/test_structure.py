@@ -116,7 +116,8 @@ def stray_calls(path, name, allowed) -> list:
 # outer products of its axes; cell masses are cumulated in grid.cum_nodes
 # alone, in place in its zero-padded buffer, so no pad copies a cumulative
 # tensor (the step counts of a sample cumulate their integer histograms in
-# the one slab scan)
+# the one slab scan); a point's cdf blends its 2^d gathered cell corners, so
+# no slice of a node tensor is gathered per point
 ONE_WAY = {
     "tensordot": {"grid.py:_contract", "quadrature.py:integrate_square_multilinear"},
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
@@ -132,6 +133,7 @@ ONE_WAY = {
                  "metrics.py:_free_points", "quadrature.py:_gl_index"},
     "cumsum": {"grid.py:cum_nodes", "empirical.py:step_cdf_slabs"},
     "pad": set(),
+    "take_along_axis": set(),
 }
 
 
@@ -254,6 +256,12 @@ def test_one_way_guard_catches_offenders(tmp_path):
                     "        return np.cumsum(fiber, axis=0)\n")
     assert stray_calls(grid, "cumsum", ONE_WAY["cumsum"]) == ["grid.py:GridCopula:10"]
     assert stray_calls(grid, "pad", ONE_WAY["pad"]) == ["grid.py:cum_nodes:5"]
+    # a per-point slice gather beside the corner blend
+    grid = tmp_path / "grid.py"
+    grid.write_text("import numpy as np\n\n\ndef multilinear_interp(nodes, idx):\n"
+                    "    return np.take_along_axis(nodes[idx], idx[:, None], axis=1)\n")
+    assert stray_calls(grid, "take_along_axis", ONE_WAY["take_along_axis"]) == [
+        "grid.py:multilinear_interp:5"]
 
 
 def test_every_function_is_used_outside_tests():
