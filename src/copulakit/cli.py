@@ -185,7 +185,7 @@ def _read_sample(path) -> np.ndarray:
     """Points of a CSV sample file; an unreadable file is a usage error."""
     try:
         return load_sample(path)
-    except (OSError, ValueError, StopIteration) as exc:
+    except (OSError, ValueError) as exc:
         raise BadOperand(f"cannot read sample {str(path)!r}: {exc!r}") from exc
 
 

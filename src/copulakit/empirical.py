@@ -32,7 +32,10 @@ def sample(copula: GridCopula, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise DimensionMismatch("need n >= 1")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError as exc:  # a negative seed
+        raise BadOperand(f"seed {seed!r} must be a non-negative integer") from exc
     flat = np.clip(copula.masses.ravel(), 0.0, None)
     flat = flat / flat.sum()
     cells = rng.choice(len(flat), size=n, p=flat)
@@ -72,8 +75,13 @@ def load_sample(path) -> np.ndarray:
     """Points of a CSV sample under its header line ``x1,...,xd``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader if row]
+        try:
+            header = next(reader, None)
+            rows = [[float(x) for x in row] for row in reader if row]
+        except ValueError as exc:  # a cell that is not a number, or bytes that are not text
+            raise BadOperand(f"a sample cell is not a number: {exc}") from exc
+    if header is None:
+        raise BadOperand("an empty sample file has no header x1,...,xd")
     pts = np.asarray(rows, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != len(header):
         raise DimensionMismatch("malformed sample file")

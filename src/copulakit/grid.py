@@ -422,7 +422,8 @@ def common_refinement(c1: GridCopula, c2: GridCopula):
     """Re-express two grid copulas on a shared per-axis grid.
 
     Uniform axis pairs refine to the lcm resolution, mixed ones to the union
-    of breakpoints; cdfs are unchanged at every point.
+    of breakpoints; cdfs are unchanged at every point.  Operands whose breaks
+    are already equal on every axis are returned as they are.
 
     Raises
     ------
@@ -431,6 +432,8 @@ def common_refinement(c1: GridCopula, c2: GridCopula):
     """
     if c1.dim != c2.dim:
         raise DimensionMismatch("operands differ in dimension")
+    if all(np.array_equal(b1, b2) for b1, b2 in zip(c1.breaks, c2.breaks)):
+        return c1, c2
     target = []
     for b1, b2 in zip(c1.breaks, c2.breaks):
         u1 = np.array_equal(b1, uniform_breaks(len(b1) - 1))

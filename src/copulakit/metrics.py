@@ -45,9 +45,11 @@ CERTIFIED = "certified"
 ESTIMATED = "estimated"
 
 # the per-axis node count of the scan lattices, and the largest slab a scan
-# holds per operand, which is also the largest lattice d_inf evaluates whole
+# holds per operand, which is also the largest lattice d_inf evaluates whole;
+# a scan splits across threads only from slabs of _SPLIT_SLAB nodes on
 _SCAN_M = 128
 _SLAB_BUDGET = 2**23
+_SPLIT_SLAB = 2**16
 
 
 @dataclass(frozen=True)
@@ -158,11 +160,18 @@ _SPLIT_SCAN = threading.Lock()
 def slab_sup_distances(op, others, axes) -> list:
     """``max |op - other|`` on the lattice ``axes`` for each of ``others``.
 
-    The first axis splits into contiguous parts, one per CPU the process may
-    run on, but no more parts than nodes or than the slab budget holds
-    slabs.  Each part streams its sub-lattice ``[axes[0][lo:hi], *axes[1:]]``
-    in a worker thread (numpy releases the GIL for slab-sized work), a
-    rank-form operand seeding its first slab from one histogram
+    A scan whose slabs hold at least ``_SPLIT_SLAB`` (2**16) nodes splits
+    its first axis into contiguous parts, one per CPU the process may run
+    on, but no more parts than nodes or than the slab budget holds slabs; a
+    smaller slab scans inline.  Below that size the parts' per-slab Python
+    work contends for the GIL: on 2 CPUs a split scan of 1k-17k-node slabs
+    ran up to 4x the inline time and near 2**15 nodes the two were even,
+    while from 2**16 nodes on a split grid or closed-form scan ran in
+    0.4-0.75 of it (a sample's scan on its own rank nodes, whose slabs are
+    gathers, still ran slower split at 63k nodes and gained at 161k).  Each
+    part streams its sub-lattice ``[axes[0][lo:hi], *axes[1:]]`` in a
+    worker thread (numpy releases the GIL for slab-sized work), a rank-form
+    operand seeding its first slab from one histogram
     (:func:`~copulakit.empirical.step_cdf_slabs`).  The maximum over the
     parts' maxima is a serial scan's bit for bit, since no slab value
     depends on the part it is drawn in.
@@ -181,7 +190,8 @@ def slab_sup_distances(op, others, axes) -> list:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks
         cpus = os.cpu_count() or 1
-    parts = max(1, min(cpus, len(axes[0]), _SLAB_BUDGET // max(slab, 1)))
+    parts = max(1, min(cpus if slab >= _SPLIT_SLAB else 1, len(axes[0]),
+                       _SLAB_BUDGET // max(slab, 1)))
     blas = _openblas_threads() if parts > 1 else None
     if blas is None:
         return _slab_maxima(op, others, axes)

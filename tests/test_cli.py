@@ -255,7 +255,9 @@ class TestMalformedInput:
         ("x1,x2,x3\n0.1,0.2,0.3\n0.4,nan,0.6\n0.7,0.8,0.9\n", "finite"),
         ("x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,inf\n0.7,0.8,0.9\n", "finite"),
         ("0.1,0.2,0.3\n0.4,0.5,0.6\n0.7,0.8,0.9\n", "header"),
-    ], ids=["nan", "inf", "headerless"])
+        ("", "empty"),
+        ("x1,x2,x3\n0.1,0.2,0.3\n0.4,x,0.6\n", "not a number"),
+    ], ids=["nan", "inf", "headerless", "empty", "non-numeric"])
     def test_malformed_sample_is_usage_error(self, tmp_path, capsys, text, message):
         csv = tmp_path / "s.csv"
         csv.write_text(text)

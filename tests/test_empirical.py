@@ -35,7 +35,7 @@ from copulakit.errors import (
     ResolutionOverflow,
     TiesDetected,
 )
-from copulakit.grid import uniform_breaks
+from copulakit.grid import GridCopula, uniform_breaks
 from copulakit.metrics import _lattice_axes, d_inf_many, slab_sup_distances
 from copulakit.verify import random_copula_grid
 from conftest import nonuniform_grid
@@ -453,7 +453,10 @@ def blas(monkeypatch):
 
 @pytest.fixture()
 def cpus(monkeypatch, blas):
-    """Set the number of CPUs a scan may split across."""
+    """Set the number of CPUs a scan may split across; the small lattices
+    here split too, with the split threshold at one node."""
+    monkeypatch.setattr(metrics, "_SPLIT_SLAB", 1)
+
     def pin(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
     return pin
@@ -541,6 +544,41 @@ class TestSplitScan:
             assert slab_sup_distances(emp, [cube], axes) == split
             assert seen == [(threading.get_ident(), 4)]
 
+    @staticmethod
+    def _threshold_scan(blas, monkeypatch, nodes):
+        """A 2-D scan whose slab, the second axis, has ``nodes`` nodes, run
+        at the module's split threshold on two CPUs: its maxima and the
+        (thread, BLAS thread count) of each stream drawn."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rng = np.random.default_rng(5)
+        emp, grid = empirical_copula(rng.random((300, 2))), random_copula_grid(rng, [5, 7])
+        axes = [uniform_breaks(6), np.linspace(0.0, 1.0, nodes)]
+        seen = []
+        stream = GridCopula.cdf_slabs
+        monkeypatch.setattr(GridCopula, "cdf_slabs", lambda self, axes: seen.append(
+            (threading.get_ident(), blas[0])) or stream(self, axes))
+        return slab_sup_distances(emp, [grid, efgm_quadratic(2)], axes), seen
+
+    def test_a_slab_below_the_split_threshold_scans_inline(self, blas, monkeypatch):
+        _, seen = self._threshold_scan(blas, monkeypatch, metrics._SPLIT_SLAB - 1)
+        # no worker thread, and BLAS's thread count never set
+        assert seen == [(threading.get_ident(), 4)]
+        assert blas == [4]
+
+    def test_a_slab_at_the_split_threshold_splits_with_the_inline_maxima(self, blas,
+                                                                         monkeypatch):
+        at = metrics._SPLIT_SLAB
+        split, seen = self._threshold_scan(blas, monkeypatch, at)
+        assert len(seen) == 2
+        assert all(t != threading.get_ident() and k == 1 for t, k in seen)
+        assert blas == [4]
+        # the same lattice, one node below a raised threshold
+        monkeypatch.setattr(metrics, "_SPLIT_SLAB", at + 1)
+        inline, seen = self._threshold_scan(blas, monkeypatch, at)
+        assert seen == [(threading.get_ident(), 4)]
+        assert [v.hex() for v in split] == [v.hex() for v in inline]
+        assert all(v > 0.0 for v in split)
+
     def test_the_loaded_openblas_thread_count_is_set(self):
         threads = metrics._openblas_threads()
         if threads is None:
@@ -618,6 +656,11 @@ class TestSampling:
         with pytest.raises(DimensionMismatch):
             sample(cube, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**40), [3, -1]])
+    def test_a_negative_seed_is_a_bad_operand(self, cube, seed):
+        with pytest.raises(BadOperand, match="non-negative"):
+            sample(cube, 5, seed)
+
 
 class TestSampleIo:
     def test_round_trip_bit_exact(self, cube, tmp_path):
@@ -628,6 +671,19 @@ class TestSampleIo:
         assert np.array_equal(back, pts)
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,x3"
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "empty"),
+        (b"x1,x2\n0.1,0.2\n0.3,abc\n", "not a number"),
+        (b"x1,x2\n0.1,0.2\n0.3,\n", "not a number"),
+        (b"x1,x2\n0.1,0.2\n\xff\xfe,0.3\n", "not a number"),
+    ], ids=["empty", "word", "blank-cell", "not-utf-8"])
+    def test_an_empty_file_or_a_non_numeric_cell_is_a_bad_operand(self, tmp_path, data,
+                                                                   message):
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with pytest.raises(BadOperand, match=message):
+            load_sample(path)
 
     def test_one_column_is_not_a_copula_sample(self, tmp_path):
         path = tmp_path / "one.csv"

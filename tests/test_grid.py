@@ -33,9 +33,10 @@ from copulakit.errors import (
     TotalMassViolation,
     WeightError,
 )
+import copulakit.grid as grid_mod
 from copulakit.grid import _locate, cell_index, cum_nodes, multilinear_interp
 from copulakit.verify import random_copula_grid
-from conftest import checkerboard_cdf_oracle
+from conftest import checkerboard_cdf_oracle, nonuniform_grid
 
 
 class TestNewGrid:
@@ -291,6 +292,19 @@ class TestCommonRefinement:
     def test_identical_resolutions_unchanged(self, cube):
         ra, rb = common_refinement(cube, cube)
         assert ra.resolutions == cube.resolutions
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_breaks_return_the_operands_untouched(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        a = nonuniform_grid(rng, 3) if seed % 2 else random_copula_grid(rng, [2, 3, 4])
+        # the other operand's breaks are equal copies, not the same arrays
+        b = GridCopula([bk.copy() for bk in a.breaks], a.masses.copy())
+        # no uniformity test, no lcm or union, no refine_to
+        for name in ("uniform_breaks", "_as_breaks"):
+            monkeypatch.setattr(grid_mod, name, lambda *args: pytest.fail("refined"))
+        monkeypatch.setattr(GridCopula, "refine_to", lambda *args: pytest.fail("refined"))
+        ra, rb = common_refinement(a, b)
+        assert ra is a and rb is b
 
     def test_refine_to_needs_nested_breakpoints(self, cube):
         with pytest.raises(DimensionMismatch):
