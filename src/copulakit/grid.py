@@ -93,13 +93,14 @@ def _contract(nodes: np.ndarray, maps) -> np.ndarray:
     return nodes
 
 
-def cum_nodes(masses: np.ndarray) -> np.ndarray:
+def cum_nodes(masses: np.ndarray, lead: int = 0) -> np.ndarray:
     """Zero-padded cumulative tensor of cell masses, the cdf at every node: the
-    masses copied into a new zero buffer, summed in place by ``np.cumsum``."""
-    c = np.zeros(tuple(n + 1 for n in masses.shape))
-    inner = c[(slice(1, None),) * c.ndim]
+    masses copied into a new zero buffer, summed in place by ``np.cumsum``.
+    The first ``lead`` axes index a stack of tensors: neither padded nor summed."""
+    c = np.zeros(masses.shape[:lead] + tuple(n + 1 for n in masses.shape[lead:]))
+    inner = c[(slice(None),) * lead + (slice(1, None),) * (c.ndim - lead)]
     inner[...] = masses
-    for ax in range(c.ndim):
+    for ax in range(lead, c.ndim):
         np.cumsum(inner, axis=ax, out=inner)
     return c
 
@@ -143,7 +144,7 @@ class GridCopula:
     All operations are pure functions, safe for concurrent use.
     """
 
-    __slots__ = ("breaks", "masses", "_cum")
+    __slots__ = ("breaks", "masses", "_cum", "_kernels")
 
     def __init__(self, breaks, masses, validate: bool = True):
         self.breaks = tuple(_as_breaks(b) for b in breaks)
@@ -154,7 +155,7 @@ class GridCopula:
                 f"mass tensor shape {masses.shape} does not match breakpoints {shape}"
             )
         self.masses = masses
-        self._cum = None
+        self._cum, self._kernels = None, (None, None)
         for b in self.breaks:
             b.setflags(write=False)
         self.masses.setflags(write=False)
@@ -214,14 +215,26 @@ class GridCopula:
     def kernel_nodes(self, cond_axes, cell) -> np.ndarray:
         """Markov kernel nodes over the free axes (ascending) for the cell index
         ``cell`` of ``cond_axes``: the fiber's cdf nodes over its mass, or the
-        fiber's zero cdf nodes if it has no mass."""
-        index = [slice(None)] * self.dim
-        for a, i in zip(cond_axes, cell):
-            index[a] = i
-        fiber = self.masses[tuple(index)]
-        w = float(fiber.sum())
-        cum = cum_nodes(fiber)
-        return cum / w if w > 0 else cum
+        fiber's zero cdf nodes if it has no mass.  A slice in ``cell`` takes a
+        run of slabs, stacked on leading axes by one cumulation, each over its
+        own strided fiber's sum (a sum over the run at once rounds otherwise)."""
+        fiber = np.moveaxis(self.masses, cond_axes, range(len(cond_axes)))[tuple(cell)]
+        lead = sum(isinstance(i, slice) for i in cell)
+        cum = cum_nodes(fiber, lead)
+        for k in np.ndindex(fiber.shape[:lead]):
+            w = float(fiber[k].sum())
+            cum[k] /= w if w > 0 else 1.0
+        return cum
+
+    def kernel_run(self, lo: int, hi: int) -> np.ndarray:
+        """Kernel nodes of the last axis's slabs ``lo`` to ``hi - 1``, stacked by
+        one :meth:`kernel_nodes` run; the last run asked for stays cached."""
+        key, run = self._kernels
+        if key != (lo, hi):
+            run = self.kernel_nodes((self.dim - 1,), (slice(lo, hi),))
+            run.setflags(write=False)
+            self._kernels = (lo, hi), run
+        return run
 
     def kernel(self, v, u) -> np.ndarray:
         """Markov kernel ``K(v, [0, u])`` w.r.t. the last coordinate: the

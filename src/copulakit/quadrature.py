@@ -42,16 +42,16 @@ def leg01(order: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _corner_slabs(values: np.ndarray) -> list:
-    """Per-cell corner values from a node tensor, one array of shape
-    ``cells`` per corner, corners in ``product((0, 1), repeat=d)`` order."""
-    return [values[tuple(slice(b, n - 1 + b) for n, b in zip(values.shape, bits))]
-            for bits in itertools.product((0, 1), repeat=values.ndim)]
+def _corner_slabs(values: np.ndarray, d: int) -> list:
+    """Per-cell corner values over the last ``d`` axes of a node tensor (or a
+    stack of them), one array per corner, in ``product((0, 1), repeat=d)`` order."""
+    return [values[(...,) + tuple(slice(b, n - 1 + b) for n, b in zip(values.shape[-d:], bits))]
+            for bits in itertools.product((0, 1), repeat=d)]
 
 
-def _any_corner(mask: np.ndarray) -> np.ndarray:
+def _any_corner(mask: np.ndarray, d: int) -> np.ndarray:
     """Cells with at least one node of ``mask``."""
-    return reduce(np.logical_or, _corner_slabs(mask))
+    return reduce(np.logical_or, _corner_slabs(mask, d))
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +78,8 @@ def integrate_abs_multilinear(values: np.ndarray, axes, tol: float = 1e-10,
     Parameters
     ----------
     values : ndarray
-        Node values of ``g`` on the mesh, shape ``tuple(len(a) for a in axes)``.
+        Node values of ``g`` on the mesh, shape ``tuple(len(a) for a in axes)``,
+        or on one and two axes a stack of them on a leading slab axis.
     axes : sequence of 1-d arrays
         Mesh breakpoints per axis.
     tol : float
@@ -90,25 +91,26 @@ def integrate_abs_multilinear(values: np.ndarray, axes, tol: float = 1e-10,
     -------
     (value, half_width) : tuple of float
         The true integral lies within ``half_width`` of ``value``.  On one
-        and two axes the value is the closed form and ``half_width`` is 0.
+        and two axes the value is the closed form and ``half_width`` is 0; a
+        stack gives one value per slab, its cells summed as a lone mesh's.
     """
-    d = values.ndim
+    d = len(axes)
     widths = [np.diff(np.asarray(a, dtype=float)) for a in axes]
     vols = reduce(np.multiply.outer, widths)
-    corners = _corner_slabs(values)
+    corners = _corner_slabs(values, d)
     if d > 2:
         return _bisect_abs(np.stack(corners, axis=-1).reshape(-1, 2**d), vols.reshape(-1),
                            d, tol, max_rounds)
     # exact on sign-definite cells: the corner mean, summed from 0 in corner
     # order as mean() reduces a corner row; only mixed cells are overwritten,
     # so a mesh without them sums the same per-cell values in the same order
-    cells = np.abs(sum(corners) / 2**d) * vols
-    mixed = _any_corner(values < 0.0) & _any_corner(values > 0.0)
+    cells = np.abs(sum(corners) / 2**d)
+    mixed = _any_corner(values < 0.0, d) & _any_corner(values > 0.0, d)
     if mixed.any():
         c = np.stack([s[mixed] for s in corners], axis=1)
-        unit = _abs_linear_unit(c[:, 0], c[:, 1]) if d == 1 else _abs_bilinear_unit(c)
-        cells[mixed] = unit * vols[mixed]
-    return float(cells.sum()), 0.0
+        cells[mixed] = _abs_linear_unit(c[:, 0], c[:, 1]) if d == 1 else _abs_bilinear_unit(c)
+    cells *= vols
+    return [float(s.sum()) for s in cells] if values.ndim > d else float(cells.sum()), 0.0
 
 
 def _abs_linear_unit(a, b):
@@ -225,15 +227,21 @@ def _bisect_abs(corners, vols, d, tol, max_rounds):
     return (total_lo + total_up) / 2.0, (total_up - total_lo) / 2.0
 
 
-def integrate_square_multilinear(values: np.ndarray, axes) -> float:
-    """Exact integral of ``g**2`` for mesh-multilinear ``g`` (2-point GL)."""
+def integrate_square_multilinear(values: np.ndarray, axes):
+    """Exact integral of ``g**2`` for mesh-multilinear ``g`` (2-point GL), or a
+    list for a stack on a leading slab axis: the maps are built once, but each
+    slab is contracted alone, as one BLAS call over the stack rounds otherwise."""
     x, w = leg01(2)
     axes = [np.asarray(a, dtype=float) for a in axes]
-    sq = _contract(values, [_axis_map(a, (a[:-1, None] + np.diff(a)[:, None] * x).ravel())
-                            for a in axes]) ** 2
-    for a in axes:
-        sq = np.tensordot((np.diff(a)[:, None] * w).ravel(), sq, axes=(0, 0))
-    return float(sq)
+    maps = [_axis_map(a, (a[:-1, None] + np.diff(a)[:, None] * x).ravel()) for a in axes]
+    weights = [(np.diff(a)[:, None] * w).ravel() for a in axes]
+    out = []
+    for v in values.reshape((-1,) + values.shape[values.ndim - len(axes):]):
+        sq = _contract(v, maps) ** 2
+        for wa in weights:
+            sq = np.tensordot(wa, sq, axes=(0, 0))
+        out.append(float(sq))
+    return out if values.ndim > len(axes) else out[0]
 
 
 def adaptive_gl(f, axes, tol: float = 1e-8, max_evals: int = 2_000_000):

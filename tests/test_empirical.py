@@ -3,6 +3,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from copulakit import (
     efgm_quadratic,
     empirical_copula,
     example54_copula,
+    independence_analytic,
     is_simplified,
     load_sample,
     product_extend,
@@ -431,6 +433,31 @@ class TestSupScan:
         emp6 = empirical_copula(np.random.default_rng(3).random((100, 6)))
         with pytest.raises(ResolutionOverflow, match="slab"):
             d_inf(emp6, efgm_quadratic(6))
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, "8", None])
+    def test_rejects_a_scan_m_that_is_not_an_integer(self, m):
+        # 2.5 scanned the nodes 0, 0.4, 0.8 and 1.2 and certified the result
+        with pytest.raises(BadOperand, match="integer scan_m >= 1"):
+            d_inf(efgm_quadratic(3), independence_analytic(3), scan_m=m)
+
+    def test_a_numpy_integer_scan_m_is_an_integer(self):
+        pair = efgm_quadratic(3), independence_analytic(3)
+        assert _fields(d_inf(*pair, scan_m=np.int64(8))) == _fields(d_inf(*pair, scan_m=8))
+
+    def test_a_huge_scan_m_overflows_before_the_lattice_is_built(self, cube, pi2):
+        pair = efgm_quadratic(3), independence_analytic(3)
+        d_inf(*pair, scan_m=4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResolutionOverflow, match="slab"):
+                d_inf(*pair, scan_m=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # a pair whose merged breaks are exact needs no scan lattice at all
+        rep = d_inf(cube, pi2, scan_m=10**6)
+        assert rep.exactness == "exact" and rep.value == d_inf(cube, pi2).value
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_rejects_an_empty_lattice(self, cube, m):

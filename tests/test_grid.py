@@ -106,6 +106,16 @@ class TestCdf:
         assert cube.cdf(v) >= cube.cdf(u) - 1e-12
 
 
+def lone_kernel_nodes(g, cond_axes, cell):
+    """One slab's kernel nodes, built alone: the fiber's cdf over its sum."""
+    index = [slice(None)] * g.dim
+    for a, i in zip(cond_axes, cell):
+        index[a] = i
+    fiber = g.masses[tuple(index)]
+    w = float(fiber.sum())
+    return cum_nodes(fiber) / w if w > 0 else cum_nodes(fiber)
+
+
 class TestCellsAndKernelNodes:
     def test_cell_index_closes_cells_on_the_left_and_clips(self):
         b = np.array([0.0, 0.25, 0.5, 1.0])
@@ -124,6 +134,35 @@ class TestCellsAndKernelNodes:
         g = GridCopula([uniform_breaks(2), [0.0, 0.5, 0.5 + 1e-13, 1.0]],
                        [[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]])
         assert not g.kernel_nodes((1,), (1,)).any()
+
+    def test_a_run_of_slabs_stacks_the_lone_slabs_bit_for_bit(self):
+        # each slab of a run is divided by its own strided fiber's sum, as a
+        # lone slab is; the middle slab of the last axis has no mass
+        rng = np.random.default_rng(8)
+        masses = rng.random((3, 4, 5)) * 10.0 ** rng.integers(-3, 3, size=(3, 4, 5))
+        masses[:, :, 2] = 0.0
+        g = GridCopula([np.sort(np.r_[0.0, rng.random(n - 1), 1.0]) for n in (3, 4, 5)],
+                       masses / masses.sum(), validate=False)
+        for cond, cell, runs in [((0,), (slice(None),), [(k,) for k in range(3)]),
+                                 ((1,), (slice(1, 3),), [(1,), (2,)]),
+                                 ((2,), (slice(None),), [(k,) for k in range(5)]),
+                                 ((2, 0), (slice(1, 4), 2), [(k, 2) for k in (1, 2, 3)]),
+                                 ((0, 2), (slice(None), slice(2, 4)),
+                                  [(i, k) for i in range(3) for k in (2, 3)])]:
+            stack = g.kernel_nodes(cond, cell)
+            lone = np.stack([lone_kernel_nodes(g, cond, c) for c in runs])
+            assert all(np.array_equal(g.kernel_nodes(cond, c), k) for c, k in zip(runs, lone))
+            assert stack.reshape(lone.shape).view(np.int64).tolist() == \
+                lone.view(np.int64).tolist()
+        run = g.kernel_run(1, 4)
+        assert not run[1].any() and not run.flags.writeable
+        assert g.kernel_run(1, 4) is run and np.array_equal(run, g.kernel_nodes((2,), (slice(1, 4),)))
+        # fibers of 91 x 91 cells, whose sums over the run at once round otherwise
+        masses = rng.random((91, 91, 3)) * 10.0 ** rng.integers(-3, 3, size=(91, 91, 3))
+        big = GridCopula([uniform_breaks(n) for n in masses.shape], masses / masses.sum(),
+                         validate=False)
+        lone = np.stack([lone_kernel_nodes(big, (2,), (k,)) for k in range(3)])
+        assert big.kernel_run(0, 3).view(np.int64).tolist() == lone.view(np.int64).tolist()
 
     def test_kernel_interpolates_each_slab_and_broadcasts_u(self, cube):
         v = np.array([0.25, 0.75, 0.75])

@@ -34,12 +34,15 @@ from copulakit import (
 from copulakit import metrics as metrics_mod
 from copulakit import verify
 from copulakit.errors import (
+    BadAxis,
     ChainViolation,
     ClosedFormUnavailable,
     KernelUnavailable,
     ResolutionOverflow,
     SupportViolation,
 )
+from copulakit.grid import GridCopula, cum_nodes, uniform_breaks
+from copulakit.quadrature import integrate_abs_multilinear, integrate_square_multilinear
 from copulakit.verify import random_copula_grid
 from conftest import a1_cdf, a2_cdf, nonuniform_grid
 
@@ -404,6 +407,113 @@ class TestChain:
             a = random_copula_grid(rng, (2, 3, 2))
             b = random_copula_grid(rng, (4, 2, 2))
             assert d_inf(a, b).value <= d_inf_kernel(a, b).value + 1e-10
+
+
+def slab_by_slab(c1, c2, eps, axis):
+    """(value, error, n_evaluations, exactness) of d1, d2 and d_inf_kernel on
+    a grid pair, computed one conditioning slab at a time: each slab's kernel
+    nodes cumulated alone and integrated in their own call, the oracle of the
+    runs of slabs."""
+    order = [j for j in range(c1.dim) if j != axis] + [axis]
+    r1, r2 = common_refinement(c1.permute(order), c2.permute(order))
+
+    def kernel(g, k):
+        fiber = g.masses[..., k]
+        w = float(fiber.sum())
+        return cum_nodes(fiber) / w if w > 0 else cum_nodes(fiber)
+
+    free = r1.breaks[:-1]
+    diffs = [(float(w), kernel(r1, k) - kernel(r2, k))
+             for k, w in enumerate(np.diff(r1.breaks[-1]))]
+    total, err, cells = 0.0, 0.0, 0
+    for w, dK in diffs:
+        val, half = integrate_abs_multilinear(dK, free, tol=eps / len(diffs))
+        total += w * val
+        err += w * half
+        cells += dK.size
+    acc = np.zeros(diffs[0][1].shape)
+    for w, dK in diffs:
+        acc += w * np.abs(dK)
+    return {"d1": (total, err, cells, "exact" if err == 0.0 else "certified"),
+            "d2": (sum(w * integrate_square_multilinear(dK, free) for w, dK in diffs), 0.0,
+                   cells, "exact"),
+            "d_inf_kernel": (float(acc.max()), 0.0, acc.size, "exact")}
+
+
+def _bits(value, error, n_evaluations, exactness):
+    return float(max(value, 0.0)).hex(), float(error).hex(), n_evaluations, exactness
+
+
+class TestSlabRuns:
+    """The kernel metrics of a grid pair take runs of consecutive slabs at
+    once; values and errors are the slab-by-slab ones bit for bit."""
+
+    @staticmethod
+    def check(c1, c2, axis, eps=1e-8):
+        want = slab_by_slab(c1, c2, eps, axis)
+        for metric in (d1, d2, d_inf_kernel):
+            rep = metric(c1, c2, eps=eps, axis=axis)
+            got = _bits(rep.value, rep.error, rep.n_evaluations, rep.exactness)
+            assert got == _bits(*want[rep.name]), (rep.name, axis)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_nonuniform_pairs_on_every_axis(self, dim, seed):
+        rng = np.random.default_rng([25, dim, seed])
+        c1, c2 = nonuniform_grid(rng, dim), nonuniform_grid(rng, dim)
+        for axis in range(dim):
+            # three free axes bisect: a loose eps keeps the meshes small
+            self.check(c1, c2, axis, eps=1e-8 if dim < 4 else 1e-3)
+
+    @pytest.mark.parametrize("split", [1, 100, 2**40])
+    def test_runs_of_one_slab_of_some_and_of_all(self, monkeypatch, split):
+        # 12 slabs of 7, 49 or 343 nodes: runs of one, of 14, 2 or 1, and of all
+        monkeypatch.setattr(metrics_mod, "_SPLIT_SLAB", split)
+        rng = np.random.default_rng(split)
+        for dim in (2, 3, 4):
+            c1 = random_copula_grid(rng, [3] * (dim - 1) + [4])
+            c2 = random_copula_grid(rng, [2] * (dim - 1) + [6])
+            self.check(c1, c2, dim - 1, eps=1e-8 if dim < 4 else 1e-3)
+
+    def test_a_slab_without_mass(self):
+        # not a copula: the middle conditioning slab is empty, its kernel zero
+        rng = np.random.default_rng(5)
+        m = rng.random((3, 2, 3))
+        m[..., 1] = 0.0
+        empty = GridCopula([uniform_breaks(3), uniform_breaks(2), uniform_breaks(3)],
+                           m / m.sum(), validate=False)
+        assert not empty.kernel_run(0, 3)[1].any()
+        self.check(empty, random_copula_grid(rng, (2, 4, 3)), 2)
+
+    def test_the_chain_builds_each_operands_stack_once(self, monkeypatch):
+        built = []
+        real = GridCopula.kernel_nodes
+
+        def counted(self, cond_axes, cell):
+            built.append(self)
+            return real(self, cond_axes, cell)
+
+        monkeypatch.setattr(GridCopula, "kernel_nodes", counted)
+        rng = np.random.default_rng(6)
+        c1, c2 = random_copula_grid(rng, (2, 3, 4)), random_copula_grid(rng, (3, 2, 6))
+        rep = metric_chain_check(c1, c2)
+        assert len(built) == 2 and built[0] is not built[1]
+        assert [b.shape for b in built] == [(6, 6, 12)] * 2
+        for name, metric in (("d1", d1), ("d2", d2), ("d_inf_kernel", d_inf_kernel)):
+            got, want = dict(rep["reports"][name]), metric(c1, c2).to_dict()
+            del got["elapsed_s"], want["elapsed_s"]
+            assert got == want, name
+
+    @pytest.mark.parametrize("axis", [-1, 3, 7])
+    def test_an_axis_out_of_range_is_a_bad_axis(self, cube, pi2, axis):
+        # for every operand kind, before the grid or closed-form path is chosen
+        pairs = [(cube, pi2), (cube, independence_analytic(3)),
+                 (efgm_quadratic(3), independence_analytic(3)),
+                 (cube, empirical_copula(sample(cube, 50, seed=3)))]
+        for metric in (d1, d2, d_inf_kernel):
+            for c1, c2 in pairs:
+                with pytest.raises(BadAxis, match=f"^axis {axis} out of range for dim 3$"):
+                    metric(c1, c2, axis=axis)
 
 
 class TestReportFields:

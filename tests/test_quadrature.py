@@ -294,3 +294,23 @@ def test_gl_rules_equal_the_per_cell_rules_in_one_call(d):
         assert calls == [8**d * (1 + 2**d)]
         want = [gl_cell_oracle(f, c) for c in (cell, *_split_cell(cell))]
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_stack_of_meshes_integrates_each_as_alone(d, kind):
+    # one call over a leading slab axis gives each slab's value bit for bit
+    rng = np.random.default_rng([7, d, KINDS.index(kind)])
+    for _ in range(20):
+        xs, ys, v = random_mesh(rng, kind)
+        stack = np.stack([v, -0.5 * v, 0.0 * v, v + 0.3 * rng.normal(size=v.shape), np.round(v)])
+        axes = (xs, ys) if d == 2 else (xs,)
+        if d == 1:
+            stack = stack[:, :, 1]
+        alone = [integrate_abs_multilinear(s, axes) for s in stack]
+        vals, half = integrate_abs_multilinear(stack, axes)
+        assert half == 0.0 and {h for _, h in alone} == {0.0}
+        assert [x.hex() for x in vals] == [a.hex() for a, _ in alone]
+        assert [x.hex() for x in integrate_square_multilinear(stack, axes)] == [
+            integrate_square_multilinear(s, axes).hex() for s in stack]
