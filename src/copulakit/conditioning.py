@@ -20,6 +20,7 @@ are supported for the vine ladder.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,19 +84,23 @@ class PiecewiseLinearCdf:
         return np.unique(np.concatenate([xs, x]))
 
 
-def preimage_union(margins, targets) -> np.ndarray:
+def preimage_union(margins, targets):
     """Sorted union of the :meth:`PiecewiseLinearCdf.preimages` of ``targets``
-    under every margin; points within 1e-13 of the previous one are merged
-    and the last point is exactly 1."""
-    pts = np.array([0.0, 1.0])
-    for fm in margins:
-        pts = np.union1d(pts, fm.preimages(targets))
-    keep = [pts[0]]
-    for x in pts[1:]:
+    under every margin, from one sort; points within 1e-13 of the previous one
+    are merged and the last point is exactly 1.  Also, per margin, the sorted
+    indices of its preimages in the union: an operator image's slab mesh."""
+    pre = [fm.preimages(targets) for fm in margins]
+    pts, inv = np.unique(np.concatenate([[0.0, 1.0], *pre]), return_inverse=True)
+    keep, group = [pts[0]], []  # group: the kept point each sorted point merges into
+    for x in pts.tolist():
         if x - keep[-1] > 1e-13:
             keep.append(x)
+        group.append(len(keep) - 1)
     keep[-1] = 1.0
-    return np.asarray(keep)
+    ends = list(itertools.accumulate(len(p) for p in pre))
+    meshes = np.split(np.asarray(group)[inv[2:]], ends[:-1])
+    merged = len(keep) < len(pts)
+    return np.asarray(keep), [np.unique(m) for m in meshes] if merged else meshes
 
 
 class BilinearSurface:

@@ -364,7 +364,7 @@ def example54_copula() -> AnalyticCopula:
         return sum(sh.cdf_many(s) for sh in shuffles) / 4.0
 
     quarters = [0.25, 0.5, 0.75]
-    u_breaks = (preimage_union(f_star, quarters), preimage_union(f_2star, quarters))
+    u_breaks = (preimage_union(f_star, quarters)[0], preimage_union(f_2star, quarters)[0])
     fam = ConditionalFamily(uniform_breaks(4), f_star, f_2star,
                             [sh.cdf_many for sh in shuffles], closed_partial=partial)
     return slab_mixture(fam, u_breaks, "composite54")

@@ -142,9 +142,12 @@ class GridCopula:
     -----
     The cumulative tensor is cached on first use; instances are immutable.
     All operations are pure functions, safe for concurrent use.
+    ``slab_tables`` is None but on an operator image of :func:`~copulakit.pvc.pvc3`:
+    per last-axis slab, a free-axis mesh, a subset of the free breaks, on which
+    the slab's kernel is bilinear, and its node table there.
     """
 
-    __slots__ = ("breaks", "masses", "_cum", "_kernels")
+    __slots__ = ("breaks", "masses", "_cum", "_kernels", "slab_tables")
 
     def __init__(self, breaks, masses, validate: bool = True):
         self.breaks = tuple(_as_breaks(b) for b in breaks)
@@ -155,7 +158,7 @@ class GridCopula:
                 f"mass tensor shape {masses.shape} does not match breakpoints {shape}"
             )
         self.masses = masses
-        self._cum, self._kernels = None, (None, None)
+        self._cum, self._kernels, self.slab_tables = None, (None, None), None
         for b in self.breaks:
             b.setflags(write=False)
         self.masses.setflags(write=False)
@@ -236,18 +239,26 @@ class GridCopula:
             self._kernels = (lo, hi), run
         return run
 
+    def slab_kernel(self, k: int):
+        """``(mesh, nodes)``: a free-axis mesh on which the kernel of the last
+        axis's slab ``k`` is multilinear, and its nodes there: the slab's
+        ``slab_tables`` entry, else the free breaks and its :meth:`kernel_run`."""
+        if self.slab_tables is not None:
+            return self.slab_tables[k]
+        return self.breaks[:-1], self.kernel_run(k, k + 1)[0]
+
     def kernel(self, v, u) -> np.ndarray:
         """Markov kernel ``K(v, [0, u])`` w.r.t. the last coordinate: the
-        kernel nodes of the slab holding each ``v`` (zero on a slab without
-        mass), interpolated at the matching row of ``u`` (one row serves all)."""
+        :meth:`slab_kernel` of the slab holding each ``v`` (zero on a slab
+        without mass), interpolated at the matching row of ``u`` (one row serves all)."""
         v = np.atleast_1d(np.asarray(v, dtype=float))
         u = np.broadcast_to(np.asarray(u, dtype=float), (len(v), self.dim - 1))
         out = np.empty(len(v))
         slab = cell_index(self.breaks[-1], v)
         for k in np.unique(slab):
             sel = slab == k
-            out[sel] = multilinear_interp(self.kernel_nodes((self.dim - 1,), (k,)),
-                                          self.breaks[:-1], u[sel])
+            mesh, nodes = self.slab_kernel(k)
+            out[sel] = multilinear_interp(nodes, mesh, u[sel])
         return out
 
     @property

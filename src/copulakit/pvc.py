@@ -53,7 +53,9 @@ class PvcResult:
 
     ``psi`` is the exact operator image: a (generally nonuniform)
     checkerboard for grid input, an analytic evaluator for closed-form
-    input and the input itself for a rank-form empirical copula.
+    input and the input itself for a rank-form empirical copula.  The
+    checkerboard of :func:`pvc3` carries ``slab_tables``, its kernel per
+    slab on the slab's own mesh, which the kernel metrics read.
     ``partial`` is the partial copula: a bilinear surface, or the
     closed-form bivariate cdf.
     """
@@ -86,6 +88,12 @@ def pvc3(C) -> PvcResult:
     The result's (1,3)- and (2,3)-margins coincide with the input's, and
     simplified inputs are fixed points.  An analytic copula without a
     conditional family raises ClosedFormUnavailable.
+
+    A grid's image is the checkerboard on the preimages of the partial
+    copula P's nodes under all conditional margins.  It carries per slab k
+    the kernel P(F1k, F2k) on the preimages under slab k's margins alone
+    (``slab_tables``), which the kernel metrics read instead of that mesh,
+    within 1e-15 of it; a copy read back from JSON, permuted or refined carries none.
     """
     fam = slab_family(C)
     slab_count = len(fam.t_breaks) - 1
@@ -98,8 +106,10 @@ def pvc3(C) -> PvcResult:
         psi = slab_mixture(image, C.kernel_u_breaks, f"pvc({C.name})")
     else:
         # slab widths are positive, so every slab is live
-        cp, xs, ys, masses = _reassemble(fam.weights, fam.surfaces, fam.margins1, fam.margins2)
+        cp, xs, ys, masses, tables = _reassemble(fam.weights, fam.surfaces, fam.margins1,
+                                                 fam.margins2)
         psi = GridCopula((xs, ys, fam.t_breaks), np.moveaxis(masses, 1, 2))
+        psi.slab_tables = tables
     return PvcResult(_fingerprint(C), psi, cp, slab_count)
 
 
@@ -107,21 +117,25 @@ def _reassemble(weights, surfaces, margins1, margins2):
     """Operator image from the conditioning cells of mass ``weights``, given
     the conditional copula and margins of each live cell in C order: the
     partial copula P (the weighted surface average), the preimage meshes of
-    its nodes under all margins, and masses w ΔΔP(F1, F2) per live cell, of
-    shape (x cells, *weights.shape, y cells)."""
+    its nodes under all margins, masses w ΔΔP(F1, F2) per live cell, of
+    shape (x cells, *weights.shape, y cells), and per live cell its slab
+    mesh, the preimages of P's nodes under its own margins, with the table
+    of P(F1, F2) there, gathered from the values the masses difference."""
     cells = _live_cells(weights)
     cp = average_surfaces([weights[c] for c in cells], surfaces)
-    xs = preimage_union(margins1, cp.xs)
-    ys = preimage_union(margins2, cp.ys)
+    xs, ix = preimage_union(margins1, cp.xs)
+    ys, iy = preimage_union(margins2, cp.ys)
     shape = (len(xs) - 1,) + weights.shape + (len(ys) - 1,)
     if int(np.prod(shape)) > DEFAULT_CELL_LIMIT:
         raise ResolutionOverflow(f"operator image needs {int(np.prod(shape))} cells")
     masses = np.zeros(shape)
-    for cell, f1, f2 in zip(cells, margins1, margins2):
+    tables = []
+    for cell, f1, f2, i, j in zip(cells, margins1, margins2, ix, iy):
         P = cp.eval_lattice(f1(xs), f2(ys))
         masses[(slice(None), *cell, slice(None))] = weights[cell] * np.diff(
             np.diff(P, axis=0), axis=1)
-    return cp, xs, ys, masses
+        tables.append(((xs[i], ys[j]), P[i][:, j]))
+    return cp, xs, ys, masses, tables
 
 
 def _live_cells(weights) -> list:
@@ -194,7 +208,7 @@ def _build_block(work, blocks, i, span):
         f_left.append(conditional_margin(b_left, 0, t, cond_axes=tuple(range(1, span))))
         f_right.append(conditional_margin(b_right, span - 1, t,
                                           cond_axes=tuple(range(0, span - 1))))
-    cp, xs, ys, masses = _reassemble(weights, surfaces, f_left, f_right)
+    cp, xs, ys, masses, _ = _reassemble(weights, surfaces, f_left, f_right)
     return GridCopula([xs] + mesh + [ys], masses), cp
 
 

@@ -23,7 +23,7 @@ from copulakit import (
     sample,
     slab_family,
 )
-from copulakit.conditioning import PiecewiseLinearCdf, _surface_from_joint
+from copulakit.conditioning import PiecewiseLinearCdf, _surface_from_joint, preimage_union
 from copulakit.families import example54_margins
 from copulakit.errors import BadAxis, DegenerateMargins, DimensionMismatch, ZeroMassSlab
 from conftest import a1_cdf, a2_cdf
@@ -186,6 +186,17 @@ def preimages_loop_oracle(cdf, targets):
     return np.array(sorted(pts))
 
 
+def random_cdf(rng):
+    """A piecewise-linear cdf of 1 to 8 pieces on random breaks, some flat."""
+    k = int(rng.integers(1, 9))
+    xs = np.concatenate(([0.0], np.sort(rng.random(k - 1)), [1.0]))
+    steps = rng.random(k) * (rng.random(k) < 0.7)
+    steps[-1] += 0.1
+    vs = np.concatenate(([0.0], np.cumsum(steps) / steps.sum()))
+    vs[-1] = 1.0
+    return PiecewiseLinearCdf(xs, vs)
+
+
 class TestPreimages:
     def check(self, cdf, targets):
         got, want = cdf.preimages(targets), preimages_loop_oracle(cdf, targets)
@@ -201,14 +212,46 @@ class TestPreimages:
     def test_random_cdfs_with_flat_pieces(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(20):
-            k = int(rng.integers(1, 9))
-            xs = np.concatenate(([0.0], np.sort(rng.random(k - 1)), [1.0]))
-            steps = rng.random(k) * (rng.random(k) < 0.7)  # some pieces flat
-            steps[-1] += 0.1
-            vs = np.concatenate(([0.0], np.cumsum(steps) / steps.sum()))
-            vs[-1] = 1.0
-            targets = np.concatenate((rng.random(int(rng.integers(0, 12))), vs[1:-1]))
-            self.check(PiecewiseLinearCdf(xs, vs), targets)
+            cdf = random_cdf(rng)
+            targets = np.concatenate((rng.random(int(rng.integers(0, 12))), cdf.values[1:-1]))
+            self.check(cdf, targets)
+
+
+def preimage_union_loop_oracle(margins, targets):
+    """The union folded in one margin at a time, each fold re-sorting it, then
+    the 1e-13 merge."""
+    pts = np.array([0.0, 1.0])
+    for fm in margins:
+        pts = np.union1d(pts, fm.preimages(targets))
+    keep = [pts[0]]
+    for x in pts[1:]:
+        if x - keep[-1] > 1e-13:
+            keep.append(x)
+    keep[-1] = 1.0
+    return np.asarray(keep)
+
+
+class TestPreimageUnion:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_sort_equals_the_folded_union(self, seed):
+        rng = np.random.default_rng([26, seed])
+        margins = [random_cdf(rng) for _ in range(int(rng.integers(1, 30)))]
+        # copies moved by less than the merge distance, so some points merge
+        margins += [PiecewiseLinearCdf(m.xs + np.where((m.xs > 0) & (m.xs < 1), 4e-14, 0.0),
+                                       m.values) for m in margins[: seed]]
+        targets = rng.random(int(rng.integers(0, 12)))
+        union, meshes = preimage_union(margins, targets)
+        want = preimage_union_loop_oracle(margins, targets)
+        assert np.array_equal(union.view(np.int64), want.view(np.int64))
+        assert len(meshes) == len(margins)
+        for fm, idx in zip(margins, meshes):
+            pre = fm.preimages(targets)
+            assert np.all(np.diff(idx) > 0) and idx[0] == 0 and idx[-1] == len(union) - 1
+            # each preimage sits on its mesh point, or merged within 1e-13 after it
+            near = union[idx][np.searchsorted(union[idx], pre, side="right") - 1]
+            assert np.all((pre - near >= 0) & (pre - near <= 1e-13) | (pre == 1.0))
+            if seed == 0:  # no merge: the mesh is the preimages themselves
+                assert np.array_equal(union[idx].view(np.int64), pre.view(np.int64))
 
 
 class TestPartialCopula:

@@ -324,6 +324,24 @@ class TestMixedKernelOperands:
                 assert rep.value == exact.value
 
 
+    def test_a_grid_kernel_builds_a_slab_once_per_change_of_slab(self, monkeypatch):
+        built, calls = [], []
+        real_nodes, real_kernel = GridCopula.kernel_nodes, GridCopula.kernel
+        monkeypatch.setattr(GridCopula, "kernel_nodes",
+                            lambda g, axes, cell: built.append(cell) or real_nodes(g, axes, cell))
+        monkeypatch.setattr(GridCopula, "kernel",
+                            lambda g, v, u: calls.append(v) or real_kernel(g, v, u))
+        g = random_copula_grid(np.random.default_rng(0), [4] * 3)
+        rep = d_inf_kernel(g, efgm_quadratic(3))
+        # the value the rebuild on every call gave; one build per slab, in slab order
+        assert float(rep.value).hex() == "0x1.a83c839027b82p-5"
+        assert len(calls) == 96 and [c[0].start for c in built] == [0, 1, 2, 3]
+        built.clear()
+        for v in (0.1, 0.2, 0.6, 0.6, 0.1, 0.9):
+            g.kernel(v, [0.5, 0.5])
+        assert [c[0].start for c in built] == [0, 2, 0, 3]
+
+
 class TestChain:
     def test_cube_pi_chain(self, cube, pi2):
         rep = metric_chain_check(cube, pi2)
@@ -514,6 +532,65 @@ class TestSlabRuns:
             for c1, c2 in pairs:
                 with pytest.raises(BadAxis, match=f"^axis {axis} out of range for dim 3$"):
                     metric(c1, c2, axis=axis)
+
+
+class TestImagePairs:
+    """A pair with an operator image takes each merged slab on the union of
+    the two slab meshes; the oracle is the dense path, on the same image
+    rebuilt without its tables."""
+
+    @staticmethod
+    def dense(g):
+        return GridCopula(g.breaks, g.masses) if g.slab_tables is not None else g
+
+    @staticmethod
+    def operands(seed):
+        rng = np.random.default_rng([26, seed])
+        if seed % 2:
+            return random_copula_grid(rng, (4, 3, 5)), random_copula_grid(rng, (3, 4, 2))
+        return nonuniform_grid(rng, 3), nonuniform_grid(rng, 3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_are_the_dense_images_within_1e_15(self, seed):
+        C, D = self.operands(seed)
+        pc, pd = pvc3(C).psi, pvc3(D).psi
+        for a, b in ((C, pc), (pc, C), (pc, pd), (D, pc)):
+            for metric in (d1, d2, d_inf_kernel):
+                got, want = metric(a, b), metric(self.dense(a), self.dense(b))
+                assert got.exactness == "exact" and got.error == 0.0
+                assert abs(got.value - want.value) <= 1e-15, (metric.__name__, seed)
+
+    def test_the_other_operand_is_not_refined(self, monkeypatch):
+        C, _ = self.operands(1)
+        psi = pvc3(C).psi
+        refined = []
+        real = GridCopula.refine_to
+        monkeypatch.setattr(GridCopula, "refine_to",
+                            lambda self, nb: refined.append(self) or real(self, nb))
+        rep = d1(C, psi)
+        assert refined == []
+        # the slab-mesh node count, below the dense image's
+        assert rep.n_evaluations == sum(
+            int(np.prod([len(m) for m in psi.slab_kernel(k)[0]])) for k in range(5))
+        assert rep.n_evaluations < psi.shape[2] * (psi.shape[0] + 1) * (psi.shape[1] + 1)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_an_image_without_its_tables_takes_the_dense_path(self, seed):
+        C, _ = self.operands(seed)
+        psi = pvc3(C).psi
+        plain = GridCopula(psi.breaks, psi.masses)
+        finer = [np.union1d(b, [0.3 + 0.1 * j]) for j, b in enumerate(psi.breaks)]
+        order = [1, 0, 2]
+        views = [(C, psi, plain, axis) for axis in (0, 1)]
+        views += [(C.permute(order), psi.permute(order), plain.permute(order), 2),
+                  (C, psi.refine_to(finer), plain.refine_to(finer), 2),
+                  (C, GridCopula.from_json(psi.to_json()), plain, 2)]
+        for a, b, oracle, axis in views:
+            assert b.slab_tables is None or axis != 2
+            for metric in (d1, d2, d_inf_kernel):
+                got, want = metric(a, b, axis=axis), metric(a, oracle, axis=axis)
+                assert _bits(got.value, got.error, got.n_evaluations, got.exactness) == _bits(
+                    want.value, want.error, want.n_evaluations, want.exactness)
 
 
 class TestReportFields:

@@ -34,8 +34,9 @@ from copulakit import (
 from copulakit.errors import BadOperand, ClosedFormUnavailable, CopulaError, DimensionMismatch
 from copulakit import pvc as pvc_mod
 from copulakit.pvc import _fingerprint
-from copulakit.verify import convergence_lab
-from conftest import f3pi_member
+from copulakit.grid import _axis_map, _contract
+from copulakit.verify import convergence_lab, random_copula_grid
+from conftest import f3pi_member, nonuniform_grid
 
 
 def cellwise_gap(a, b):
@@ -124,6 +125,34 @@ class TestPvc3:
         emp = EmpiricalCopula(np.array([[1, 2, 3], [2, 3, 1], [3, 1, 2]]))
         assert pvc3(cube).fingerprint == "d4acab5398df279b"
         assert pvc3(emp).fingerprint == "383e7b92b38759c9"
+
+
+class TestSlabTables:
+    """pvc3 of a grid carries per slab its kernel's table on the slab's own
+    preimage mesh, beside the same dense image as before."""
+
+    def test_images_hash_as_before_the_one_sort_union(self):
+        # breaks and masses of seeded images, pinned from the folded union
+        C = random_copula_grid(np.random.default_rng(0), [12] * 3)
+        assert _fingerprint(pvc3(C).psi) == "6d3d5462356236e9"
+        C = random_copula_grid(np.random.default_rng(0), [3] * 4)
+        assert _fingerprint(pvc_dvine(C).psi) == "8181fbb6f712f4f3"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_table_is_the_dense_kernel_on_the_global_mesh(self, seed):
+        rng = np.random.default_rng([26, seed])
+        C = nonuniform_grid(rng, 3) if seed % 2 else random_copula_grid(rng, (4, 3, 5))
+        psi = pvc3(C).psi
+        plain = GridCopula(psi.breaks, psi.masses)
+        assert plain.slab_tables is None and len(psi.slab_tables) == psi.shape[2]
+        free = psi.breaks[:-1]
+        for k in range(psi.shape[2]):
+            mesh, table = psi.slab_kernel(k)
+            # the slab mesh is a subset of the global mesh and holds C's own breaks
+            for m, b, own in zip(mesh, free, C.breaks[:-1]):
+                assert np.all(np.isin(m, b)) and np.all(np.isin(own, m))
+            got = _contract(table, [_axis_map(m, b) for m, b in zip(mesh, free)])
+            assert np.max(np.abs(got - plain.slab_kernel(k)[1])) <= 1e-15
 
 
 @st.composite

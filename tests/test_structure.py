@@ -117,7 +117,9 @@ def stray_calls(path, name, allowed) -> list:
 # alone, in place in its zero-padded buffer, so no pad copies a cumulative
 # tensor (the step counts of a sample cumulate their integer histograms in
 # the one slab scan); a point's cdf blends its 2^d gathered cell corners, so
-# no slice of a node tensor is gathered per point
+# no slice of a node tensor is gathered per point; preimages of a surface's
+# nodes are taken in conditioning.preimage_union alone, so every slab mesh of
+# an operator image comes from the same merge as its global mesh
 ONE_WAY = {
     "tensordot": {"grid.py:_contract", "quadrature.py:integrate_square_multilinear"},
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
@@ -134,6 +136,7 @@ ONE_WAY = {
     "cumsum": {"grid.py:cum_nodes", "empirical.py:step_cdf_slabs"},
     "pad": set(),
     "take_along_axis": set(),
+    "preimages": {"conditioning.py:preimage_union"},
 }
 
 
@@ -262,6 +265,13 @@ def test_one_way_guard_catches_offenders(tmp_path):
                     "    return np.take_along_axis(nodes[idx], idx[:, None], axis=1)\n")
     assert stray_calls(grid, "take_along_axis", ONE_WAY["take_along_axis"]) == [
         "grid.py:multilinear_interp:5"]
+    # a slab mesh taken from the slab's own preimages, beside the merged union
+    pvc = tmp_path / "pvc.py"
+    pvc.write_text("from .conditioning import preimage_union\n\n\n"
+                   "def _reassemble(cp, margins1):\n"
+                   "    xs, _ = preimage_union(margins1, cp.xs)\n"
+                   "    return xs, [f1.preimages(cp.xs) for f1 in margins1]\n")
+    assert stray_calls(pvc, "preimages", ONE_WAY["preimages"]) == ["pvc.py:_reassemble:6"]
 
 
 def test_every_function_is_used_outside_tests():
