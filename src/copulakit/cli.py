@@ -332,6 +332,8 @@ def _dispatch(args) -> int:
     for name, value in vars(args).items():
         if name in least and value < least[name]:
             raise BadOperand(f"--{name} {value} must be at least {least[name]}")
+        if name in ("eps", "tol") and value is not None and not 0.0 <= value < np.inf:
+            raise BadOperand(f"--{name} {value} must be a finite number >= 0")
     if cmd == "make":
         name, params = _family_spec(args.family)
         cop = build_family(name, params)
@@ -363,6 +365,8 @@ def _dispatch(args) -> int:
         C = parse_operand(args.operand)
         cond = (tuple(_index(a, C.dim, "--cond-axes") for a in _numbers(args.cond_axes, int))
                 if args.cond_axes else None)
+        if cond and len(set(cond)) < len(cond):
+            raise BadOperand(f"--cond-axes {args.cond_axes!r} repeats an axis")
         t, u = _numbers(args.t, float), _numbers(args.u, float)
         if not all(0.0 <= x <= 1.0 for x in t + u):
             raise BadOperand(f"--t {args.t!r} and --u {args.u!r} must list numbers in [0, 1]")

@@ -240,7 +240,7 @@ def conditional_margin(C: GridCopula, j: int, t, cond_axes=None) -> PiecewiseLin
         raise BadAxis(f"axis {j} is not a free coordinate")
     K = _kernel_at(C, t, cond_axes)
     free = [a for a in range(C.dim) if a not in cond_axes]
-    vals = K[tuple(slice(None) if a == j else -1 for a in free)]
+    vals = K[tuple(slice(None) if a == j else -1 for a in free)].copy()
     vals[-1] = 1.0
     return PiecewiseLinearCdf(C.breaks[j], vals)
 
@@ -339,11 +339,8 @@ def partial_copula(C):
 
 
 def average_surfaces(weights, surfaces) -> BilinearSurface:
-    xs = surfaces[0].xs
-    ys = surfaces[0].ys
-    for s in surfaces[1:]:
-        xs = np.union1d(xs, s.xs)
-        ys = np.union1d(ys, s.ys)
+    xs = np.unique(np.concatenate([s.xs for s in surfaces]))
+    ys = np.unique(np.concatenate([s.ys for s in surfaces]))
     acc = np.zeros((len(xs), len(ys)))
     for w, s in zip(weights, surfaces):
         if w > 0:

@@ -140,7 +140,9 @@ class GridCopula:
 
     Notes
     -----
-    The cumulative tensor is cached on first use; instances are immutable.
+    The cumulative tensor is cached on first use, and so is the kernel stack
+    of each conditioning set that :meth:`kernel_nodes` reads, each about the
+    size of ``cum``; both are read-only, and instances are immutable.
     All operations are pure functions, safe for concurrent use.
     ``slab_tables`` is None but on an operator image of :func:`~copulakit.pvc.pvc3`:
     per last-axis slab, a free-axis mesh, a subset of the free breaks, on which
@@ -158,7 +160,7 @@ class GridCopula:
                 f"mass tensor shape {masses.shape} does not match breakpoints {shape}"
             )
         self.masses = masses
-        self._cum, self._kernels, self.slab_tables = None, (None, None), None
+        self._cum, self._kernels, self.slab_tables = None, {}, None
         for b in self.breaks:
             b.setflags(write=False)
         self.masses.setflags(write=False)
@@ -217,35 +219,31 @@ class GridCopula:
 
     def kernel_nodes(self, cond_axes, cell) -> np.ndarray:
         """Markov kernel nodes over the free axes (ascending) for the cell index
-        ``cell`` of ``cond_axes``: the fiber's cdf nodes over its mass, or the
-        fiber's zero cdf nodes if it has no mass.  A slice in ``cell`` takes a
-        run of slabs, stacked on leading axes by one cumulation, each over its
-        own strided fiber's sum (a sum over the run at once rounds otherwise)."""
-        fiber = np.moveaxis(self.masses, cond_axes, range(len(cond_axes)))[tuple(cell)]
-        lead = sum(isinstance(i, slice) for i in cell)
-        cum = cum_nodes(fiber, lead)
-        for k in np.ndindex(fiber.shape[:lead]):
-            w = float(fiber[k].sum())
-            cum[k] /= w if w > 0 else 1.0
-        return cum
-
-    def kernel_run(self, lo: int, hi: int) -> np.ndarray:
-        """Kernel nodes of the last axis's slabs ``lo`` to ``hi - 1``, stacked by
-        one :meth:`kernel_nodes` run; the last run asked for stays cached."""
-        key, run = self._kernels
-        if key != (lo, hi):
-            run = self.kernel_nodes((self.dim - 1,), (slice(lo, hi),))
-            run.setflags(write=False)
-            self._kernels = (lo, hi), run
-        return run
+        ``cell`` of ``cond_axes``, a slice taking a run of cells: the fiber's cdf
+        nodes over its mass, or its zero cdf nodes if it has no mass.  A read-only
+        view of the set's kernel stack, built on the first call for the set by one
+        cumulation with a leading axis per conditioning axis, each cell over its
+        own strided fiber's sum (a sum over several cells at once rounds otherwise)."""
+        cond_axes = tuple(cond_axes)
+        stack = self._kernels.get(cond_axes)
+        if stack is None:
+            fibers = np.moveaxis(self.masses, cond_axes, range(len(cond_axes)))
+            stack = cum_nodes(fibers, len(cond_axes))
+            for k in np.ndindex(fibers.shape[:len(cond_axes)]):
+                w = float(fibers[k].sum())
+                stack[k] /= w if w > 0 else 1.0
+            stack.setflags(write=False)
+            self._kernels[cond_axes] = stack
+        return stack[tuple(cell)]
 
     def slab_kernel(self, k: int):
         """``(mesh, nodes)``: a free-axis mesh on which the kernel of the last
         axis's slab ``k`` is multilinear, and its nodes there: the slab's
-        ``slab_tables`` entry, else the free breaks and its :meth:`kernel_run`."""
+        ``slab_tables`` entry, else the free breaks and a view of its
+        :meth:`kernel_nodes`."""
         if self.slab_tables is not None:
             return self.slab_tables[k]
-        return self.breaks[:-1], self.kernel_run(k, k + 1)[0]
+        return self.breaks[:-1], self.kernel_nodes((self.dim - 1,), (k,))
 
     def kernel(self, v, u) -> np.ndarray:
         """Markov kernel ``K(v, [0, u])`` w.r.t. the last coordinate: the

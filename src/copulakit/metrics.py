@@ -301,7 +301,8 @@ def _kernel_pair_grid(c1, c2, axis):
     mesh, widths and kernel node differences, all built before any is
     integrated; None unless :func:`_grid_pair` reads both as grids.  Plain
     grids take runs of up to ``_SPLIT_SLAB`` nodes (one slab at least) of their
-    common refinement, on its free breaks.  A pair with an operator image takes
+    common refinement, on its free breaks, sliced from each one's kernel stack.
+    A pair with an operator image takes
     each slab alone, on the union of the two :meth:`~GridCopula.slab_kernel`
     meshes, onto which both kernels map exactly since it holds each mesh."""
     if c1.dim != c2.dim:
@@ -316,9 +317,9 @@ def _kernel_pair_grid(c1, c2, axis):
     if all(op.slab_tables is None for op in ops):
         r1, r2 = common_refinement(*ops)
         free, widths = r1.breaks[:-1], np.diff(r1.breaks[-1])
+        K1, K2 = (r.kernel_nodes((r.dim - 1,), (slice(None),)) for r in (r1, r2))
         run = max(1, _SPLIT_SLAB // int(np.prod([len(b) for b in free])))
-        return free, [(free, widths[k:k + run],
-                       r1.kernel_run(k, k + run) - r2.kernel_run(k, k + run))
+        return free, [(free, widths[k:k + run], K1[k:k + run] - K2[k:k + run])
                       for k in range(0, len(widths), run)]
     t = np.union1d(ops[0].breaks[-1], ops[1].breaks[-1])
     slabs = [cell_index(op.breaks[-1], (t[:-1] + t[1:]) / 2) for op in ops]
@@ -522,8 +523,8 @@ def metric_chain_check(c1: GridCopula, c2: GridCopula, eps: float = 1e-8) -> dic
     """Evaluate all metrics on a grid pair and assert the order relations
     that must hold between them (within summed error budgets).  The pair is
     refined once: d1, d2, d_inf_kernel, tv and kl read the refined pair
-    (which they would refine to itself), d_inf the operands; d2 and
-    d_inf_kernel reuse the kernel nodes d1 built if the slabs form one run.
+    (which they would refine to itself), d_inf the operands; the three
+    kernel metrics read views of each refined operand's one kernel stack.
 
     Raises
     ------

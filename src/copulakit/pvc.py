@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -120,9 +119,18 @@ def _reassemble(weights, surfaces, margins1, margins2):
     its nodes under all margins, masses w ΔΔP(F1, F2) per live cell, of
     shape (x cells, *weights.shape, y cells), and per live cell its slab
     mesh, the preimages of P's nodes under its own margins, with the table
-    of P(F1, F2) there, gathered from the values the masses difference."""
+    of P(F1, F2) there, gathered from the values the masses difference.
+    ResolutionOverflow once the first live cell's meshes alone give too many."""
     cells = _live_cells(weights)
     cp = average_surfaces([weights[c] for c in cells], surfaces)
+    # a lower bound on the cell count, before the full merge: the union holds
+    # every margin's preimages, and the 1e-13 merge keeps a largest set of
+    # points more than 1e-13 apart, whose count cannot fall as points are added
+    x0, _ = preimage_union(margins1[:1], cp.xs)
+    y0, _ = preimage_union(margins2[:1], cp.ys)
+    least = (len(x0) - 1) * weights.size * (len(y0) - 1)
+    if least > DEFAULT_CELL_LIMIT:
+        raise ResolutionOverflow(f"operator image needs at least {least} cells")
     xs, ix = preimage_union(margins1, cp.xs)
     ys, iy = preimage_union(margins2, cp.ys)
     shape = (len(xs) - 1,) + weights.shape + (len(ys) - 1,)
@@ -189,7 +197,7 @@ def _build_block(work, blocks, i, span):
     middle = blocks.get((i + 1, i + span - 1))
     sources = [GJ.breaks[1:-1], b_left.breaks[1:], b_right.breaks[:-1]]
     sources += [middle.breaks] if middle is not None else []
-    mesh = [reduce(np.union1d, bs) for bs in zip(*sources)]
+    mesh = [np.unique(np.concatenate(bs)) for bs in zip(*sources)]
     weights = np.diff(mesh[0]) if middle is None else middle.refine_to(mesh).masses
 
     # per live mesh cell: the source's conditional pair copula, cached per

@@ -299,6 +299,24 @@ class TestMalformedInput:
         assert run(args) == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_a_repeated_conditioning_axis_is_usage_error(self, capsys):
+        assert run(["kernel", "--in", "cube", "--t", "0.3,0.4", "--u", "0.5",
+                    "--cond-axes", "0,0"]) == 2
+        assert "repeats an axis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "-0.5", "inf"])
+    @pytest.mark.parametrize("args", [
+        ["simplified", "--in", "pi:res=2", "--tol"],
+        ["metric", "--name", "d1", "--a", "efgm", "--b", "pi-analytic", "--eps"],
+    ], ids=["tol", "eps"])
+    def test_a_tolerance_not_finite_and_nonnegative_is_usage_error(self, capsys, args, value):
+        assert run(args + [value]) == 2
+        assert "must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_a_zero_tolerance_is_read(self, capsys):
+        assert run(["simplified", "--in", "pi:res=2", "--tol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["simplified"] is True
+
     @pytest.mark.parametrize("args", [
         ["sample", "--in", "cube", "--n", "5", "--seed", "-1"],
         ["discontinuity", "--n-list", "10", "--seed", "-1"],

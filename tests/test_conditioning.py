@@ -23,9 +23,15 @@ from copulakit import (
     sample,
     slab_family,
 )
-from copulakit.conditioning import PiecewiseLinearCdf, _surface_from_joint, preimage_union
+from copulakit.conditioning import (
+    PiecewiseLinearCdf,
+    _surface_from_joint,
+    average_surfaces,
+    preimage_union,
+)
 from copulakit.families import example54_margins
 from copulakit.errors import BadAxis, DegenerateMargins, DimensionMismatch, ZeroMassSlab
+from copulakit.verify import random_copula_grid
 from conftest import a1_cdf, a2_cdf
 
 
@@ -252,6 +258,33 @@ class TestPreimageUnion:
             assert np.all((pre - near >= 0) & (pre - near <= 1e-13) | (pre == 1.0))
             if seed == 0:  # no merge: the mesh is the preimages themselves
                 assert np.array_equal(union[idx].view(np.int64), pre.view(np.int64))
+
+
+def average_surfaces_fold_oracle(weights, surfaces):
+    """The surface average on its node union folded in one surface at a time."""
+    xs, ys = surfaces[0].xs, surfaces[0].ys
+    for s in surfaces[1:]:
+        xs, ys = np.union1d(xs, s.xs), np.union1d(ys, s.ys)
+    acc = np.zeros((len(xs), len(ys)))
+    for w, s in zip(weights, surfaces):
+        if w > 0:
+            acc += w * s.eval_lattice(xs, ys)
+    return xs, ys, acc / float(np.sum(weights))
+
+
+class TestAverageSurfaces:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_sort_equals_the_folded_union(self, seed):
+        # surfaces of random grids' slabs, some sharing nodes, and a zero weight
+        rng = np.random.default_rng([27, seed])
+        C = random_copula_grid(rng, [int(n) for n in rng.integers(2, 6, size=3)])
+        fam = slab_family(C)
+        surfaces = fam.surfaces + slab_family(random_copula_grid(rng, [3, 3, 2])).surfaces
+        weights = np.r_[fam.weights, 0.0, rng.random()]
+        got = average_surfaces(weights, surfaces)
+        for a, b in zip((got.xs, got.ys, got.values),
+                        average_surfaces_fold_oracle(weights, surfaces)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestPartialCopula:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -154,15 +155,45 @@ class TestCellsAndKernelNodes:
             assert all(np.array_equal(g.kernel_nodes(cond, c), k) for c, k in zip(runs, lone))
             assert stack.reshape(lone.shape).view(np.int64).tolist() == \
                 lone.view(np.int64).tolist()
-        run = g.kernel_run(1, 4)
+        # a run is a read-only view of the one stack its lone slabs view too
+        run = g.kernel_nodes((2,), (slice(1, 4),))
         assert not run[1].any() and not run.flags.writeable
-        assert g.kernel_run(1, 4) is run and np.array_equal(run, g.kernel_nodes((2,), (slice(1, 4),)))
+        assert run.base is g.kernel_nodes((2,), (0,)).base is not None
         # fibers of 91 x 91 cells, whose sums over the run at once round otherwise
         masses = rng.random((91, 91, 3)) * 10.0 ** rng.integers(-3, 3, size=(91, 91, 3))
         big = GridCopula([uniform_breaks(n) for n in masses.shape], masses / masses.sum(),
                          validate=False)
         lone = np.stack([lone_kernel_nodes(big, (2,), (k,)) for k in range(3)])
-        assert big.kernel_run(0, 3).view(np.int64).tolist() == lone.view(np.int64).tolist()
+        assert big.kernel_nodes((2,), (slice(0, 3),)).view(np.int64).tolist() == \
+            lone.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_cell_and_run_views_one_stack_of_lone_cells(self, seed):
+        # random 2- to 4-D masses with zero cells and a zero slab, not copulas:
+        # every conditioning set of one or two axes (in either order) leaving
+        # a free axis, every cell and a run along the first conditioning axis
+        rng = np.random.default_rng([27, seed])
+        shape = tuple(rng.integers(1, 5, size=2 + seed % 3))
+        masses = rng.random(shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+        masses[rng.random(shape) < 0.3] = 0.0
+        masses[(slice(None),) * (seed % len(shape)) + (0,)] = 0.0
+        g = GridCopula([np.sort(np.r_[0.0, rng.random(n - 1), 1.0]) for n in shape],
+                       masses / max(masses.sum(), 1.0), validate=False)
+        sets = [c for r in (1, 2) if r < g.dim for c in itertools.permutations(range(g.dim), r)]
+        for cond in sets:
+            cells = list(np.ndindex(*(shape[a] for a in cond)))
+            lone = {c: lone_kernel_nodes(g, cond, c) for c in cells}
+            for c in cells:
+                K = g.kernel_nodes(cond, c)
+                assert K.view(np.int64).tolist() == lone[c].view(np.int64).tolist(), (cond, c)
+                assert not K.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    K[...] = 0.0
+            rest = cells[0][1:]
+            run = g.kernel_nodes(cond, (slice(0, shape[cond[0]]),) + rest)
+            want = np.stack([lone[(i,) + rest] for i in range(shape[cond[0]])])
+            assert run.view(np.int64).tolist() == want.view(np.int64).tolist(), cond
+            assert not run.flags.writeable
 
     def test_kernel_interpolates_each_slab_and_broadcasts_u(self, cube):
         v = np.array([0.25, 0.75, 0.75])

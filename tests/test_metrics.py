@@ -31,8 +31,10 @@ from copulakit import (
     tv,
     wcc_profile,
 )
+from copulakit import grid as grid_mod
 from copulakit import metrics as metrics_mod
 from copulakit import verify
+from copulakit.conditioning import conditional_margin, disintegration_residual, kernel_cdf
 from copulakit.errors import (
     BadAxis,
     ChainViolation,
@@ -324,22 +326,21 @@ class TestMixedKernelOperands:
                 assert rep.value == exact.value
 
 
-    def test_a_grid_kernel_builds_a_slab_once_per_change_of_slab(self, monkeypatch):
+    def test_a_grid_kernel_builds_one_stack_across_slabs(self, monkeypatch):
         built, calls = [], []
-        real_nodes, real_kernel = GridCopula.kernel_nodes, GridCopula.kernel
-        monkeypatch.setattr(GridCopula, "kernel_nodes",
-                            lambda g, axes, cell: built.append(cell) or real_nodes(g, axes, cell))
+        real_kernel = GridCopula.kernel
+        monkeypatch.setattr(grid_mod, "cum_nodes", lambda m, lead=0: (
+            lead and built.append((m.shape, lead))) or cum_nodes(m, lead))
         monkeypatch.setattr(GridCopula, "kernel",
                             lambda g, v, u: calls.append(v) or real_kernel(g, v, u))
         g = random_copula_grid(np.random.default_rng(0), [4] * 3)
         rep = d_inf_kernel(g, efgm_quadratic(3))
-        # the value the rebuild on every call gave; one build per slab, in slab order
+        # the value the rebuild on every call gave; one stack for all four slabs
         assert float(rep.value).hex() == "0x1.a83c839027b82p-5"
-        assert len(calls) == 96 and [c[0].start for c in built] == [0, 1, 2, 3]
-        built.clear()
+        assert len(calls) == 96 and built == [((4, 4, 4), 1)]
         for v in (0.1, 0.2, 0.6, 0.6, 0.1, 0.9):
             g.kernel(v, [0.5, 0.5])
-        assert [c[0].start for c in built] == [0, 2, 0, 3]
+        assert len(built) == 1
 
 
 class TestChain:
@@ -500,27 +501,45 @@ class TestSlabRuns:
         m[..., 1] = 0.0
         empty = GridCopula([uniform_breaks(3), uniform_breaks(2), uniform_breaks(3)],
                            m / m.sum(), validate=False)
-        assert not empty.kernel_run(0, 3)[1].any()
+        assert not empty.kernel_nodes((2,), (slice(0, 3),))[1].any()
         self.check(empty, random_copula_grid(rng, (2, 4, 3)), 2)
 
     def test_the_chain_builds_each_operands_stack_once(self, monkeypatch):
         built = []
-        real = GridCopula.kernel_nodes
-
-        def counted(self, cond_axes, cell):
-            built.append(self)
-            return real(self, cond_axes, cell)
-
-        monkeypatch.setattr(GridCopula, "kernel_nodes", counted)
+        monkeypatch.setattr(grid_mod, "cum_nodes", lambda m, lead=0: (
+            lead and built.append((m, lead))) or cum_nodes(m, lead))
         rng = np.random.default_rng(6)
         c1, c2 = random_copula_grid(rng, (2, 3, 4)), random_copula_grid(rng, (3, 2, 6))
         rep = metric_chain_check(c1, c2)
-        assert len(built) == 2 and built[0] is not built[1]
-        assert [b.shape for b in built] == [(6, 6, 12)] * 2
+        # one stack per refined operand, read by d1, d2 and d_inf_kernel
+        assert [(m.shape, lead) for m, lead in built] == [((12, 6, 6), 1)] * 2
+        assert not np.shares_memory(built[0][0], built[1][0])
         for name, metric in (("d1", d1), ("d2", d2), ("d_inf_kernel", d_inf_kernel)):
             got, want = dict(rep["reports"][name]), metric(c1, c2).to_dict()
             del got["elapsed_s"], want["elapsed_s"]
             assert got == want, name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_grid_and_conditioning_set_is_cumulated_once(self, monkeypatch, seed):
+        # every kernel reader, called twice, reads views of one stack per
+        # (grid, conditioning set): c1 on (2,), (0, 1) and (1, 2), c2 on (2,)
+        built = []
+        monkeypatch.setattr(grid_mod, "cum_nodes", lambda m, lead=0: (
+            lead and built.append((m.shape, lead))) or cum_nodes(m, lead))
+        rng = np.random.default_rng([27, seed])
+        c1, c2 = random_copula_grid(rng, (3, 4, 5)), random_copula_grid(rng, (3, 4, 5))
+        for _ in range(2):
+            c1.kernel([0.1, 0.5, 0.9], [0.3, 0.6])
+            kernel_cdf(c1, [0.7], [0.2, 0.4])
+            kernel_cdf(c1, [0.2, 0.8], [0.5], cond_axes=(0, 1))
+            conditional_margin(c1, 0, [0.4])
+            conditional_margin(c1, 0, [0.3, 0.6], cond_axes=(1, 2))
+            disintegration_residual(c1, [0.1, 0.2, 0.3], [0.6, 0.9, 0.8])
+            for metric in (d1, d2, d_inf_kernel):
+                metric(c1, c2)
+            metric_chain_check(c1, c2)
+        assert sorted(built) == [((3, 4, 5), 2), ((4, 5, 3), 2), ((5, 3, 4), 1),
+                                 ((5, 3, 4), 1)]
 
     @pytest.mark.parametrize("axis", [-1, 3, 7])
     def test_an_axis_out_of_range_is_a_bad_axis(self, cube, pi2, axis):

@@ -31,7 +31,13 @@ from copulakit import (
     pvc_dvine,
     sample,
 )
-from copulakit.errors import BadOperand, ClosedFormUnavailable, CopulaError, DimensionMismatch
+from copulakit.errors import (
+    BadOperand,
+    ClosedFormUnavailable,
+    CopulaError,
+    DimensionMismatch,
+    ResolutionOverflow,
+)
 from copulakit import pvc as pvc_mod
 from copulakit.pvc import _fingerprint
 from copulakit.grid import _axis_map, _contract
@@ -326,6 +332,19 @@ class TestDvine:
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatch):
             pvc_dvine(independence(2, [2, 2]))
+
+    def test_an_overflowing_ladder_raises_before_the_full_union(self, monkeypatch):
+        # the first live cell's margins bound the image's cell count from
+        # below, so the overflowing block merges one margin per axis
+        sizes = []
+        real = pvc_mod.preimage_union
+        monkeypatch.setattr(pvc_mod, "preimage_union", lambda margins, targets: (
+            sizes.append(len(margins)) or real(margins, targets)))
+        C = random_copula_grid(np.random.default_rng(0), [5] * 4)
+        with pytest.raises(ResolutionOverflow, match="needs at least"):
+            pvc_dvine(C)
+        # each tree-2 block bounds first, then merges its 5 slabs' margins
+        assert sizes == [1, 1, 5, 5] * 2 + [1, 1]
 
 
 class TestDistanceReport:

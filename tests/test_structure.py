@@ -95,7 +95,10 @@ def stray_calls(path, name, allowed) -> list:
 # counts locate ranks with their own searchsorted, in the one slab scan),
 # and kernel node tensors through
 # GridCopula.kernel_nodes, except for the conditional copulas of the slab
-# family, which keep their own normalisation; the metrics read kernel nodes
+# family, which keep their own normalisation; cum_nodes is called only by
+# GridCopula (its cum and its one cached kernel stack per conditioning
+# set) and by those conditional copulas, so no module-level helper
+# cumulates a kernel fibre beside the cached stack; the metrics read kernel nodes
 # only on the exact grid-pair path and otherwise call each operand's kernel;
 # the uniform-distance scan, with its lattice and certificate, runs only in
 # metrics (d_inf); per-axis products run in grid._contract, which gathers the
@@ -123,7 +126,7 @@ def stray_calls(path, name, allowed) -> list:
 ONE_WAY = {
     "tensordot": {"grid.py:_contract", "quadrature.py:integrate_square_multilinear"},
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
-    "cum_nodes": {"grid.py", "conditioning.py:_surface_from_joint"},
+    "cum_nodes": {"grid.py:GridCopula", "conditioning.py:_surface_from_joint"},
     "kernel_nodes": {"grid.py", "conditioning.py", "metrics.py:_kernel_pair_grid"},
     "slab_sup_distances": {"metrics.py"},
     "ThreadPoolExecutor": {"metrics.py:slab_sup_distances"},
@@ -259,6 +262,13 @@ def test_one_way_guard_catches_offenders(tmp_path):
                     "        return np.cumsum(fiber, axis=0)\n")
     assert stray_calls(grid, "cumsum", ONE_WAY["cumsum"]) == ["grid.py:GridCopula:10"]
     assert stray_calls(grid, "pad", ONE_WAY["pad"]) == ["grid.py:cum_nodes:5"]
+    # a module-level helper that cumulates a kernel fibre beside the cached stack
+    grid = tmp_path / "grid.py"
+    grid.write_text("def cum_nodes(m, lead=0):\n    return m\n\n\n"
+                    "def slab_stack(g, lo, hi):\n    return cum_nodes(g.masses[..., lo:hi], 1)\n\n\n"
+                    "class GridCopula:\n    def kernel_nodes(self, cond_axes, cell):\n"
+                    "        return cum_nodes(self.masses, len(cond_axes))[cell]\n")
+    assert stray_calls(grid, "cum_nodes", ONE_WAY["cum_nodes"]) == ["grid.py:slab_stack:6"]
     # a per-point slice gather beside the corner blend
     grid = tmp_path / "grid.py"
     grid.write_text("import numpy as np\n\n\ndef multilinear_interp(nodes, idx):\n"
