@@ -403,7 +403,10 @@ def _dispatch(args) -> int:
             raise BadOperand("--order permutes the ladder's variables; it needs --dvine")
         C = parse_operand(args.operand)
         if args.dvine:
-            order = tuple(_numbers(args.order, int)) if args.order else None
+            order = (tuple(_index(a, C.dim, "--order") for a in _numbers(args.order, int))
+                     if args.order else None)
+            if order is not None and sorted(order) != list(range(C.dim)):
+                raise BadOperand(f"--order {args.order!r} is not a permutation of 0..{C.dim - 1}")
             result = pvc_dvine(C, order=order)
         else:
             result = pvc3(C)

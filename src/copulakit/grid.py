@@ -146,7 +146,9 @@ class GridCopula:
     All operations are pure functions, safe for concurrent use.
     ``slab_tables`` is None but on an operator image of :func:`~copulakit.pvc.pvc3`:
     per last-axis slab, a free-axis mesh, a subset of the free breaks, on which
-    the slab's kernel is bilinear, and its node table there.
+    the slab's kernel is bilinear, and its node table there.  The kernel
+    metrics read them, and so does ``d_inf``, which sums them into the cdf
+    at each conditioning node without ``cum``.
     """
 
     __slots__ = ("breaks", "masses", "_cum", "_kernels", "slab_tables")

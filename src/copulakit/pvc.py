@@ -54,7 +54,7 @@ class PvcResult:
     checkerboard for grid input, an analytic evaluator for closed-form
     input and the input itself for a rank-form empirical copula.  The
     checkerboard of :func:`pvc3` carries ``slab_tables``, its kernel per
-    slab on the slab's own mesh, which the kernel metrics read.
+    slab on the slab's own mesh, which the kernel metrics and ``d_inf`` read.
     ``partial`` is the partial copula: a bilinear surface, or the
     closed-form bivariate cdf.
     """
@@ -91,8 +91,9 @@ def pvc3(C) -> PvcResult:
     A grid's image is the checkerboard on the preimages of the partial
     copula P's nodes under all conditional margins.  It carries per slab k
     the kernel P(F1k, F2k) on the preimages under slab k's margins alone
-    (``slab_tables``), which the kernel metrics read instead of that mesh,
-    within 1e-15 of it; a copy read back from JSON, permuted or refined carries none.
+    (``slab_tables``), which the kernel metrics and ``d_inf`` read instead of
+    that mesh and ``cum``, within 1e-15 of them; a copy read back from JSON,
+    permuted or refined carries none.
     """
     fam = slab_family(C)
     slab_count = len(fam.t_breaks) - 1

@@ -39,12 +39,12 @@ def random_grid(rng):
     return make
 
 
-def nonuniform_grid(rng, dim):
-    """Random checkerboard of 1 to 4 cells per axis on random breaks: a
-    positive tensor fitted to the cell widths by iterative proportional
-    fitting."""
-    breaks = [np.concatenate(([0.0], np.sort(rng.random(n - 1)), [1.0]))
-              for n in rng.integers(1, 5, size=dim)]
+def nonuniform_grid(rng, dim, sizes=None):
+    """Random checkerboard of ``sizes`` cells per axis (1 to 4 each when not
+    given) on random breaks: a positive tensor fitted to the cell widths by
+    iterative proportional fitting."""
+    sizes = rng.integers(1, 5, size=dim) if sizes is None else sizes
+    breaks = [np.concatenate(([0.0], np.sort(rng.random(n - 1)), [1.0])) for n in sizes]
     m = rng.random([len(b) - 1 for b in breaks]) + 0.05
     for _ in range(400):
         for ax, b in enumerate(breaks):

@@ -299,6 +299,20 @@ class TestMalformedInput:
         assert run(args) == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order, message", [
+        ("0,1", "not a permutation of 0..2"), ("0,0,1", "not a permutation of 0..2"),
+        ("0,1,5", "--order 5 out of range 0..2"), ("0,1,2,3", "--order 3 out of range 0..2"),
+        ("2,-1,0", "--order -1 out of range 0..2"),
+    ], ids=["short", "repeated", "out-of-range", "long", "negative"])
+    def test_a_ladder_order_that_is_no_permutation_is_usage_error(
+            self, tmp_path, capsys, monkeypatch, order, message):
+        # checked before the ladder runs
+        monkeypatch.setattr(cli_mod, "pvc_dvine", lambda *a, **k: pytest.fail("ladder ran"))
+        src = tmp_path / "g.json"
+        src.write_text(verify_mod.random_copula_grid(np.random.default_rng(0), [2] * 3).to_json())
+        assert run(["pvc", "--in", str(src), "--dvine", "--order", order]) == 2
+        assert message in capsys.readouterr().err
+
     def test_a_repeated_conditioning_axis_is_usage_error(self, capsys):
         assert run(["kernel", "--in", "cube", "--t", "0.3,0.4", "--u", "0.5",
                     "--cond-axes", "0,0"]) == 2

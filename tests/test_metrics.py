@@ -123,10 +123,11 @@ class TestStreamedMergedBreaks:
         assert [len(args[1]) for args in scans] == [1]
         return rep
 
-    def check(self, c1, c2):
+    def check(self, c1, c2, stream=None):
         dense = d_inf(c1, c2)
         assert dense.exactness == "exact"
-        for rep in (self.streamed(c1, c2), self.streamed(c2, c1)):
+        s1, s2 = stream or (c1, c2)
+        for rep in (self.streamed(s1, s2), self.streamed(s2, s1)):
             assert (rep.exactness, rep.error, rep.target_met) == ("exact", 0.0, True)
             assert abs(rep.value - dense.value) <= 1e-15
             # a stream and a whole evaluation both count both operands' nodes
@@ -143,7 +144,10 @@ class TestStreamedMergedBreaks:
     def test_grid_against_its_image(self, seed):
         rng = np.random.default_rng(seed)
         C = random_copula_grid(rng, rng.integers(1, 5, size=3))
-        self.check(C, pvc3(C).psi)
+        psi = pvc3(C).psi
+        # the stream reads the image's cum, as it would without its tables,
+        # while the whole evaluation sums the tables one conditioning node at a time
+        self.check(C, psi, stream=(C, GridCopula(psi.breaks, psi.masses)))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
     @settings(max_examples=20, deadline=None)
@@ -610,6 +614,61 @@ class TestImagePairs:
                 got, want = metric(a, b, axis=axis), metric(a, oracle, axis=axis)
                 assert _bits(got.value, got.error, got.n_evaluations, got.exactness) == _bits(
                     want.value, want.error, want.n_evaluations, want.exactness)
+
+
+class TestImageNodeSlabs:
+    """d_inf with an operator image sums the image's slab tables one node of
+    the conditioning axis at a time, on the same merged lattice; the oracle
+    is the whole evaluation of the image rebuilt without its tables."""
+
+    @staticmethod
+    def operands(seed):
+        # n = 2 ... 8 cells per axis, odd seeds nonsquare; D has other t-breaks
+        rng = np.random.default_rng([28, seed])
+        n = 2 + seed % 7
+        sizes = [n] * 3 if seed % 2 == 0 else rng.integers(2, 9, size=3)
+        return nonuniform_grid(rng, 3, sizes), nonuniform_grid(rng, 3, rng.integers(2, 9, size=3))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_values_are_the_dense_images_within_1e_15(self, seed):
+        C, D = self.operands(seed)
+        pc, pd = pvc3(C).psi, pvc3(D).psi
+        for a, b in ((C, pc), (pc, C), (pc, pd), (D, pc)):
+            got, want = d_inf(a, b), d_inf(TestImagePairs.dense(a), TestImagePairs.dense(b))
+            assert (got.exactness, got.error, got.target_met) == ("exact", 0.0, True)
+            assert got.n_evaluations == want.n_evaluations
+            assert abs(got.value - want.value) <= 1e-15, seed
+        assert pc._cum is None and pd._cum is None
+
+    def test_the_image_cum_is_never_built(self, monkeypatch):
+        C = random_copula_grid(np.random.default_rng(0), [6] * 3)
+        psi = pvc3(C).psi
+        scans = []
+        monkeypatch.setattr(metrics_mod, "slab_sup_distances", lambda *a: scans.append(a))
+        # the node slab, not the whole lattice, has to fit the budget
+        free = (psi.shape[0] + 1) * (psi.shape[1] + 1)
+        monkeypatch.setattr(metrics_mod, "_SLAB_BUDGET", free)
+        rep = d_inf(C, psi)
+        assert (rep.exactness, rep.error) == ("exact", 0.0)
+        assert rep.n_evaluations == 2 * free * (psi.shape[2] + 1)
+        assert psi._cum is None and scans == []
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_an_image_without_its_tables_takes_the_dense_path(self, seed, monkeypatch):
+        C, D = self.operands(seed)
+        psi = pvc3(C).psi
+        plain = GridCopula(psi.breaks, psi.masses)
+        finer = [np.union1d(b, [0.3 + 0.1 * j]) for j, b in enumerate(psi.breaks)]
+        order = [1, 0, 2]
+        views = [(C, GridCopula.from_json(psi.to_json()), plain),
+                 (C.permute(order), psi.permute(order), plain.permute(order)),
+                 (D, psi.refine_to(finer), plain.refine_to(finer))]
+        monkeypatch.setattr(metrics_mod, "_last_axis_slabs", lambda *a: pytest.fail("node slabs"))
+        for a, b, oracle in views:
+            assert b.slab_tables is None
+            got, want = d_inf(a, b), d_inf(a, oracle)
+            assert _bits(got.value, got.error, got.n_evaluations, got.exactness) == _bits(
+                want.value, want.error, want.n_evaluations, want.exactness)
 
 
 class TestReportFields:

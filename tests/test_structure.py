@@ -122,7 +122,9 @@ def stray_calls(path, name, allowed) -> list:
 # the one slab scan); a point's cdf blends its 2^d gathered cell corners, so
 # no slice of a node tensor is gathered per point; preimages of a surface's
 # nodes are taken in conditioning.preimage_union alone, so every slab mesh of
-# an operator image comes from the same merge as its global mesh
+# an operator image comes from the same merge as its global mesh; an operator
+# image's cdf is summed from its slab tables in metrics._last_axis_slabs,
+# which d_inf_many alone reads, so no second route to it beside d_inf's appears
 ONE_WAY = {
     "tensordot": {"grid.py:_contract", "quadrature.py:integrate_square_multilinear"},
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
@@ -140,6 +142,7 @@ ONE_WAY = {
     "pad": set(),
     "take_along_axis": set(),
     "preimages": {"conditioning.py:preimage_union"},
+    "_last_axis_slabs": {"metrics.py:d_inf_many"},
 }
 
 
@@ -282,6 +285,14 @@ def test_one_way_guard_catches_offenders(tmp_path):
                    "    xs, _ = preimage_union(margins1, cp.xs)\n"
                    "    return xs, [f1.preimages(cp.xs) for f1 in margins1]\n")
     assert stray_calls(pvc, "preimages", ONE_WAY["preimages"]) == ["pvc.py:_reassemble:6"]
+    # an image's cdf summed from its slab tables for a second metric, beside d_inf's
+    met = tmp_path / "metrics.py"
+    met.write_text("def _last_axis_slabs(g, axes):\n    yield g\n\n\n"
+                   "def d_inf_many(op, targets, axes):\n"
+                   "    return [next(_last_axis_slabs(t, axes)) for t in targets]\n\n\n"
+                   "def wcc_profile(c1, c2, v):\n    return next(_last_axis_slabs(c1, [v]))\n")
+    assert stray_calls(met, "_last_axis_slabs", ONE_WAY["_last_axis_slabs"]) == [
+        "metrics.py:wcc_profile:10"]
 
 
 def test_every_function_is_used_outside_tests():
