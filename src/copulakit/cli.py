@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence-lab", help="convergence experiments (CSV rows)")
     p.add_argument("--mode", required=True, choices=("efgm-seq", "d1-continuity"))
-    p.add_argument("--max-m", type=int, default=6)
+    p.add_argument("--max-m", type=int, default=None)  # efgm-seq only; 6 there
     p.add_argument("--format", choices=("json", "csv"), default="json")
     return ap
 
@@ -465,7 +465,9 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "convergence-lab":
-        rows = verify_mod.convergence_lab(args.mode, max_m=args.max_m)
+        if args.max_m is not None and args.mode != "efgm-seq":
+            raise BadOperand(f"--max-m bounds the efgm-seq mode; {args.mode} does not read it")
+        rows = verify_mod.convergence_lab(args.mode, max_m=6 if args.max_m is None else args.max_m)
         _emit(rows, args.out, args.format)
         return 0
 

@@ -130,64 +130,88 @@ class GridCopula:
     ----------
     breaks : sequence of 1-d arrays
         Strictly increasing breakpoints per axis, each running from 0 to 1.
-    masses : ndarray
+    masses : ndarray or callable
         Nonnegative cell masses, shape ``(len(b)-1 for b in breaks)``,
         summing to 1, with uniform univariate margins: the mass of every
-        axis-``j`` slab equals the slab width.
+        axis-``j`` slab equals the slab width.  Or a function of no
+        arguments that returns them, called on the first read of
+        :attr:`masses`, which checks its tensor then as it checks a given
+        one here.
     validate : bool
         Skip validation only for values produced by already-validated
         arithmetic.
 
     Notes
     -----
-    The cumulative tensor is cached on first use, and so is the kernel stack
-    of each conditioning set that :meth:`kernel_nodes` reads, each about the
-    size of ``cum``; both are read-only, and instances are immutable.
-    All operations are pure functions, safe for concurrent use.
+    The shape comes from the breaks, so ``shape``, ``dim`` and ``repr`` read
+    no masses.  The masses are read-only once built, and so are the cumulative
+    tensor, cached on first use, and the kernel stack of each conditioning set
+    that :meth:`kernel_nodes` reads, each about the size of ``cum``; instances
+    are immutable.  All operations are pure functions, safe for concurrent
+    use: two threads that build the masses at once get the same bits.
     ``slab_tables`` is None but on an operator image of :func:`~copulakit.pvc.pvc3`:
     per last-axis slab, a free-axis mesh, a subset of the free breaks, on which
     the slab's kernel is bilinear, and its node table there.  The kernel
     metrics read them, and so does ``d_inf``, which sums them into the cdf
-    at each conditioning node without ``cum``.
+    at each conditioning node without ``cum``; none of them builds the masses.
     """
 
-    __slots__ = ("breaks", "masses", "_cum", "_kernels", "slab_tables")
+    __slots__ = ("breaks", "shape", "_masses", "_build", "_check", "_cum", "_kernels",
+                 "slab_tables")
 
     def __init__(self, breaks, masses, validate: bool = True):
         self.breaks = tuple(_as_breaks(b) for b in breaks)
-        masses = np.ascontiguousarray(np.asarray(masses, dtype=float))
-        shape = tuple(len(b) - 1 for b in self.breaks)
-        if masses.shape != shape:
-            raise DimensionMismatch(
-                f"mass tensor shape {masses.shape} does not match breakpoints {shape}"
-            )
-        self.masses = masses
-        self._cum, self._kernels, self.slab_tables = None, {}, None
         for b in self.breaks:
             b.setflags(write=False)
-        self.masses.setflags(write=False)
-        if validate:
-            self._validate()
+        self.shape = tuple(len(b) - 1 for b in self.breaks)
+        self._check, self._cum, self._kernels, self.slab_tables = validate, None, {}, None
+        lazy = callable(masses)
+        self._masses, self._build = (None, masses) if lazy else (self._frozen(masses), None)
 
     # -- construction and validation ------------------------------------
 
-    def _validate(self):
+    @property
+    def masses(self) -> np.ndarray:
+        """Cell masses, read-only: a builder's tensor from its first read on."""
+        m = self._masses
+        if m is None:
+            m = self._masses = self._frozen(self._build())
+        return m
+
+    def _frozen(self, masses) -> np.ndarray:
+        """``masses`` as a read-only C-order double tensor, shape-checked and,
+        unless construction said otherwise, validated."""
+        masses = np.ascontiguousarray(np.asarray(masses, dtype=float))
+        if masses.shape != self.shape:
+            raise DimensionMismatch(
+                f"mass tensor shape {masses.shape} does not match breakpoints {self.shape}"
+            )
+        masses.setflags(write=False)
+        if self._check:
+            self._validate(masses)
+        return masses
+
+    def _validate(self, masses):
         if self.dim < 2:
             raise BadDimension("copulas need dimension >= 2")
-        if not np.all(np.isfinite(self.masses)):
+        # min and max propagate nan, so both are finite iff every mass is
+        lo, hi = float(masses.min()), float(masses.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NegativeMass("cell masses must be finite")
-        if np.any(self.masses < -VALIDATION_TOL):
-            raise NegativeMass(
-                f"negative cell mass {self.masses.min():.3e} below -{VALIDATION_TOL}"
-            )
-        total = float(self.masses.sum())
+        if lo < -VALIDATION_TOL:
+            raise NegativeMass(f"negative cell mass {lo:.3e} below -{VALIDATION_TOL}")
+        # axis j's slab masses: the leading axis summed away j times, then the
+        # contiguous trailing axes summed per row
+        rest = masses
+        slab = rest.reshape(len(rest), -1).sum(axis=1)
+        total = float(slab.sum())
         if abs(total - 1.0) > VALIDATION_TOL:
             raise TotalMassViolation(f"total mass {total!r} != 1")
         for j, b in enumerate(self.breaks):
-            axes = tuple(k for k in range(self.dim) if k != j)
-            slab = self.masses.sum(axis=axes)
-            widths = np.diff(b)
-            err = np.max(np.abs(slab - widths))
+            if j:
+                rest = rest.sum(axis=0)
+                slab = rest.reshape(len(rest), -1).sum(axis=1)
+            err = np.max(np.abs(slab - np.diff(b)))
             if err > VALIDATION_TOL:
                 raise MarginViolation(
                     f"axis {j}: slab masses deviate from uniform margin by {err:.3e}"
@@ -196,10 +220,6 @@ class GridCopula:
     @property
     def dim(self) -> int:
         return len(self.breaks)
-
-    @property
-    def shape(self) -> tuple:
-        return self.masses.shape
 
     @property
     def is_uniform(self) -> bool:

@@ -39,10 +39,11 @@ from .errors import (
     BadOperand,
     ClosedFormUnavailable,
     DimensionMismatch,
+    NegativeMass,
     ResolutionOverflow,
 )
 from .families import slab_mixture
-from .grid import DEFAULT_CELL_LIMIT, GridCopula, cell_index
+from .grid import DEFAULT_CELL_LIMIT, VALIDATION_TOL, GridCopula, cell_index
 from .metrics import d1, d_inf
 
 
@@ -54,7 +55,8 @@ class PvcResult:
     checkerboard for grid input, an analytic evaluator for closed-form
     input and the input itself for a rank-form empirical copula.  The
     checkerboard of :func:`pvc3` carries ``slab_tables``, its kernel per
-    slab on the slab's own mesh, which the kernel metrics and ``d_inf`` read.
+    slab on the slab's own mesh, which the kernel metrics and ``d_inf`` read;
+    its masses are built on their first read.
     ``partial`` is the partial copula: a bilinear surface, or the
     closed-form bivariate cdf.
     """
@@ -89,11 +91,15 @@ def pvc3(C) -> PvcResult:
     conditional family raises ClosedFormUnavailable.
 
     A grid's image is the checkerboard on the preimages of the partial
-    copula P's nodes under all conditional margins.  It carries per slab k
-    the kernel P(F1k, F2k) on the preimages under slab k's margins alone
+    copula P's nodes under all conditional margins; its masses are built,
+    and validated, on their first read.  It carries per slab k the kernel
+    P(F1k, F2k), evaluated on the preimages under slab k's margins alone
     (``slab_tables``), which the kernel metrics and ``d_inf`` read instead of
     that mesh and ``cum``, within 1e-15 of them; a copy read back from JSON,
-    permuted or refined carries none.
+    permuted or refined carries none.  P is checked at once: uniform margins
+    and 2-increments >= -1e-12, so that, the conditional margins being
+    distribution functions, the image is a copula before its masses exist;
+    else a CopulaError.
     """
     fam = slab_family(C)
     slab_count = len(fam.t_breaks) - 1
@@ -106,10 +112,15 @@ def pvc3(C) -> PvcResult:
         psi = slab_mixture(image, C.kernel_u_breaks, f"pvc({C.name})")
     else:
         # slab widths are positive, so every slab is live
-        cp, xs, ys, masses, tables = _reassemble(fam.weights, fam.surfaces, fam.margins1,
-                                                 fam.margins2)
-        psi = GridCopula((xs, ys, fam.t_breaks), np.moveaxis(masses, 1, 2))
-        psi.slab_tables = tables
+        cp, xs, ys, meshes, build = _reassemble(fam.weights, fam.surfaces, fam.margins1,
+                                                fam.margins2)
+        cp.check_margins()
+        dd = np.diff(np.diff(cp.values, axis=0), axis=1)
+        if dd.min() < -VALIDATION_TOL:
+            raise NegativeMass(f"the partial copula has a 2-increment {dd.min():.3e}")
+        psi = GridCopula((xs, ys, fam.t_breaks), lambda: np.moveaxis(build(), 1, 2))
+        psi.slab_tables = [(m, cp.eval_lattice(f1(m[0]), f2(m[1])))
+                           for m, f1, f2 in zip(meshes, fam.margins1, fam.margins2)]
     return PvcResult(_fingerprint(C), psi, cp, slab_count)
 
 
@@ -117,11 +128,11 @@ def _reassemble(weights, surfaces, margins1, margins2):
     """Operator image from the conditioning cells of mass ``weights``, given
     the conditional copula and margins of each live cell in C order: the
     partial copula P (the weighted surface average), the preimage meshes of
-    its nodes under all margins, masses w ΔΔP(F1, F2) per live cell, of
-    shape (x cells, *weights.shape, y cells), and per live cell its slab
-    mesh, the preimages of P's nodes under its own margins, with the table
-    of P(F1, F2) there, gathered from the values the masses difference.
-    ResolutionOverflow once the first live cell's meshes alone give too many."""
+    its nodes under all margins, per live cell its slab mesh, the preimages
+    of P's nodes under its own margins, and the builder of the masses
+    w ΔΔP(F1, F2) per live cell, of shape (x cells, *weights.shape, y cells).
+    ResolutionOverflow once the first live cell's meshes alone give too many,
+    or the full meshes do, before any mass is built."""
     cells = _live_cells(weights)
     cp = average_surfaces([weights[c] for c in cells], surfaces)
     # a lower bound on the cell count, before the full merge: the union holds
@@ -137,14 +148,16 @@ def _reassemble(weights, surfaces, margins1, margins2):
     shape = (len(xs) - 1,) + weights.shape + (len(ys) - 1,)
     if int(np.prod(shape)) > DEFAULT_CELL_LIMIT:
         raise ResolutionOverflow(f"operator image needs {int(np.prod(shape))} cells")
-    masses = np.zeros(shape)
-    tables = []
-    for cell, f1, f2, i, j in zip(cells, margins1, margins2, ix, iy):
-        P = cp.eval_lattice(f1(xs), f2(ys))
-        masses[(slice(None), *cell, slice(None))] = weights[cell] * np.diff(
-            np.diff(P, axis=0), axis=1)
-        tables.append(((xs[i], ys[j]), P[i][:, j]))
-    return cp, xs, ys, masses, tables
+
+    def build():
+        masses = np.zeros(shape)
+        for cell, f1, f2 in zip(cells, margins1, margins2):
+            P = cp.eval_lattice(f1(xs), f2(ys))
+            masses[(slice(None), *cell, slice(None))] = weights[cell] * np.diff(
+                np.diff(P, axis=0), axis=1)
+        return masses
+
+    return cp, xs, ys, [(xs[i], ys[j]) for i, j in zip(ix, iy)], build
 
 
 def _live_cells(weights) -> list:
@@ -217,8 +230,8 @@ def _build_block(work, blocks, i, span):
         f_left.append(conditional_margin(b_left, 0, t, cond_axes=tuple(range(1, span))))
         f_right.append(conditional_margin(b_right, span - 1, t,
                                           cond_axes=tuple(range(0, span - 1))))
-    cp, xs, ys, masses, _ = _reassemble(weights, surfaces, f_left, f_right)
-    return GridCopula([xs] + mesh + [ys], masses), cp
+    cp, xs, ys, _, build = _reassemble(weights, surfaces, f_left, f_right)
+    return GridCopula([xs] + mesh + [ys], build()), cp
 
 
 # -- summary report -------------------------------------------------------------

@@ -282,7 +282,9 @@ class TestMalformedInput:
         ["metric", "--name", "kl", "--a", "cube", "--b", "cube", "--axis", "0"],
         ["metric", "--name", "tv", "--a", "cube", "--b", "cube", "--eps", "5"],
         ["metric", "--name", "kl", "--a", "cube", "--b", "cube", "--eps", "5"],
-    ], ids=["pvc-order", "dinf-axis", "tv-axis", "kl-axis", "tv-eps", "kl-eps"])
+        ["convergence-lab", "--mode", "d1-continuity", "--max-m", "3"],
+    ], ids=["pvc-order", "dinf-axis", "tv-axis", "kl-axis", "tv-eps", "kl-eps",
+            "continuity-max-m"])
     def test_option_the_mode_ignores_is_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "out.json"
         assert run(args + ["--out", str(out)]) == 2
@@ -549,6 +551,10 @@ class TestPipelines:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("m,")
         assert len(lines) == 4
+        # without --max-m the sequence runs to m = 6
+        assert run(["convergence-lab", "--mode", "efgm-seq", "--format", "csv",
+                    "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 7
 
 
 class TestPvcCommand:

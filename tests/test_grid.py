@@ -71,6 +71,61 @@ class TestNewGrid:
             new_grid(1, [4], [0.25] * 4)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_mass_is_negative_mass(self, bad):
+        m = np.full((2, 2), 0.25)
+        m[1, 0] = bad
+        with pytest.raises(NegativeMass, match="finite"):
+            GridCopula([uniform_breaks(2)] * 2, m)
+
+    @pytest.mark.parametrize("axis", range(4))
+    def test_each_axis_margin_is_checked(self, axis):
+        # moving mass along one axis breaks that axis's margin alone
+        g = nonuniform_grid(np.random.default_rng(axis), 4, sizes=[2, 3, 2, 3])
+        m = np.array(g.masses)
+        lo, hi = [0] * 4, [0] * 4
+        hi[axis] = 1
+        eps = 0.5 * m[tuple(lo)]
+        m[tuple(lo)] -= eps
+        m[tuple(hi)] += eps
+        with pytest.raises(MarginViolation, match=f"axis {axis}:"):
+            GridCopula(g.breaks, m)
+
+
+class TestMassBuilder:
+    """A grid given a function for its masses calls it on the first read of
+    ``masses`` and checks the tensor then, as it checks a given one at once."""
+
+    def test_built_on_first_read_once(self):
+        calls = []
+        g = GridCopula([uniform_breaks(2)] * 2,
+                       lambda: calls.append(1) or np.array([[0.5, 0.0], [0.0, 0.5]]))
+        assert (g.shape, g.dim, g.multilinear_breaks()) == ((2, 2), 2, g.breaks)
+        assert repr(g) == "GridCopula(dim=2, shape=(2, 2), uniform)" and calls == []
+        assert g.cdf([0.5, 0.5]) == 0.5 and g.masses is g.masses and calls == [1]
+        assert not g.masses.flags.writeable
+
+    @pytest.mark.parametrize("masses, error", [
+        ([[0.6, -0.1], [-0.1, 0.6]], NegativeMass),
+        ([0.5, 0.5], DimensionMismatch),
+        ([[0.6, 0.0], [0.0, 0.4]], MarginViolation),
+    ], ids=["negative", "misshapen", "margin"])
+    def test_bad_tensor_raises_on_read_not_at_construction(self, masses, error):
+        g = GridCopula([uniform_breaks(2)] * 2, lambda: np.array(masses))
+        assert g.shape == (2, 2) and "uniform" in repr(g)
+        for _ in range(2):  # nothing is kept from a failed build
+            with pytest.raises(error):
+                g.masses
+
+    def test_unvalidated_builder_checks_the_shape_alone(self):
+        g = GridCopula([uniform_breaks(2)] * 2, lambda: np.full((2, 2), 0.3),
+                       validate=False)
+        assert g.masses.sum() == pytest.approx(1.2)
+        with pytest.raises(DimensionMismatch):
+            GridCopula([uniform_breaks(2)] * 2, lambda: np.ones(3), validate=False).masses
+
+
 class TestCdf:
     def test_cube_center(self, cube):
         assert cube.cdf([0.5, 0.5, 0.5]) == 0.25

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from copulakit import (
+    BilinearSurface,
     EfgmSpec,
     EmpiricalCopula,
     GridCopula,
@@ -12,7 +16,10 @@ from copulakit import (
     cube_copula,
     common_refinement,
     convex_combine,
+    d1,
+    d2,
     d_inf,
+    d_inf_kernel,
     discretize,
     efgm,
     efgm_quadratic,
@@ -35,10 +42,13 @@ from copulakit.errors import (
     BadOperand,
     ClosedFormUnavailable,
     CopulaError,
+    DegenerateMargins,
     DimensionMismatch,
+    NegativeMass,
     ResolutionOverflow,
 )
 from copulakit import pvc as pvc_mod
+from copulakit.conditioning import average_surfaces, preimage_union, slab_family
 from copulakit.pvc import _fingerprint
 from copulakit.grid import _axis_map, _contract
 from copulakit.verify import convergence_lab, random_copula_grid
@@ -159,6 +169,89 @@ class TestSlabTables:
                 assert np.all(np.isin(m, b)) and np.all(np.isin(own, m))
             got = _contract(table, [_axis_map(m, b) for m, b in zip(mesh, free)])
             assert np.max(np.abs(got - plain.slab_kernel(k)[1])) <= 1e-15
+
+
+def eager_image_masses(C):
+    """pvc3's image masses by the loop that built them inside pvc3 before they
+    were built on first read: each slab's P(F1k, F2k) on the global preimage
+    mesh, differenced and weighted, in (x, t, y) order, then moved."""
+    fam = slab_family(C)
+    cp = average_surfaces(fam.weights, fam.surfaces)
+    xs, _ = preimage_union(fam.margins1, cp.xs)
+    ys, _ = preimage_union(fam.margins2, cp.ys)
+    masses = np.zeros((len(xs) - 1, len(fam.weights), len(ys) - 1))
+    for k, (f1, f2) in enumerate(zip(fam.margins1, fam.margins2)):
+        P = cp.eval_lattice(f1(xs), f2(ys))
+        masses[:, k, :] = fam.weights[k] * np.diff(np.diff(P, axis=0), axis=1)
+    return np.ascontiguousarray(np.moveaxis(masses, 1, 2))
+
+
+class TestLazyImage:
+    """pvc3 of a grid builds its image's masses on their first read only."""
+
+    def test_metrics_against_the_input_leave_the_masses_unbuilt(self, monkeypatch):
+        builds = []
+        real = pvc_mod._reassemble
+
+        def spy(*args):
+            *head, build = real(*args)
+            return (*head, lambda: builds.append(1) or build())
+
+        monkeypatch.setattr(pvc_mod, "_reassemble", spy)
+        C = random_copula_grid(np.random.default_rng(3), [5, 4, 6])
+        psi = pvc3(C).psi
+        for metric in (d_inf, d1, d2, d_inf_kernel):
+            assert metric(C, psi).exactness == "exact"
+            assert metric(psi, C).exactness == "exact"
+        assert psi.shape[2] == 6 and "nonuniform" in repr(psi) and builds == []
+        assert psi.masses is psi.masses and builds == [1]
+
+    def test_threads_that_build_at_once_read_the_same_bits(self):
+        psi = pvc3(random_copula_grid(np.random.default_rng(1), [5, 5, 5])).psi
+        start, found = threading.Barrier(6), []
+
+        def read():
+            start.wait(timeout=10)
+            found.append(psi.masses.tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(found) == 6
+        assert set(found) == {psi.masses.tobytes()}
+
+    @pytest.mark.parametrize("seed", range(14))
+    def test_built_masses_are_the_eager_loops_bit_for_bit(self, seed):
+        # n = 2 ... 8: square, then not; uniform and nonuniform breaks in turn
+        rng = np.random.default_rng([29, seed])
+        shape = [2 + seed % 7] * 3 if seed < 7 else list(rng.integers(2, 9, size=3))
+        C = nonuniform_grid(rng, 3, sizes=shape) if seed % 2 else random_copula_grid(rng, shape)
+        psi = pvc3(C).psi
+        assert psi.masses.tobytes() == eager_image_masses(C).tobytes()
+
+    @pytest.mark.parametrize("node, value, error", [
+        ((1, 1), -0.1, NegativeMass),
+        ((-1, 1), 0.5, DegenerateMargins),
+    ], ids=["negative-2-increment", "margin"])
+    def test_a_partial_copula_that_is_no_copula_raises(self, monkeypatch, node, value, error):
+        real = pvc_mod.average_surfaces
+
+        def bent(weights, surfaces):
+            cp = real(weights, surfaces)
+            values = cp.values.copy()
+            values[node] = value
+            return BilinearSurface(cp.xs, cp.ys, values, check=False)
+
+        monkeypatch.setattr(pvc_mod, "average_surfaces", bent)
+        with pytest.raises(error):
+            pvc3(random_copula_grid(np.random.default_rng(0), [3, 3, 3]))
 
 
 @st.composite
