@@ -21,6 +21,7 @@ are supported for the vine ladder.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,12 +340,20 @@ def partial_copula(C):
 
 
 def average_surfaces(weights, surfaces) -> BilinearSurface:
-    xs = np.unique(np.concatenate([s.xs for s in surfaces]))
-    ys = np.unique(np.concatenate([s.ys for s in surfaces]))
-    acc = np.zeros((len(xs), len(ys)))
+    """Weighted average of surfaces on their node union.  A surface object that
+    recurs is evaluated there once, and its table is kept until its last entry;
+    each entry adds its weight times the table, in order."""
+    distinct = {id(s): s for s in surfaces}
+    xs = np.unique(np.concatenate([s.xs for s in distinct.values()]))
+    ys = np.unique(np.concatenate([s.ys for s in distinct.values()]))
+    acc, tables, left = np.zeros((len(xs), len(ys))), {}, Counter(map(id, surfaces))
     for w, s in zip(weights, surfaces):
+        left[id(s)] -= 1
         if w > 0:
-            acc += w * s.eval_lattice(xs, ys)
+            E = tables.pop(id(s)) if id(s) in tables else s.eval_lattice(xs, ys)
+            if left[id(s)]:
+                tables[id(s)] = E
+            acc += w * E
     acc /= float(np.sum(weights))
     return BilinearSurface(xs, ys, acc, check=False)
 

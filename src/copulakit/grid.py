@@ -136,7 +136,8 @@ class GridCopula:
         axis-``j`` slab equals the slab width.  Or a function of no
         arguments that returns them, called on the first read of
         :attr:`masses`, which checks its tensor then as it checks a given
-        one here.
+        one here; that read raises ResolutionOverflow instead, before the
+        call, if the shape has more than ``DEFAULT_CELL_LIMIT`` cells.
     validate : bool
         Skip validation only for values produced by already-validated
         arithmetic.
@@ -175,6 +176,9 @@ class GridCopula:
         """Cell masses, read-only: a builder's tensor from its first read on."""
         m = self._masses
         if m is None:
+            cells = int(np.prod(self.shape))
+            if cells > DEFAULT_CELL_LIMIT:
+                raise ResolutionOverflow(f"masses need {cells} cells > limit {DEFAULT_CELL_LIMIT}")
             m = self._masses = self._frozen(self._build())
         return m
 

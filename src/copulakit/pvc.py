@@ -111,53 +111,40 @@ def pvc3(C) -> PvcResult:
         image = replace(fam, surfaces=[cp] * slab_count)
         psi = slab_mixture(image, C.kernel_u_breaks, f"pvc({C.name})")
     else:
-        # slab widths are positive, so every slab is live
-        cp, xs, ys, meshes, build = _reassemble(fam.weights, fam.surfaces, fam.margins1,
-                                                fam.margins2)
+        # slab widths are positive, so every slab is live and has its mesh
+        cp = average_surfaces(fam.weights, fam.surfaces)
         cp.check_margins()
         dd = np.diff(np.diff(cp.values, axis=0), axis=1)
         if dd.min() < -VALIDATION_TOL:
             raise NegativeMass(f"the partial copula has a 2-increment {dd.min():.3e}")
-        psi = GridCopula((xs, ys, fam.t_breaks), lambda: np.moveaxis(build(), 1, 2))
+        xs, ys, meshes, build = _reassemble(cp, fam.weights, fam.margins1, fam.margins2,
+                                            cond_last=True)
+        psi = GridCopula((xs, ys, fam.t_breaks), build)
         psi.slab_tables = [(m, cp.eval_lattice(f1(m[0]), f2(m[1])))
                            for m, f1, f2 in zip(meshes, fam.margins1, fam.margins2)]
     return PvcResult(_fingerprint(C), psi, cp, slab_count)
 
 
-def _reassemble(weights, surfaces, margins1, margins2):
-    """Operator image from the conditioning cells of mass ``weights``, given
-    the conditional copula and margins of each live cell in C order: the
-    partial copula P (the weighted surface average), the preimage meshes of
-    its nodes under all margins, per live cell its slab mesh, the preimages
-    of P's nodes under its own margins, and the builder of the masses
-    w ΔΔP(F1, F2) per live cell, of shape (x cells, *weights.shape, y cells).
-    ResolutionOverflow once the first live cell's meshes alone give too many,
-    or the full meshes do, before any mass is built."""
+def _reassemble(cp, weights, margins1, margins2, cond_last=False):
+    """Operator image of the partial copula ``cp`` on the conditioning cells of
+    mass ``weights``, given the conditional margins of each live cell in C
+    order: the preimage meshes of P's nodes under all margins, per live cell
+    its slab mesh, the preimages of P's nodes under its own margins, and the
+    builder of the masses w ΔΔP(F1, F2) per live cell, of shape
+    (x cells, *weights.shape, y cells), or with the conditioning axes last."""
     cells = _live_cells(weights)
-    cp = average_surfaces([weights[c] for c in cells], surfaces)
-    # a lower bound on the cell count, before the full merge: the union holds
-    # every margin's preimages, and the 1e-13 merge keeps a largest set of
-    # points more than 1e-13 apart, whose count cannot fall as points are added
-    x0, _ = preimage_union(margins1[:1], cp.xs)
-    y0, _ = preimage_union(margins2[:1], cp.ys)
-    least = (len(x0) - 1) * weights.size * (len(y0) - 1)
-    if least > DEFAULT_CELL_LIMIT:
-        raise ResolutionOverflow(f"operator image needs at least {least} cells")
     xs, ix = preimage_union(margins1, cp.xs)
     ys, iy = preimage_union(margins2, cp.ys)
-    shape = (len(xs) - 1,) + weights.shape + (len(ys) - 1,)
-    if int(np.prod(shape)) > DEFAULT_CELL_LIMIT:
-        raise ResolutionOverflow(f"operator image needs {int(np.prod(shape))} cells")
 
     def build():
-        masses = np.zeros(shape)
+        masses = np.zeros((len(xs) - 1,) + weights.shape + (len(ys) - 1,))
         for cell, f1, f2 in zip(cells, margins1, margins2):
             P = cp.eval_lattice(f1(xs), f2(ys))
             masses[(slice(None), *cell, slice(None))] = weights[cell] * np.diff(
                 np.diff(P, axis=0), axis=1)
-        return masses
+        return np.moveaxis(masses, -1, 1) if cond_last else masses
 
-    return cp, xs, ys, [(xs[i], ys[j]) for i, j in zip(ix, iy)], build
+    return xs, ys, [(xs[i], ys[j]) for i, j in zip(ix, iy)], build
 
 
 def _live_cells(weights) -> list:
@@ -230,8 +217,17 @@ def _build_block(work, blocks, i, span):
         f_left.append(conditional_margin(b_left, 0, t, cond_axes=tuple(range(1, span))))
         f_right.append(conditional_margin(b_right, span - 1, t,
                                           cond_axes=tuple(range(0, span - 1))))
-    cp, xs, ys, _, build = _reassemble(weights, surfaces, f_left, f_right)
-    return GridCopula([xs] + mesh + [ys], build()), cp
+    cp = average_surfaces(weights[weights > 0], surfaces)
+    # a lower bound on the cell count, before the full merge: the union holds
+    # every margin's preimages, and the 1e-13 merge keeps a largest set of
+    # points more than 1e-13 apart, whose count cannot fall as points are added
+    x0, _ = preimage_union(f_left[:1], cp.xs)
+    y0, _ = preimage_union(f_right[:1], cp.ys)
+    least = (len(x0) - 1) * weights.size * (len(y0) - 1)
+    if least > DEFAULT_CELL_LIMIT:
+        raise ResolutionOverflow(f"operator image needs at least {least} cells")
+    xs, ys, _, build = _reassemble(cp, weights, f_left, f_right)
+    return GridCopula([xs] + mesh + [ys], build), cp
 
 
 # -- summary report -------------------------------------------------------------

@@ -24,6 +24,7 @@ from copulakit import (
     slab_family,
 )
 from copulakit.conditioning import (
+    BilinearSurface,
     PiecewiseLinearCdf,
     _surface_from_joint,
     average_surfaces,
@@ -285,6 +286,27 @@ class TestAverageSurfaces:
         for a, b in zip((got.xs, got.ys, got.values),
                         average_surfaces_fold_oracle(weights, surfaces)):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+    def test_a_recurring_surface_is_evaluated_once(self, monkeypatch):
+        # the ladder repeats each source cell's surface over its mesh cells
+        rng = np.random.default_rng([30, 1])
+        distinct = slab_family(random_copula_grid(rng, [3, 4, 3])).surfaces
+        picks = rng.integers(0, 3, size=20)
+        surfaces = [distinct[i] for i in picks]
+        weights = np.r_[rng.random(18), 0.0, rng.random()]
+        want = average_surfaces_fold_oracle(weights, surfaces)
+        calls, real = [], BilinearSurface.eval_lattice
+
+        def spy(self, xs, ys):
+            calls.append(id(self))
+            return real(self, xs, ys)
+
+        monkeypatch.setattr(BilinearSurface, "eval_lattice", spy)
+        got = average_surfaces(weights, surfaces)
+        for a, b in zip((got.xs, got.ys, got.values), want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert sorted(calls) == sorted({id(s) for s in surfaces})
 
 
 class TestPartialCopula:

@@ -1,5 +1,9 @@
+import os
+import subprocess
 import sys
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +57,9 @@ from copulakit.pvc import _fingerprint
 from copulakit.grid import _axis_map, _contract
 from copulakit.verify import convergence_lab, random_copula_grid
 from conftest import f3pi_member, nonuniform_grid
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def cellwise_gap(a, b):
@@ -148,11 +155,24 @@ class TestSlabTables:
     preimage mesh, beside the same dense image as before."""
 
     def test_images_hash_as_before_the_one_sort_union(self):
-        # breaks and masses of seeded images, pinned from the folded union
-        C = random_copula_grid(np.random.default_rng(0), [12] * 3)
-        assert _fingerprint(pvc3(C).psi) == "6d3d5462356236e9"
-        C = random_copula_grid(np.random.default_rng(0), [3] * 4)
-        assert _fingerprint(pvc_dvine(C).psi) == "8181fbb6f712f4f3"
+        # breaks and masses of seeded images, pinned from the folded union; the
+        # dense masses pass through BLAS matrix products, whose last bits
+        # depend on the thread count, so both are hashed with one BLAS thread
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import numpy as np\n"
+            "from copulakit import pvc3, pvc_dvine\n"
+            "from copulakit.pvc import _fingerprint\n"
+            "from copulakit.verify import random_copula_grid\n"
+            "C = random_copula_grid(np.random.default_rng(0), [12] * 3)\n"
+            "print(_fingerprint(pvc3(C).psi))\n"
+            "C = random_copula_grid(np.random.default_rng(0), [3] * 4)\n"
+            "print(_fingerprint(pvc_dvine(C).psi))\n"
+        )
+        one = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        out = subprocess.run([sys.executable, "-c", script, str(SRC)], capture_output=True,
+                             text=True, timeout=600, env={**os.environ, **one})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["b5aaa63bdf69ae79", "ec567d8613aa1b34"]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_each_table_is_the_dense_kernel_on_the_global_mesh(self, seed):
@@ -186,18 +206,24 @@ def eager_image_masses(C):
     return np.ascontiguousarray(np.moveaxis(masses, 1, 2))
 
 
+def count_builds(monkeypatch) -> list:
+    """Patch pvc's ``_reassemble`` so that each call of a mass builder it
+    returns appends 1 to the list returned here."""
+    builds, real = [], pvc_mod._reassemble
+
+    def spy(*args, **kwargs):
+        *head, build = real(*args, **kwargs)
+        return (*head, lambda: builds.append(1) or build())
+
+    monkeypatch.setattr(pvc_mod, "_reassemble", spy)
+    return builds
+
+
 class TestLazyImage:
     """pvc3 of a grid builds its image's masses on their first read only."""
 
     def test_metrics_against_the_input_leave_the_masses_unbuilt(self, monkeypatch):
-        builds = []
-        real = pvc_mod._reassemble
-
-        def spy(*args):
-            *head, build = real(*args)
-            return (*head, lambda: builds.append(1) or build())
-
-        monkeypatch.setattr(pvc_mod, "_reassemble", spy)
+        builds = count_builds(monkeypatch)
         C = random_copula_grid(np.random.default_rng(3), [5, 4, 6])
         psi = pvc3(C).psi
         for metric in (d_inf, d1, d2, d_inf_kernel):
@@ -235,6 +261,56 @@ class TestLazyImage:
         C = nonuniform_grid(rng, 3, sizes=shape) if seed % 2 else random_copula_grid(rng, shape)
         psi = pvc3(C).psi
         assert psi.masses.tobytes() == eager_image_masses(C).tobytes()
+
+    def test_a_16_cube_image_answers_its_kernel_metrics_unbuilt(self, monkeypatch):
+        # 3616 x 3616 x 16 cells, over the cell limit: the kernel metrics read
+        # the slab tables, and a read of the masses refuses before it allocates
+        builds = count_builds(monkeypatch)
+        C = random_copula_grid(np.random.default_rng(0), [16] * 3)
+        psi = pvc3(C).psi
+        assert psi.shape == (3616, 3616, 16)
+        for metric in (d1, d2, d_inf_kernel):
+            assert metric(C, psi).exactness == "exact"
+        for read in (lambda: psi.masses, lambda: d_inf(C, psi)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResolutionOverflow, match="209207296 cells"):
+                    read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**24
+        assert builds == []
+
+    def test_the_ladders_last_block_is_built_on_its_first_read(self, monkeypatch):
+        builds = count_builds(monkeypatch)
+        C = random_copula_grid(np.random.default_rng(5), [2, 3, 2, 3])
+        psi = pvc_dvine(C).psi
+        # the next tree reads both tree-2 blocks; nothing reads the last one
+        assert builds == [1, 1] and psi.shape[1:3] == (9, 8)
+        assert psi.masses is psi.masses and builds == [1, 1, 1]
+        for i in range(3):
+            assert cellwise_gap(psi.margin((i, i + 1)), C.margin((i, i + 1))) <= 1e-12
+
+    @pytest.mark.parametrize("partial", ["independence", "another-grid"])
+    def test_any_partial_copula_reassembles_into_a_copula(self, partial):
+        rng = np.random.default_rng(30)
+        C = random_copula_grid(rng, [4, 3, 5])
+        if partial == "independence":
+            P = BilinearSurface([0.0, 1.0], [0.0, 1.0], [[0.0, 0.0], [0.0, 1.0]])
+        else:
+            P = slab_family(random_copula_grid(rng, [3, 5, 2])).partial_copula()
+        fam = slab_family(C)
+        xs, ys, meshes, build = pvc_mod._reassemble(P, fam.weights, fam.margins1,
+                                                    fam.margins2, cond_last=True)
+        S = GridCopula((xs, ys, fam.t_breaks), build)  # validated as it is built
+        assert len(meshes) == 5 and S.masses.min() >= 0.0
+        for axes in ((0, 2), (1, 2)):
+            assert cellwise_gap(S.margin(axes), C.margin(axes)) <= 1e-12
+        # the image's partial copula is P again, and it is simplified
+        assert_allclose(slab_family(S).partial_copula().eval_lattice(xs, ys),
+                        P.eval_lattice(xs, ys), atol=1e-12)
+        assert is_simplified(S)[0]
 
     @pytest.mark.parametrize("node, value, error", [
         ((1, 1), -0.1, NegativeMass),

@@ -124,7 +124,9 @@ def stray_calls(path, name, allowed) -> list:
 # nodes are taken in conditioning.preimage_union alone, so every slab mesh of
 # an operator image comes from the same merge as its global mesh; an operator
 # image's cdf is summed from its slab tables in metrics._last_axis_slabs,
-# which d_inf_many alone reads, so no second route to it beside d_inf's appears
+# which d_inf_many alone reads, so no second route to it beside d_inf's appears;
+# an operator image's mass builder is called by GridCopula alone, as its
+# self._build on the first read of masses, after the one cell-limit check
 ONE_WAY = {
     "tensordot": {"grid.py:_contract", "quadrature.py:integrate_square_multilinear"},
     "searchsorted": {"grid.py", "empirical.py:step_cdf_slabs"},
@@ -143,6 +145,7 @@ ONE_WAY = {
     "take_along_axis": set(),
     "preimages": {"conditioning.py:preimage_union"},
     "_last_axis_slabs": {"metrics.py:d_inf_many"},
+    "build": set(),
 }
 
 
@@ -293,6 +296,16 @@ def test_one_way_guard_catches_offenders(tmp_path):
                    "def wcc_profile(c1, c2, v):\n    return next(_last_axis_slabs(c1, [v]))\n")
     assert stray_calls(met, "_last_axis_slabs", ONE_WAY["_last_axis_slabs"]) == [
         "metrics.py:wcc_profile:10"]
+    # a ladder block built at once, and a builder wrapped beside GridCopula's read
+    pvc = tmp_path / "pvc.py"
+    pvc.write_text("def _build_block(cp, weights, f1, f2):\n"
+                   "    xs, ys, _, build = _reassemble(cp, weights, f1, f2)\n"
+                   "    return GridCopula([xs, ys], build())\n\n\n"
+                   "def pvc3(C):\n    xs, ys, _, build = _reassemble(C)\n"
+                   "    return GridCopula([xs, ys], lambda: moveaxis(build(), 1, 2))\n\n\n"
+                   "class GridCopula:\n    def masses(self):\n        return self._build()\n")
+    assert stray_calls(pvc, "build", ONE_WAY["build"]) == [
+        "pvc.py:_build_block:3", "pvc.py:pvc3:8"]
 
 
 def test_every_function_is_used_outside_tests():
